@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvironmentLaw, RegimeError, kappa_solve, moment_rho_log
+from .env import EnvironmentLaw, RegimeError, draw_log_rho, kappa_solve, moment_rho_log
 from .rng import generator, stream_key
 from .special import digamma, log_beta
 
@@ -85,18 +85,6 @@ class IglehartEstimate:
     truncated_excursions: int     # excursions cut by the site cap
 
 
-def _draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    if law.kind == "beta":
-        om = rng.beta(law.alpha, law.beta, size=size)
-        om = np.clip(om, 1e-300, 1.0 - 1e-16)
-        return np.log1p(-om) - np.log(om)
-    values = np.asarray(law.values)
-    log_rho_table = np.log1p(-values) - np.log(values)
-    edges = np.cumsum(law.probs)
-    idx = np.searchsorted(edges, rng.random(size), side="right")
-    return log_rho_table[np.minimum(idx, len(values) - 1)]
-
-
 def sample_excursions(law: EnvironmentLaw, n: int, seed: int,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """n excursions of the potential above its running minimum.
@@ -116,7 +104,7 @@ def sample_excursions(law: EnvironmentLaw, n: int, seed: int,
     rounds = 0
     truncated = 0
     while active.size:
-        inc = _draw_log_rho(law, rng, active.size)
+        inc = draw_log_rho(law, rng, active.size)
         v[active] += inc
         length[active] += 1
         height[active] = np.maximum(height[active], v[active])
@@ -202,7 +190,7 @@ def _simulate_series_block(law: EnvironmentLaw, rng: np.random.Generator,
     chunk = 64
     while active.size and terms < truncation:
         width = min(chunk, truncation - terms)
-        inc = _draw_log_rho(law, rng, active.size * width).reshape(active.size, width)
+        inc = draw_log_rho(law, rng, active.size * width).reshape(active.size, width)
         prods = p[active, None] * np.exp(np.cumsum(inc, axis=1))
         r[active] += prods.sum(axis=1)
         p[active] = prods[:, -1]

@@ -37,6 +37,8 @@ __all__ = [
     "RegimeError",
     "NoRootError",
     "sample_environment",
+    "draw_omegas",
+    "draw_log_rho",
     "rho",
     "lambda_fn",
     "kappa_solve",
@@ -49,6 +51,7 @@ RATE_SENTINEL = 1e308
 _EDGE = 1e-6
 _BISECT_ITERS = 200
 _SITE_BLOCK = 4096  # sites per stream block when sampling environments
+_OMEGA_CLIP = (1e-300, 1.0 - 1e-16)  # keeps generator draws off 0 and 1
 
 
 class RegimeError(ValueError):
@@ -124,7 +127,15 @@ class EnvironmentSlice:
     seed_info: dict = field(default_factory=dict)
 
     def site(self, i: int) -> float:
-        return float(self.omegas[i - self.offset])
+        return float(self.omegas[self.index(i)])
+
+    def index(self, i: int) -> int:
+        """Position of site i in omegas; IndexError outside the slice."""
+        k = i - self.offset
+        if not 0 <= k < len(self.omegas):
+            raise IndexError(f"site {i} outside [{self.offset}, "
+                             f"{self.offset + len(self.omegas) - 1}]")
+        return k
 
 
 @dataclass(frozen=True)
@@ -141,16 +152,43 @@ def rho(omega: float) -> float:
     return (1.0 - omega) / omega
 
 
+def _atom_index(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of a discrete law: the atom each uniform selects."""
+    edges = np.cumsum(np.asarray(law.probs))
+    return np.minimum(np.searchsorted(edges, u, side="left"), len(law.values) - 1)
+
+
 def _law_uniform_to_omega(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
     if law.kind == "beta":
         if law.beta == 1.0:
             # CDF of Beta(a,1) is x^a, inverted in closed form
             return u ** (1.0 / law.alpha)
         return betaincinv(law.alpha, law.beta, u)
-    edges = np.cumsum(np.asarray(law.probs))
-    idx = np.searchsorted(edges, u, side="left")
-    idx = np.minimum(idx, len(law.values) - 1)
-    return np.asarray(law.values)[idx]
+    return np.asarray(law.values)[_atom_index(law, u)]
+
+
+def draw_omegas(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size i.i.d. omegas from a generator, for samplers that draw a fresh
+    environment per replica rather than a site-keyed window.  Beta laws
+    use the generator's own beta sampler (inversion through betaincinv
+    costs about a microsecond a draw); discrete laws invert the same CDF
+    as sample_environment.  Draws are clipped into _OMEGA_CLIP."""
+    if law.kind == "beta":
+        om = rng.beta(law.alpha, law.beta, size)
+    else:
+        om = _law_uniform_to_omega(law, rng.random(size))
+    return np.clip(om, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
+
+
+def draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+    """log rho of draw_omegas(law, rng, size), value for value.  Discrete
+    laws read a per-atom table instead of taking two logarithms a draw,
+    which keeps the renewal-series estimator a fifth faster."""
+    if law.kind == "beta":
+        om = draw_omegas(law, rng, size)
+        return np.log1p(-om) - np.log(om)
+    atoms = np.clip(law.values, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
+    return (np.log1p(-atoms) - np.log(atoms))[_atom_index(law, rng.random(size))]
 
 
 def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: int) -> EnvironmentSlice:

@@ -46,6 +46,7 @@ from .constants import (
 from .env import (
     EnvironmentLaw,
     NoRootError,
+    draw_omegas,
     kappa_solve,
     mean_log_rho,
     moment_rho_log,
@@ -55,13 +56,15 @@ from .potential import (
     WindowExhausted,
     build_potential,
     check_good_environment,
+    critical_height,
+    descent_threshold,
     detect_deep_valleys,
     detect_star_valleys,
     excursion_table,
     first_ascent,
     ladder_epochs,
 )
-from .quenched import QuenchedChain, linear_solve_oracle
+from .quenched import QuenchedChain, _branching_cascade, linear_solve_oracle
 from .rng import generator, stream_key
 from .stable import StableSpec, predicted_tau_cdf, sample_positive_stable
 
@@ -89,15 +92,15 @@ __all__ = [
     "report_csv_text",
     "manifest_text",
     "run_from_manifest",
-    "cli_main",
 ]
 
 _TAU_BLOCK = 2500          # replicas per tau block
 _POS_BLOCK = 512           # replicas per position block
 _POS_EXTEND = 1024         # window growth unit (sites)
 _POS_MAX_WIDTH = 20_000    # hard cap on the per-block environment window
-_LAM_CAP = 5e18            # same branching-intensity guard as quenched
-_OMEGA_CLIP = (1e-300, 1.0 - 1e-16)
+_TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica counts as clipped
+
+_C_K_SOURCE_CODE = {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}
 
 REPORT_VERSION = "rwre-report-v1"
 MANIFEST_VERSION = "rwre-manifest-v1"
@@ -302,17 +305,7 @@ class ConvergenceReport:
     extras: tuple[tuple[str, float], ...] = ()
 
     def extra(self, key: str) -> float:
-        for k, v in self.extras:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-
-def _row_extra(row: ReportRow, key: str) -> float:
-    for k, v in row.extras:
-        if k == key:
-            return v
-    raise KeyError(key)
+        return dict(self.extras)[key]
 
 
 # ------------------------------------------------------------ primitives
@@ -338,17 +331,6 @@ def _limit_params(config: ExperimentConfig, kappa: float,
         c_k = est.constant_hat
         source = "estimate"
     return limit_scale(kappa, c_k, moment), source
-
-
-def _draw_omegas(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    if law.kind == "beta":
-        om = rng.beta(law.alpha, law.beta, size)
-    else:
-        edges = np.cumsum(np.asarray(law.probs))
-        idx = np.minimum(np.searchsorted(edges, rng.random(size), side="left"),
-                         len(law.values) - 1)
-        om = np.asarray(law.values)[idx]
-    return np.clip(om, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
 
 
 def _run_blocks(tasks, workers: int) -> list:
@@ -412,57 +394,30 @@ def _ks_to_predicted(scaled: np.ndarray, params: LimitLawParams,
 
 def _tau_block(law: EnvironmentLaw, n: int, count: int, key: int,
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact annealed tau(0 -> n) draws through the branching
-    representation, one fresh environment per replica.
-
-    Site i contributes U_i left-steps; going right from n-1 down to 0 the
-    counts follow NegBin(U_next + 1, omega_i) (realized as
-    Poisson(Gamma(U_next + 1) rho_i)); left of the origin the +1 drops and
-    the cascade dies out for transient laws.  tau = n + 2 sum U_i.
-    Intensities above the cap mark the replica clipped; callers must not
-    let clipped values into estimators.
-    """
+    """Exact annealed tau(0 -> n) draws: the branching cascade with a
+    fresh omega vector at every site, one environment per replica.
+    Returns (tau, clipped); callers must not let clipped values into
+    estimators."""
     rng = generator(key)
-    u = np.zeros(count, dtype=np.float64)
-    total = np.zeros(count, dtype=np.float64)
-    clipped = np.zeros(count, dtype=bool)
-    for _ in range(n):
-        om = _draw_omegas(law, rng, count)
-        rho = (1.0 - om) / om
-        lam = rng.standard_gamma(u + 1.0) * rho
-        clipped |= lam > _LAM_CAP
-        u = rng.poisson(np.minimum(lam, _LAM_CAP)).astype(np.float64)
-        total += u
-    depth = 0
-    while np.any(u > 0.0):
-        om = _draw_omegas(law, rng, count)
-        rho = (1.0 - om) / om
-        lam = rng.standard_gamma(u) * rho
-        clipped |= lam > _LAM_CAP
-        u = rng.poisson(np.minimum(lam, _LAM_CAP)).astype(np.float64)
-        total += u
-        depth += 1
-        if depth > 10 ** 6:
-            clipped |= u > 0.0
-            break
-    return float(n) + 2.0 * total, clipped
+
+    def rho_at(_site: int) -> np.ndarray:
+        om = draw_omegas(law, rng, count)
+        return (1.0 - om) / om
+
+    return _branching_cascade(rho_at, rng, count, 0, n, floor=-_TAU_DEPTH - 1)
 
 
-def _collect_tau(config: ExperimentConfig, n: int, workers: int,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    blocks = []
-    done = 0
-    idx = 0
-    while done < config.replicas:
-        count = min(_TAU_BLOCK, config.replicas - done)
-        key = stream_key(config.master_seed, "tau", n, idx)
-        blocks.append((lambda c=count, k=key: _tau_block(config.law, n, c, k)))
-        done += count
-        idx += 1
-    parts = _run_blocks(blocks, workers)
-    tau = np.concatenate([p[0] for p in parts])
-    clipped = np.concatenate([p[1] for p in parts])
-    return tau, clipped
+def _replica_blocks(config: ExperimentConfig, block: int, workers: int,
+                    task) -> tuple[np.ndarray, np.ndarray]:
+    """Split config.replicas into blocks of at most block, run
+    task(count, idx) for each and concatenate the (values, flags) pairs
+    in block order."""
+    counts = [min(block, config.replicas - start)
+              for start in range(0, config.replicas, block)]
+    parts = _run_blocks([lambda c=c, i=i: task(c, i) for i, c in enumerate(counts)],
+                        workers)
+    return (np.concatenate([p[0] for p in parts]),
+            np.concatenate([p[1] for p in parts]))
 
 
 def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
@@ -477,7 +432,9 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
     params, c_k_source = _limit_params(config, kappa, c_k)
     rows = []
     for n in config.n_values:
-        tau, clipped = _collect_tau(config, n, workers)
+        tau, clipped = _replica_blocks(
+            config, _TAU_BLOCK, workers, lambda c, i: _tau_block(
+                config.law, n, c, stream_key(config.master_seed, "tau", n, i)))
         trunc = clipped | (tau > float(config.step_cap))
         kept = tau[~trunc]
         if kept.size < 10:
@@ -502,7 +459,7 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
         experiment="tau", config=config, rows=tuple(rows),
         extras=(("kappa", kappa), ("lambda_scale", params.lambda_scale),
                 ("c_k", params.c_k),
-                ("c_k_source_code", {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}[c_k_source])))
+                ("c_k_source_code", _C_K_SOURCE_CODE[c_k_source])))
     _emit(report, svg)
     return report
 
@@ -516,7 +473,7 @@ def _position_block(law: EnvironmentLaw, n: int, count: int, key: int,
     rng = generator(key)
     lo = -256
     hi = min(n, int(4 * math.ceil(n ** kappa)) + 64)
-    om = _draw_omegas(law, rng, count * (hi - lo + 1)).reshape(count, hi - lo + 1)
+    om = draw_omegas(law, rng, count * (hi - lo + 1)).reshape(count, hi - lo + 1)
     pos = np.zeros(count, dtype=np.int64)
     frozen = np.zeros(count, dtype=bool)
     rows_idx = np.arange(count)
@@ -529,7 +486,7 @@ def _position_block(law: EnvironmentLaw, n: int, count: int, key: int,
                 frozen |= pos >= hi
                 pos = np.minimum(pos, hi)
             else:
-                ext = _draw_omegas(law, rng, count * _POS_EXTEND
+                ext = draw_omegas(law, rng, count * _POS_EXTEND
                                    ).reshape(count, _POS_EXTEND)
                 om = np.concatenate([om, ext], axis=1)
                 hi += _POS_EXTEND
@@ -538,7 +495,7 @@ def _position_block(law: EnvironmentLaw, n: int, count: int, key: int,
                 frozen |= pos <= lo
                 pos = np.maximum(pos, lo)
             else:
-                ext = _draw_omegas(law, rng, count * _POS_EXTEND
+                ext = draw_omegas(law, rng, count * _POS_EXTEND
                                    ).reshape(count, _POS_EXTEND)
                 om = np.concatenate([ext, om], axis=1)
                 lo -= _POS_EXTEND
@@ -556,19 +513,9 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
         raise ValueError("position experiment needs step_cap >= max(n_values)")
     rows = []
     for n in config.n_values:
-        blocks = []
-        done = 0
-        idx = 0
-        while done < config.replicas:
-            count = min(_POS_BLOCK, config.replicas - done)
-            key = stream_key(config.master_seed, "pos", n, idx)
-            blocks.append(lambda c=count, k=key: _position_block(
-                config.law, n, c, k, kappa))
-            done += count
-            idx += 1
-        parts = _run_blocks(blocks, workers)
-        x = np.concatenate([p[0] for p in parts])
-        frozen = np.concatenate([p[1] for p in parts])
+        x, frozen = _replica_blocks(
+            config, _POS_BLOCK, workers, lambda c, i: _position_block(
+                config.law, n, c, stream_key(config.master_seed, "pos", n, i), kappa))
         kept = x[~frozen]
         scaled = kept / float(n) ** kappa
         ref_rng = generator(stream_key(config.master_seed, "pos-pred", n))
@@ -587,7 +534,7 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
         experiment="position", config=config, rows=tuple(rows),
         extras=(("kappa", kappa), ("x_scale", params.x_scale),
                 ("c_k", params.c_k),
-                ("c_k_source_code", {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}[c_k_source])))
+                ("c_k_source_code", _C_K_SOURCE_CODE[c_k_source])))
     _emit(report, svg)
     return report
 
@@ -602,10 +549,8 @@ def duality_product(tau_report: ConvergenceReport,
     if not shared:
         raise ValueError("reports share no n value")
     n = shared[-1]
-    tau_med = next(_row_extra(r, "median_scaled")
-                   for r in tau_report.rows if r.n == n)
-    x_med = next(_row_extra(r, "median_scaled")
-                 for r in position_report.rows if r.n == n)
+    tau_med = next(dict(r.extras)["median_scaled"] for r in tau_report.rows if r.n == n)
+    x_med = next(dict(r.extras)["median_scaled"] for r in position_report.rows if r.n == n)
     s = sample_positive_stable(StableSpec(kappa=kappa), 200_000,
                                seed=stream_key(0xD0A1, "duality"))
     med_s = float(np.median(s))
@@ -626,6 +571,12 @@ def _census_kappa(law: EnvironmentLaw) -> tuple[float, bool]:
         if mean_log_rho(law) < 0.0:
             return 1.0, True
         raise
+
+
+def _left_pad(d_n: float, drift: float) -> int:
+    """Sites left of the origin in a first window: room for a valley's
+    D_n backing at the law's drift, with a margin."""
+    return int(math.ceil((d_n + 10.0) / max(drift, 0.05) * 4.0)) + 256
 
 
 def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
@@ -696,9 +647,9 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     rows = []
     total_retries = 0
     for n in config.n_values:
-        h_n = ((1.0 - config.epsilon) / kappa) * math.log(n)
-        d_n = (1.0 + 1.0 / kappa) * math.log(n)
-        left_pad = int(math.ceil((d_n + 10.0) / max(drift, 0.05) * 4.0)) + 256
+        h_n = critical_height(n, config.epsilon, kappa)
+        d_n = descent_threshold(n, kappa)
+        left_pad = _left_pad(d_n, drift)
         h_grid = tuple(float(h) for h in (2.0, 4.0, 6.0, 8.0))
         q_hat = c_i_hat * math.exp(-kappa * h_n)
         tasks = []
@@ -814,10 +765,8 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
     drift = abs(mean_log_rho(config.law))
     rows = []
     for n in config.n_values:
-        h_n = ((1.0 - config.epsilon) / kappa) * math.log(n)
-        d_n = (1.0 + 1.0 / kappa) * math.log(n)
-        left_pad = int(math.ceil((d_n + 10.0) / max(drift, 0.05) * 4.0)) + 256
-        q_n = ig.c_i * math.exp(-kappa * h_n)
+        left_pad = _left_pad(descent_threshold(n, kappa), drift)
+        q_n = ig.c_i * math.exp(-kappa * critical_height(n, config.epsilon, kappa))
         band = float(n) ** (-config.epsilon / 4.0)
         k_lower = int(math.floor(n * q_n * (1.0 - band)))
         k_upper = int(math.floor(n * q_n * (1.0 + band)))
@@ -1106,7 +1055,3 @@ def run_from_manifest(path: str, workers: int = 1,
                "output_dir": output_dir})
     return _RUNNERS[experiment](config, workers=workers)
 
-
-def cli_main(argv=None) -> int:
-    from .cli import main
-    return main(argv)

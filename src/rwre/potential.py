@@ -299,33 +299,55 @@ def _check_valley_params(n: int, epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 1/3), got {epsilon}")
 
 
+def _backing_site(path: PotentialPath, b: int, reach: int, D_n: float, what: str) -> int:
+    """a: the last site at or before b with V(a) - V(b) >= D_n.  reach is
+    the valley's right end so far and only sizes the retry hint."""
+    bi = path.index(b)
+    back = np.flatnonzero(path.v[: bi + 1] >= path.v[bi] + D_n)
+    if back.size == 0:
+        raise WindowExhausted("left", b - max(2 * (reach - b), 64), what)
+    return path.offset + int(back[-1])
+
+
+def _summit_site(path: PotentialPath, b: int, d_bar: int) -> int:
+    """c: the first argmax of V over [b, d_bar]."""
+    return b + int(np.argmax(path.slice_values(b, d_bar)))
+
+
+def _descent_site(path: PotentialPath, b: int, d_bar: int, D_n: float, what: str) -> int:
+    """d: the first site at or after d_bar with V(d) - V(d_bar) <= -D_n."""
+    dbi = path.index(d_bar)
+    drops = np.flatnonzero(path.v[dbi:] <= path.v[dbi] - D_n)
+    if drops.size == 0:
+        raise WindowExhausted("right", path.last_site + max(2 * (d_bar - b), 64), what)
+    return d_bar + int(drops[0])
+
+
 def _grow_valley(path: PotentialPath, b: int, d_bar: int, h_n: float, D_n: float,
                  height: float) -> DeepValley:
     """Grow (a, t_up, c, d) around a deep excursion [b, d_bar]."""
-    i0 = _origin_index(path)
-    v = path.v
-    bi, dbi = b + i0, d_bar + i0
-    # a: last site at or before b with V(a) - V(b) >= D_n
-    back = np.flatnonzero(v[: bi + 1] >= v[bi] + D_n)
-    if back.size == 0:
-        need = b - max(2 * (d_bar - b), 64)
-        raise WindowExhausted("left", need, f"valley backing a for b={b}")
-    a = int(back[-1]) - i0
+    a = _backing_site(path, b, d_bar, D_n, f"valley backing a for b={b}")
     # t_up: first site at or after b with V - V(b) >= h_n (inside the
     # excursion because its height reaches h_n)
-    ups = np.flatnonzero(v[bi : dbi + 1] >= v[bi] + h_n)
-    t_up = b + int(ups[0])
-    # c: first argmax of V on [b, d_bar]
-    seg = v[bi : dbi + 1]
-    c = b + int(np.argmax(seg))
-    # d: first site at or after d_bar with V - V(d_bar) <= -D_n
-    drops = np.flatnonzero(v[dbi:] <= v[dbi] - D_n)
-    if drops.size == 0:
-        need = path.last_site + max(2 * (d_bar - b), 64)
-        raise WindowExhausted("right", need, f"valley descent d for d_bar={d_bar}")
-    d = d_bar + int(drops[0])
+    seg = path.slice_values(b, d_bar)
+    t_up = b + int(np.flatnonzero(seg >= seg[0] + h_n)[0])
+    c = _summit_site(path, b, d_bar)
+    d = _descent_site(path, b, d_bar, D_n, f"valley descent d for d_bar={d_bar}")
     return DeepValley(a=a, b=b, c=c, d=d, d_bar=d_bar, t_up=t_up,
                       height=height, h_n=h_n, D_n=D_n)
+
+
+def _first_excursions(path: PotentialPath, n: int,
+                      table: ExcursionTable | None) -> ExcursionTable:
+    """The path's excursion table (reused when given), which must hold
+    the first n excursions."""
+    if table is None:
+        table = excursion_table(path)
+    realized = table.starts.size
+    if realized < n:
+        raise WindowExhausted("right", path.last_site + 2 * max(n - realized, 64),
+                              f"e_n (only {realized} of {n} excursions realized)")
+    return table
 
 
 def detect_deep_valleys(path: PotentialPath, n: int, epsilon: float, kappa: float,
@@ -336,12 +358,7 @@ def detect_deep_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
     _check_valley_params(n, epsilon)
     h_n = critical_height(n, epsilon, kappa)
     D_n = descent_threshold(n, kappa)
-    if table is None:
-        table = excursion_table(path)
-    realized = table.starts.size
-    if realized < n:
-        raise WindowExhausted("right", path.last_site + 2 * max(n - realized, 64),
-                              f"e_n (only {realized} of {n} excursions realized)")
+    table = _first_excursions(path, n, table)
     out = []
     for i in np.flatnonzero(table.heights[:n] >= h_n):
         out.append(_grow_valley(path, int(table.starts[i]), int(table.ends[i]),
@@ -394,25 +411,14 @@ def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
         seg = v[oi : ti + 1]
         vmin = np.min(seg)
         b = origin + int(np.flatnonzero(seg == vmin)[-1])
-        bi = b + i0
-        # a: last site at or before b with V(a) - V(b) >= D_n
-        back = np.flatnonzero(v[: bi + 1] >= v[bi] + D_n)
-        if back.size == 0:
-            raise WindowExhausted("left", b - max(2 * (t_star - b), 64), "star-valley a")
-        a = int(back[-1]) - i0
+        a = _backing_site(path, b, t_star, D_n, "star-valley a")
         # d_bar: first k >= t_star with V(k) <= V(b)
-        lows = np.flatnonzero(v[ti:] <= v[bi])
+        lows = np.flatnonzero(v[ti:] <= v[b + i0])
         if lows.size == 0:
             raise WindowExhausted("right", path.last_site + 2 * (t_star - b), "star-valley d_bar")
         d_bar = t_star + int(lows[0])
-        dbi = d_bar + i0
-        # c: first argmax of V over [b, d_bar]
-        c = b + int(np.argmax(v[bi : dbi + 1]))
-        # d: first k >= d_bar with V(k) - V(d_bar) <= -D_n
-        drops = np.flatnonzero(v[dbi:] <= v[dbi] - D_n)
-        if drops.size == 0:
-            raise WindowExhausted("right", path.last_site + max(2 * (d_bar - b), 64), "star-valley d")
-        d = d_bar + int(drops[0])
+        c = _summit_site(path, b, d_bar)
+        d = _descent_site(path, b, d_bar, D_n, "star-valley d")
         out.append(StarValley(gamma=gamma, a=a, b=b, t_star=t_star, c=c,
                               d_bar=d_bar, d=d))
         origin = d
@@ -446,12 +452,8 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
         raise ValueError(f"delta must exceed eps/kappa = {epsilon / kappa:.6g}, got {delta}")
     h_n = critical_height(n, epsilon, kappa)
     D_n = descent_threshold(n, kappa)
-    if table is None:
-        table = excursion_table(path)
+    table = _first_excursions(path, n, table)
     realized = table.starts.size
-    if realized < n:
-        raise WindowExhausted("right", path.last_site + 2 * max(n - realized, 64),
-                              f"e_n (only {realized} of {n} excursions realized)")
     e_n = int(table.ends[n - 1])
     deep_all = np.flatnonzero(table.heights >= h_n) + 1  # 1-based excursion indices
     deep_first_n = deep_all[deep_all <= n]

@@ -106,7 +106,9 @@ class QuenchedChain:
     @classmethod
     def from_environment(cls, env: EnvironmentSlice, left: int, right: int,
                          reflect_at: int | None = None) -> "QuenchedChain":
-        om = np.array([env.site(x) for x in range(left + 1, right + 1)])
+        """Chain on [left, right] over omegas left+1 .. right of the slice;
+        IndexError when the slice does not cover them."""
+        om = env.omegas[env.index(left + 1) : env.index(right) + 1]
         return cls.from_omegas(om, left=left, reflect_at=reflect_at)
 
     def omega(self, x: int) -> float:
@@ -124,6 +126,16 @@ class QuenchedChain:
     def _vslice(self, lo: int, hi: int) -> np.ndarray:
         """Potential over the inclusive site range [lo, hi]."""
         return self.base_potential[lo - self.left : hi - self.left + 1]
+
+    def _wslice(self, lo: int, hi: int) -> np.ndarray:
+        """omega over the inclusive site range [lo, hi] (interior sites, or
+        the reflecting left end), with the reflecting site at 1."""
+        w = np.ones(max(hi - lo + 1, 0))
+        first = max(lo, self.left + 1)
+        w[first - lo:] = self.omegas[first - self.left - 1 : hi - self.left]
+        if self.reflect_at is not None and lo <= self.reflect_at <= hi:
+            w[self.reflect_at - lo] = 1.0
+        return w
 
 
 @dataclass(frozen=True)
@@ -258,7 +270,7 @@ def h_transform(chain: QuenchedChain, b: int, d: int, kind: str) -> HTransform:
     if kind not in ("failure", "success"):
         raise ValueError(f"kind must be 'failure' or 'success', got {kind!r}")
     v = chain._vslice(b, d)                     # V(b) .. V(d)
-    interior = np.array([chain.omega(x) for x in range(b + 1, d)])
+    interior = chain._wslice(b + 1, d - 1)
     width = d - b
 
     if kind == "failure":
@@ -456,7 +468,7 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
         if functional in ("hit_prob", "laplace_hit"):
             out[target - L] = 1.0
         return out
-    w = np.array([chain.omega(x) if x != reflect else 1.0 for x in range(x0, x1 + 1)])
+    w = chain._wslice(x0, x1)
     scale = math.exp(lam) if functional == "laplace_hit" else 1.0
 
     ab = np.zeros((3, n))
@@ -497,12 +509,10 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
         t_sys = solve(boundary(0.0, 0.0, np.ones(n)))
         t_full = np.zeros(R - L + 1)
         t_full[x0 - L : x1 - L + 1] = t_sys
-        # E[tau^2](x) = 1 + 2 (P T)(x) + (P S)(x)
-        pt = np.empty(n)
-        for k, x in enumerate(range(x0, x1 + 1)):
-            up = t_full[x + 1 - L]
-            down = 0.0 if x == L else t_full[x - 1 - L]
-            pt[k] = w[k] * up + (1.0 - w[k]) * down
+        # E[tau^2](x) = 1 + 2 (P T)(x) + (P S)(x); below L the time is 0
+        up = t_full[x0 - L + 1 : x1 - L + 2]
+        down = np.concatenate([[0.0], t_full])[x0 - L : x1 - L + 1]
+        pt = w * up + (1.0 - w) * down
         s = solve(boundary(0.0, 0.0, 1.0 + 2.0 * pt))
         out[x0 - L : x1 - L + 1] = s
         return out
@@ -577,21 +587,46 @@ def simulate_walk(env, start: int, stop: tuple[str, int], seed,
             path.append(x)
 
 
+def _branching_cascade(rho_at, rng: np.random.Generator, count: int, start: int,
+                       target: int, floor: int | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """count draws of tau(start -> target) = (target - start) + 2 sum_i U_i,
+    U_i the left crossings of the edge (i, i+1).
+
+    Scanning right to left, U_i given U_{i+1} is negative binomial (failures
+    before U_{i+1} + 1 successes at rate omega_i for sites >= start, before
+    U_{i+1} successes below start), drawn as Poisson(Gamma(.) rho_at(i)).
+    rho_at(i) is a scalar in a fixed environment or a vector of count fresh
+    values, one environment per replica; it is called before the site's
+    gamma draw.  Below start the scan runs until every count is zero, but
+    visits no site below floor.  Returns (tau, clipped): clipped marks the
+    replicas whose intensity passed _LAM_CAP or that were alive below floor.
+    """
+    u = np.zeros(count, dtype=np.float64)
+    total = np.zeros(count, dtype=np.float64)
+    clipped = np.zeros(count, dtype=bool)
+    i = target - 1
+    while i >= start or np.any(u > 0.0):
+        if floor is not None and i < min(floor, start):
+            clipped |= u > 0.0
+            break
+        rho = rho_at(i)
+        lam = rng.standard_gamma(u + 1.0 if i >= start else u) * rho
+        clipped |= lam > _LAM_CAP
+        u = rng.poisson(np.minimum(lam, _LAM_CAP)).astype(np.float64)
+        total += u
+        i -= 1
+    return (target - start) + 2.0 * total, clipped
+
+
 def sample_hitting_times(env, target: int, n_replicas: int, seed,
                          start: int = 0, reflect_at: int | None = None) -> np.ndarray:
-    """Exact-in-distribution tau(start -> target) via the branching
-    representation: tau = (target - start) + 2 sum_i U_i, where U_i counts
-    the left crossings of the edge (i, i+1).
-
-    Scanning right to left, U_i given U_{i+1} is negative binomial (number
-    of failures before U_{i+1} + 1 successes at rate omega_i for sites
-    >= start, before U_{i+1} successes below start), drawn by Poisson
-    mixing over a gamma variable.  A reflecting site stops the cascade;
-    without one the cascade must die out before the window's left edge,
-    otherwise WindowExhausted asks for more environment.
-
-    Returns float64 (extreme excursions overflow int64 but stay exact to
-    the resolution that matters).
+    """Exact-in-distribution tau(start -> target) in one environment, by
+    the branching cascade.  A reflecting site stops the cascade; without
+    one the cascade must die out before the window's left edge, otherwise
+    WindowExhausted asks for more environment.  An intensity past
+    _LAM_CAP, or a cascade cut at a reflecting site above start, raises
+    FloatingPointError rather than return a clipped draw.
     """
     if isinstance(env, QuenchedChain):
         lo = env.left
@@ -606,32 +641,22 @@ def sample_hitting_times(env, target: int, n_replicas: int, seed,
     rng = seed if isinstance(seed, np.random.Generator) else \
         generator(stream_key(seed, "branch"))
 
-    u = np.zeros(n_replicas, dtype=np.float64)
-    total = np.zeros(n_replicas, dtype=np.float64)
-    floor = reflect_at if reflect_at is not None else lo
-
-    for i in range(target - 1, start - 1, -1):
-        om = 1.0 if (reflect_at is not None and i == reflect_at) else omega_of(i)
-        rho = (1.0 - om) / om
-        lam = rng.standard_gamma(u + 1.0) * rho
-        u = rng.poisson(np.minimum(lam, _LAM_CAP)).astype(np.float64)
-        total += u
-
-    i = start - 1
-    while np.any(u > 0.0):
-        if i < floor:
-            if reflect_at is not None:
-                break                  # cascade is dead at the wall
+    def rho_at(i: int) -> float:
+        if i == reflect_at:
+            return 0.0
+        if i < lo:
             raise WindowExhausted("left", lo - max(64, 2 * (start - lo)),
                                   "branching cascade")
-        om = 1.0 if (reflect_at is not None and i == reflect_at) else omega_of(i)
-        rho = (1.0 - om) / om
-        lam = rng.standard_gamma(u) * rho
-        u = rng.poisson(np.minimum(lam, _LAM_CAP)).astype(np.float64)
-        total += u
-        i -= 1
+        om = omega_of(i)
+        return (1.0 - om) / om
 
-    return (target - start) + 2.0 * total
+    tau, clipped = _branching_cascade(rho_at, rng, n_replicas, start, target,
+                                      floor=reflect_at)
+    if clipped.any():
+        raise FloatingPointError(
+            f"{int(clipped.sum())} of {n_replicas} replicas passed the branching "
+            f"intensity cap {_LAM_CAP:g} or were cut at the reflecting site")
+    return tau
 
 
 def save_chain_text(chain: QuenchedChain, filename: str) -> None:

@@ -194,6 +194,13 @@ def test_sample_environment_site_lookup():
     assert env.site(9) == env.omegas[-1]
 
 
+def test_sample_environment_site_outside_the_slice_raises():
+    env = sample_environment(BETA_LAW, (0, 9), seed=1)
+    for site in (-1, 10):
+        with pytest.raises(IndexError):
+            env.site(site)
+
+
 def test_sample_environment_rejects_empty_range():
     with pytest.raises(ValueError):
         sample_environment(BETA_LAW, (5, 4), seed=0)

@@ -418,6 +418,37 @@ def test_branching_cascade_needs_room_without_reflection():
         sample_hitting_times(env, 5, 10, seed=2)
 
 
+def test_branching_sampler_raises_past_the_intensity_cap():
+    # rho = 1e10 per site: the second site's intensity is about 1e20
+    chain = flat_chain(1e-10, 4, reflect_at=0)
+    with pytest.raises(FloatingPointError):
+        sample_hitting_times(chain, 4, 20, seed=1)
+
+
+def test_branching_cascade_callers_agree_on_a_constant_environment():
+    from scipy.stats import ks_2samp
+    from rwre.env import EnvironmentLaw
+    from rwre.experiments import _tau_block
+    from rwre.rng import stream_key
+    n = 20
+    annealed, clipped = _tau_block(EnvironmentLaw.parse("discrete:0.7@1"), n, 4000,
+                                   stream_key(11, "tau"))
+    assert not clipped.any()
+    chain = QuenchedChain.from_omegas([0.7] * (n + 400), left=-400)
+    quenched = sample_hitting_times(chain, n, 4000, seed=12)
+    assert ks_2samp(annealed, quenched).pvalue > 1e-3
+
+
+def test_from_environment_needs_the_chain_inside_the_slice():
+    from rwre.env import EnvironmentLaw, sample_environment
+    env = sample_environment(EnvironmentLaw.beta_law(1.5, 1.0), (0, 9), seed=1)
+    chain = QuenchedChain.from_environment(env, -1, 9, reflect_at=-1)
+    np.testing.assert_array_equal(chain.omegas, env.omegas[:-1])
+    for left, right in ((-2, 9), (0, 10)):
+        with pytest.raises(IndexError):
+            QuenchedChain.from_environment(env, left, right)
+
+
 def test_walk_reflects_on_the_first_step():
     chain = flat_chain(0.5, 5, reflect_at=0)
     res = simulate_walk(chain, 0, ("steps", 1), seed=1)
