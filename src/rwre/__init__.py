@@ -11,9 +11,9 @@ The package splits along the objects of the theory:
              estimators;
 * stable     positive stable sampling and the inverse subordinator;
 * experiments  the end-to-end Monte Carlo harness and report emission;
-* rng        keyed counter-based streams behind all of the above;
-* special    log-gamma, digamma, log-beta without a scipy dependency in
-             the formula paths.
+* rng        keyed counter-based streams behind all of the above.
+
+Special functions (digamma, log-beta, logsumexp) come from scipy.special.
 """
 
 __version__ = "0.1.0"

@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betaln, digamma
 
 from .env import EnvironmentLaw, RegimeError, draw_log_rho, kappa_solve, moment_rho_log
 from .rng import generator, stream_key
-from .special import digamma, log_beta
 
 __all__ = [
     "LimitLawParams",
@@ -175,7 +175,7 @@ def kesten_constant_beta(alpha: float, beta: float) -> float:
     kappa = alpha - beta
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"need 0 < alpha - beta < 1, got {kappa}")
-    return 1.0 / (kappa * math.exp(log_beta(kappa, beta)))
+    return 1.0 / (kappa * math.exp(betaln(kappa, beta)))
 
 
 def _simulate_series_block(law: EnvironmentLaw, rng: np.random.Generator,
@@ -293,5 +293,5 @@ def limit_scale_beta(alpha: float, beta: float) -> float:
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"need 0 < alpha - beta < 1, got {kappa}")
     return (2.0 ** kappa) * (math.pi / math.sin(math.pi * kappa)) \
-        * (digamma(alpha) - digamma(beta)) \
-        / math.exp(2.0 * log_beta(kappa, beta))
+        * float(digamma(alpha) - digamma(beta)) \
+        / math.exp(2.0 * betaln(kappa, beta))

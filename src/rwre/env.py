@@ -25,10 +25,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, betaln, digamma, logsumexp
 
 from . import rng
-from .special import digamma, log_beta
 
 __all__ = [
     "EnvironmentLaw",
@@ -220,14 +219,7 @@ def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: i
 
 def _lambda_discrete(law: EnvironmentLaw, t: float) -> float:
     log_rhos = np.log([rho(v) for v in law.values])
-    return float(_logsumexp(np.log(law.probs) + t * log_rhos))
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+    return float(logsumexp(np.log(law.probs) + t * log_rhos))
 
 
 def lambda_fn(law: EnvironmentLaw, t: float) -> float:
@@ -239,7 +231,7 @@ def lambda_fn(law: EnvironmentLaw, t: float) -> float:
             raise ValueError(
                 f"E[rho^t] diverges for t >= alpha ({t} >= {law.alpha})"
             )
-        return log_beta(law.alpha - t, law.beta + t) - log_beta(law.alpha, law.beta)
+        return float(betaln(law.alpha - t, law.beta + t) - betaln(law.alpha, law.beta))
     return _lambda_discrete(law, t)
 
 
@@ -251,7 +243,7 @@ def _lambda_sup(law: EnvironmentLaw) -> float:
 def mean_log_rho(law: EnvironmentLaw) -> float:
     """E[log rho]; the walk is transient to +inf iff this is negative."""
     if law.kind == "beta":
-        return digamma(law.beta) - digamma(law.alpha)
+        return float(digamma(law.beta) - digamma(law.alpha))
     lr = [math.log(rho(v)) for v in law.values]
     return float(sum(p * x for p, x in zip(law.probs, lr)))
 
@@ -260,7 +252,7 @@ def _lambda_mc(law: EnvironmentLaw, t: float, seed: int, n: int = 10**6) -> floa
     u = rng.counter_uniforms(rng.stream_key(seed, "lambda-mc"), 0, n)
     omegas = _law_uniform_to_omega(law, u)
     log_rhos = np.log1p(-omegas) - np.log(omegas)
-    return _logsumexp(t * log_rhos) - math.log(n)
+    return float(logsumexp(t * log_rhos)) - math.log(n)
 
 
 def kappa_solve(law: EnvironmentLaw, tol: float = 1e-12, method: str | None = None,
@@ -325,7 +317,7 @@ def kappa_solve(law: EnvironmentLaw, tol: float = 1e-12, method: str | None = No
 def moment_rho_log(law: EnvironmentLaw, kappa: float) -> float:
     """E[rho^kappa log rho] (= Lambda'(kappa), positive at the root)."""
     if law.kind == "beta":
-        value = digamma(law.alpha) - digamma(law.beta)
+        value = float(digamma(law.alpha) - digamma(law.beta))
     else:
         value = 0.0
         for v, p in zip(law.values, law.probs):

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.special import logsumexp
 
 from .env import EnvironmentSlice
 from .potential import WindowExhausted
@@ -215,16 +216,6 @@ def _log_suffix_sumexp(a: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(a[::-1])[::-1]
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        return -math.inf
-    m = np.max(a)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(a - m))))
-
-
 def exit_prob(chain: QuenchedChain, x: int, l: int, r: int) -> float:
     """P^x{hit r before l} = sum_{k=l}^{x-1} e^{V(k)} / sum_{k=l}^{r-1} e^{V(k)}."""
     if not (chain.left <= l <= x <= r <= chain.right):
@@ -233,8 +224,8 @@ def exit_prob(chain: QuenchedChain, x: int, l: int, r: int) -> float:
         raise ValueError("degenerate interval")
     if x == l:
         return 0.0
-    num = _logsumexp(chain._vslice(l, x - 1))
-    den = _logsumexp(chain._vslice(l, r - 1))
+    num = logsumexp(chain._vslice(l, x - 1))
+    den = logsumexp(chain._vslice(l, r - 1))
     return float(math.exp(num - den))
 
 
@@ -244,7 +235,7 @@ def failure_prob(chain: QuenchedChain, b: int, d: int) -> tuple[float, float]:
     if not (chain.left < b < d <= chain.right):
         raise ValueError(f"need left < b < d <= right, got b={b}, d={d}")
     log_success = (math.log(chain.omega(b)) + chain.v(b)
-                   - _logsumexp(chain._vslice(b, d - 1)))
+                   - logsumexp(chain._vslice(b, d - 1)))
     one_minus_p = math.exp(log_success)
     p = -math.expm1(log_success)
     return p, one_minus_p
@@ -336,7 +327,7 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
 
     # left of b, reflected at a: first and second moment sums
     lm1L = chain.v(b - 1) - chain._vslice(a, b - 1)       # i = a .. b-1
-    log_S1L = _logsumexp(lm1L)
+    log_S1L = logsumexp(lm1L)
     log_rho_left = np.array(
         [math.log1p(-chain.omega(i)) - math.log(chain.omega(i)) for i in range(a + 1, b)])
     m = b - a                                   # sites a .. b-1
@@ -351,14 +342,14 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
     log_C = np.full(m, -math.inf)
     if m > 1:
         log_C[1:] = chain._vslice(a + 1, b - 1) + _log_prefix_sumexp(neg_v[:-1])
-    log_S2L = _logsumexp(lm2L + np.logaddexp(0.0, math.log(2.0) + log_C))
+    log_S2L = logsumexp(lm2L + np.logaddexp(0.0, math.log(2.0) + log_C))
 
     # right of b, under the failure transform
     if d > b + 1:
         # m1R_i = e^{-(V-hat(i-1) - V(b))} for i = b+1 .. d-1
         w = v_hat[: d - 1 - b]                  # V-hat on [b, d-2]
         lm1R = -(w - chain.v(b))
-        log_S1R = _logsumexp(lm1R)
+        log_S1R = logsumexp(lm1R)
         with np.errstate(divide="ignore"):
             log_omega_hat = np.log(ht.omegas_hat)           # sites b+1 .. d-1
         log_rho_hat = np.array(
@@ -378,7 +369,7 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
         if r > 1:
             suffix = _log_suffix_sumexp(-w[1:])
             log_D[:-1] = w[:-1] + suffix
-        log_S2R = _logsumexp(lm2R + np.logaddexp(0.0, math.log(2.0) + log_D))
+        log_S2R = logsumexp(lm2R + np.logaddexp(0.0, math.log(2.0) + log_D))
         right_first = log_wb + log_u + log_S1R
         right_second = log_wb + log_u + log_S2R
     else:
@@ -398,14 +389,14 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
     hs = h_transform(chain, b, d, "success")
     v_bar = hs.v_hat[1:]                        # finite on [b+1, d]
     log_L = _log_suffix_sumexp(v_bar)
-    mean_G_bound = 1.0 + 2.0 * math.exp(_logsumexp(log_L - v_bar))
+    mean_G_bound = 1.0 + 2.0 * math.exp(logsumexp(log_L - v_bar))
 
     # potential sums: attempt count and depth factors
     left_part = chain.v(b) - chain._vslice(a + 1, b - 1) if b > a + 1 else np.array([])
     right_part = -(v_hat[: d - b] - chain.v(b))           # x = b .. d-1
-    m1_hat = math.exp(_logsumexp(np.concatenate([left_part, right_part])))
+    m1_hat = math.exp(logsumexp(np.concatenate([left_part, right_part])))
     v_bd = chain._vslice(b, d - 1)
-    m2 = math.exp(_logsumexp(v_bd - np.max(v_bd)))        # = sum e^{V(x) - V(c)}
+    m2 = math.exp(logsumexp(v_bd - np.max(v_bd)))        # = sum e^{V(x) - V(c)}
     return AttemptMoments(p_fail=p_fail, mean_F=mean_F, second_F=second_F,
                           mean_G_bound=mean_G_bound, m1_hat=m1_hat, m2=m2)
 
@@ -558,33 +549,32 @@ def simulate_walk(env, start: int, stop: tuple[str, int], seed,
     path = [x] if trace else None
     block = np.empty(0)
     bi = 0
-    while True:
+    stopped_on = None
+    while stopped_on is None:
         if kind == "hit" and x == value and steps > 0:
-            return WalkResult(final_site=x, steps=steps, stopped_on="hit",
-                              truncated=False,
-                              trace=np.array(path) if trace else None)
-        if kind == "steps" and steps >= value:
-            return WalkResult(final_site=x, steps=steps, stopped_on="steps",
-                              truncated=False,
-                              trace=np.array(path) if trace else None)
-        if steps >= step_cap:
-            return WalkResult(final_site=x, steps=steps, stopped_on="cap",
-                              truncated=True,
-                              trace=np.array(path) if trace else None)
-        if bi >= len(block):
-            block = rng.random(8192)
-            bi = 0
-        if reflect_at is not None and x == reflect_at:
-            x += 1
+            stopped_on = "hit"
+        elif kind == "steps" and steps >= value:
+            stopped_on = "steps"
+        elif steps >= step_cap:
+            stopped_on = "cap"
         else:
-            if not lo <= x <= hi:
-                raise WindowExhausted("left" if x < lo else "right",
-                                      x - 64 if x < lo else x + 64, "walk window")
-            x += 1 if block[bi] < omega_of(x) else -1
-            bi += 1
-        steps += 1
-        if trace:
-            path.append(x)
+            if bi >= len(block):
+                block = rng.random(8192)
+                bi = 0
+            if reflect_at is not None and x == reflect_at:
+                x += 1
+            else:
+                if not lo <= x <= hi:
+                    raise WindowExhausted("left" if x < lo else "right",
+                                          x - 64 if x < lo else x + 64, "walk window")
+                x += 1 if block[bi] < omega_of(x) else -1
+                bi += 1
+            steps += 1
+            if trace:
+                path.append(x)
+    return WalkResult(final_site=x, steps=steps, stopped_on=stopped_on,
+                      truncated=stopped_on == "cap",
+                      trace=np.array(path) if trace else None)
 
 
 def _branching_cascade(rho_at, rng: np.random.Generator, count: int, start: int,
