@@ -98,7 +98,7 @@ _TAU_BLOCK = 2500          # replicas per tau block
 _POS_BLOCK = 512           # replicas per position block
 _POS_EXTEND = 1024         # window growth unit (sites)
 _POS_MAX_WIDTH = 20_000    # hard cap on the per-block environment window
-_TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica counts as clipped
+_TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica is clipped
 
 _C_K_SOURCE_CODE = {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}
 
@@ -407,13 +407,11 @@ def _tau_block(law: EnvironmentLaw, n: int, count: int, key: int,
     return _branching_cascade(rho_at, rng, count, 0, n, floor=-_TAU_DEPTH - 1)
 
 
-def _replica_blocks(config: ExperimentConfig, block: int, workers: int,
+def _replica_blocks(replicas: int, block: int, workers: int,
                     task) -> tuple[np.ndarray, np.ndarray]:
-    """Split config.replicas into blocks of at most block, run
-    task(count, idx) for each and concatenate the (values, flags) pairs
-    in block order."""
-    counts = [min(block, config.replicas - start)
-              for start in range(0, config.replicas, block)]
+    """Split replicas into blocks of at most block, run task(count, idx)
+    for each and concatenate the (values, flags) pairs in block order."""
+    counts = [min(block, replicas - start) for start in range(0, replicas, block)]
     parts = _run_blocks([lambda c=c, i=i: task(c, i) for i, c in enumerate(counts)],
                         workers)
     return (np.concatenate([p[0] for p in parts]),
@@ -433,7 +431,7 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
     rows = []
     for n in config.n_values:
         tau, clipped = _replica_blocks(
-            config, _TAU_BLOCK, workers, lambda c, i: _tau_block(
+            config.replicas, _TAU_BLOCK, workers, lambda c, i: _tau_block(
                 config.law, n, c, stream_key(config.master_seed, "tau", n, i)))
         trunc = clipped | (tau > float(config.step_cap))
         kept = tau[~trunc]
@@ -514,7 +512,7 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
     rows = []
     for n in config.n_values:
         x, frozen = _replica_blocks(
-            config, _POS_BLOCK, workers, lambda c, i: _position_block(
+            config.replicas, _POS_BLOCK, workers, lambda c, i: _position_block(
                 config.law, n, c, stream_key(config.master_seed, "pos", n, i), kappa))
         kept = x[~frozen]
         scaled = kept / float(n) ** kappa
