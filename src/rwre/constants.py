@@ -51,6 +51,9 @@ __all__ = [
 _EXCURSION_SITE_CAP = 100_000     # one excursion longer than this is flagged
 _SERIES_TERM_CAP = 100_000
 _SERIES_REL_TOL = 1e-12
+_SERIES_BLOCK = 100_000           # series per _simulate_series_block call
+_SERIES_CHUNK = 64                # terms drawn per active series and pass
+_SERIES_ROWS = 1024               # series per slice: 1024 x 64 doubles = 512 KB
 
 
 @dataclass(frozen=True)
@@ -181,24 +184,35 @@ def kesten_constant_beta(alpha: float, beta: float) -> float:
 def _simulate_series_block(law: EnvironmentLaw, rng: np.random.Generator,
                            size: int, truncation: int) -> tuple[np.ndarray, int]:
     """R = sum_{k>=0} e^{V(k)} per series, stopped when the increment is
-    below _SERIES_REL_TOL of the running sum or at the term cap."""
+    below _SERIES_REL_TOL of the running sum or at the term cap.
+
+    The series still active advance _SERIES_CHUNK terms at a time, and
+    each chunk runs over consecutive slices of _SERIES_ROWS series so
+    that the log-rho draws, their cumulative sum, exp and product stay in
+    one cache-sized array, updated in place.  Generator fills are
+    sequential, so the draws and every R are those of one fill per
+    chunk.  Memory: about 50 bytes a series (r, p, the active index and
+    the temporaries of the stopping test), plus a few _SERIES_ROWS x
+    _SERIES_CHUNK arrays of 512 KB, whatever the term cap.
+    """
     r = np.ones(size)
     p = np.ones(size)              # current partial product e^{V(k)}
     active = np.arange(size)
     terms = 0
-    truncated = 0
-    chunk = 64
     while active.size and terms < truncation:
-        width = min(chunk, truncation - terms)
-        inc = draw_log_rho(law, rng, active.size * width).reshape(active.size, width)
-        prods = p[active, None] * np.exp(np.cumsum(inc, axis=1))
-        r[active] += prods.sum(axis=1)
-        p[active] = prods[:, -1]
+        width = min(_SERIES_CHUNK, truncation - terms)
+        for lo in range(0, active.size, _SERIES_ROWS):
+            rows = active[lo : lo + _SERIES_ROWS]
+            prods = draw_log_rho(law, rng, rows.size * width).reshape(rows.size, width)
+            np.cumsum(prods, axis=1, out=prods)
+            np.exp(prods, out=prods)
+            prods *= p[rows, None]
+            r[rows] += prods.sum(axis=1)
+            p[rows] = prods[:, -1]
         terms += width
         still = p[active] > _SERIES_REL_TOL * r[active]
         active = active[still]
-    truncated = int(active.size)
-    return r, truncated
+    return r, int(active.size)
 
 
 def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 1_000_000,
@@ -212,15 +226,19 @@ def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 1_00
     x^kappa P{R > x} should be flat, and its mean is the estimate.  The
     standard error is a block bootstrap over sample shards, and the Hill
     estimator over the top n^{0.6} order statistics reads off the index.
+
+    Memory: about 32 bytes a series (the sample, its sort order, its
+    sorted copy and the quantile's working copy), plus about 5 MB for one
+    _SERIES_BLOCK block of the simulation (see _simulate_series_block),
+    whatever the term cap.
     """
     rng = generator(stream_key(seed, "kesten"))
-    block = 100_000
     out = np.empty(n_series)
     truncated = 0
     done = 0
     n_shards = 16
     while done < n_series:
-        m = min(block, n_series - done)
+        m = min(_SERIES_BLOCK, n_series - done)
         r, trunc = _simulate_series_block(law, rng, m, truncation)
         out[done : done + m] = r
         truncated += trunc

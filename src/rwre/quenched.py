@@ -56,7 +56,7 @@ __all__ = [
     "load_chain_text",
 ]
 
-_HARMONIC_TOL = 1e-12
+_HARMONIC_ROUNDINGS = 16   # harmonicity bound in units of eps (1 + M); see _check_harmonic
 _LAM_CAP = 5e18       # poisson mixing saturates here; far beyond any test scale
 
 
@@ -241,17 +241,36 @@ def failure_prob(chain: QuenchedChain, b: int, d: int) -> tuple[float, float]:
     return p, one_minus_p
 
 
-def _check_harmonic(omegas: np.ndarray, log_scale: np.ndarray, what: str) -> None:
-    """Relative residual of scale(x) = w scale(x+1) + (1-w) scale(x-1)."""
+def _check_harmonic(omegas: np.ndarray, log_scale: np.ndarray, v: np.ndarray,
+                    what: str) -> None:
+    """Relative residual of scale(x) = w scale(x+1) + (1-w) scale(x-1),
+    against a bound set by the rounding of the log-domain accumulation.
+
+    log_scale is a running logaddexp over e^{V} on the potential v,
+    shifted by its total.  Each of its entries, and each V it was built
+    from, is a value of magnitude up to M = max|v| + log(len(v)) rounded
+    to half an ulp, eps M / 2.  The residual is 1 minus w e^{d_up} +
+    (1-w) e^{d_dn}, two terms that sum to 1 in exact arithmetic, so it is
+    about as large as the worst error of the differences d_up and d_dn.
+    Each difference carries the roundings of the potential increment, the
+    logaddexp step and the shift by the total at both of its ends, and of
+    the subtraction itself: about eight half-ulps, 4 eps M, plus a few ulp
+    of 1 from exp and the products.  The bound is _HARMONIC_ROUNDINGS
+    eps (1 + M), four times that.  A chain drifts to |V| of order its
+    width, so the bound grows with the width; a flat tolerance flags
+    correct long chains."""
     if omegas.size == 0:
         return
     d_up = log_scale[2:] - log_scale[1:-1]
     d_dn = log_scale[:-2] - log_scale[1:-1]
     resid = np.abs(1.0 - omegas * np.exp(d_up) - (1.0 - omegas) * np.exp(d_dn))
     worst = float(np.max(resid))
-    if not worst <= _HARMONIC_TOL:
+    magnitude = float(np.max(np.abs(v))) + math.log(len(v))
+    tol = _HARMONIC_ROUNDINGS * np.finfo(np.float64).eps * (1.0 + magnitude)
+    if not worst <= tol:
         raise FloatingPointError(
-            f"{what} scale function fails harmonicity: residual {worst:.3e}")
+            f"{what} scale function fails harmonicity: residual {worst:.3e} "
+            f"> {tol:.3e}")
 
 
 def h_transform(chain: QuenchedChain, b: int, d: int, kind: str) -> HTransform:
@@ -273,7 +292,7 @@ def h_transform(chain: QuenchedChain, b: int, d: int, kind: str) -> HTransform:
         with np.errstate(divide="ignore"):
             log_w = np.log(interior) + log_h[2:] - log_h[1:-1]
         omegas_hat = np.exp(log_w)
-        _check_harmonic(interior, log_h, "failure")
+        _check_harmonic(interior, log_h, v[:-1], "failure")
         # gap(x) = log h(b+1) - log h(x) - log h(x+1); nondecreasing
         gap = np.empty(width + 1)
         with np.errstate(invalid="ignore"):
@@ -295,7 +314,7 @@ def h_transform(chain: QuenchedChain, b: int, d: int, kind: str) -> HTransform:
     omegas_bar = np.exp(log_w)
     if omegas_bar.size:
         omegas_bar[0] = 1.0                      # exact: omega (1 + rho) = 1
-    _check_harmonic(interior, log_g[:-1], "success")
+    _check_harmonic(interior, log_g[:-1], v[:-1], "success")
     # gap(x) = log g(b+1) + log g(b+2) - log g(x) - log g(x+1); nonincreasing
     gap = np.empty(width + 1)
     gap[0] = math.inf                            # conditioned walk never at b
@@ -328,8 +347,8 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
     # left of b, reflected at a: first and second moment sums
     lm1L = chain.v(b - 1) - chain._vslice(a, b - 1)       # i = a .. b-1
     log_S1L = logsumexp(lm1L)
-    log_rho_left = np.array(
-        [math.log1p(-chain.omega(i)) - math.log(chain.omega(i)) for i in range(a + 1, b)])
+    w_left = chain._wslice(a + 1, b - 1)
+    log_rho_left = np.log1p(-w_left) - np.log(w_left)
     m = b - a                                   # sites a .. b-1
     lm2L = np.empty(m)
     lm2L[-1] = 0.0                              # i = b-1
@@ -352,10 +371,9 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
         log_S1R = logsumexp(lm1R)
         with np.errstate(divide="ignore"):
             log_omega_hat = np.log(ht.omegas_hat)           # sites b+1 .. d-1
-        log_rho_hat = np.array(
-            [(math.log1p(-chain.omega(i)) - math.log(chain.omega(i))
-              + log_h[i - b - 1] - log_h[i - b + 1])
-             for i in range(b + 1, d - 1)])     # finite for i <= d-2
+        w_hat = chain._wslice(b + 1, d - 2)
+        log_rho_hat = (np.log1p(-w_hat) - np.log(w_hat)
+                       + log_h[: d - b - 2] - log_h[2 : d - b])  # finite for i <= d-2
         r = d - 1 - b                           # sites b+1 .. d-1
         lm2R = np.empty(r)
         lm2R[0] = 0.0
@@ -419,13 +437,12 @@ def mean_G_exact(chain: QuenchedChain, b: int, d: int) -> float:
     with np.errstate(divide="ignore"):
         log_omega_bar = np.log(hs.omegas_hat)    # sites b+1 .. d-1
     # log rho-bar_i = log rho_i + log g(i-1) - log g(i+1), finite for i >= b+2
+    w = chain._wslice(b + 2, d - 1)
+    log_rho_bar = np.log1p(-w) - np.log(w) + log_g[1 : d - b - 1] - log_g[3 : d - b + 1]
     log_t = 0.0                                  # t at b+1 = 1 / omega-bar = 1
     log_total = 0.0
-    for i in range(b + 2, d):
-        k = i - b                                # log_g index of site i
-        log_rho_bar = (math.log1p(-chain.omega(i)) - math.log(chain.omega(i))
-                       + log_g[k - 1] - log_g[k + 1])
-        log_t = np.logaddexp(-log_omega_bar[i - b - 1], log_rho_bar + log_t)
+    for k in range(d - b - 2):                   # site i = b+2+k
+        log_t = np.logaddexp(-log_omega_bar[k + 1], log_rho_bar[k] + log_t)
         log_total = np.logaddexp(log_total, log_t)
     return 1.0 + math.exp(log_total)
 

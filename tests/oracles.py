@@ -17,6 +17,8 @@ can be carried as an ordinary boundary value that is never entered.
 import numpy as np
 from scipy.linalg import solve_banded
 
+from rwre.env import draw_log_rho
+
 
 def solve_tridiagonal(omega, rhs, boundary):
     """Solve x_i = omega_i x_{i+1} + (1 - omega_i) x_{i-1} + rhs_i on the
@@ -159,3 +161,26 @@ def walk_tau_reference(omega_full, start, target, rng, reflect_at=None):
             x += 1 if rng.random() < omega_full[x] else -1
         steps += 1
     return steps
+
+
+def series_block_reference(law, rng, size, truncation, rel_tol=1e-12, chunk=64):
+    """R = sum_{k>=0} e^{V(k)} for ``size`` series, whole chunks at a time.
+
+    Every active series draws ``chunk`` log-rho increments in one
+    generator call per chunk (fewer when the term cap cuts the chunk),
+    and a series stops once its last term is below ``rel_tol`` of its
+    running sum.  Returns (R, number of series cut by the term cap).
+    """
+    r = np.ones(size)
+    p = np.ones(size)
+    active = np.arange(size)
+    terms = 0
+    while active.size and terms < truncation:
+        width = min(chunk, truncation - terms)
+        inc = draw_log_rho(law, rng, active.size * width).reshape(active.size, width)
+        prods = p[active, None] * np.exp(np.cumsum(inc, axis=1))
+        r[active] += prods.sum(axis=1)
+        p[active] = prods[:, -1]
+        terms += width
+        active = active[p[active] > rel_tol * r[active]]
+    return r, int(active.size)

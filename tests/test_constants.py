@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import oracles
 from rwre.env import EnvironmentLaw, NoRootError, RegimeError, moment_rho_log
 from rwre.constants import (
     _simulate_series_block,
@@ -110,6 +111,21 @@ def test_inverse_series_follows_the_exact_beta_law(alpha, beta):
     kappa = alpha - beta
     assert stats.kstest(1.0 / r, stats.beta(kappa, beta).cdf).pvalue > 1e-3
     assert stats.kstest(1.0 / r, stats.beta(alpha, beta).cdf).statistic > 0.3
+
+
+@pytest.mark.parametrize("spec", ["beta:1.5,1", "beta:2,1.5",
+                                  "discrete:0.8@0.5;0.3@0.3;0.6@0.2"])
+@pytest.mark.parametrize("truncation", [100, 100_000])
+def test_series_block_matches_the_whole_chunk_loop(spec, truncation):
+    # the row-sliced loop must draw and sum exactly as one generator call
+    # per chunk does; 3001 series leave a partial last slice, and a term
+    # cap of 100 cuts the second chunk to 36 columns
+    law = EnvironmentLaw.parse(spec)
+    r, truncated = _simulate_series_block(law, generator(11), 3001, truncation)
+    ref, ref_truncated = oracles.series_block_reference(law, generator(11), 3001,
+                                                        truncation)
+    np.testing.assert_array_equal(r, ref)
+    assert truncated == ref_truncated
 
 
 @pytest.mark.parametrize("alpha,beta", ORACLE_LAWS)

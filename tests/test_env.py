@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rwre.env import (
     EnvironmentLaw,
+    _atom_index,
     NoRootError,
     RegimeError,
     kappa_solve,
@@ -211,6 +212,22 @@ def test_sample_environment_discrete_values():
     assert set(np.unique(env.omegas)) <= {0.25, 0.8}
     frac = float(np.mean(env.omegas == 0.8))
     assert abs(frac - 0.6) < 0.03
+
+
+def test_atom_index_is_the_capped_left_search():
+    # probabilities summing to 1 - 1e-13 leave uniforms above the last edge
+    law = EnvironmentLaw.discrete((0.9, 0.6, 0.3, 0.7), (0.1, 0.25, 0.4, 0.25 - 1e-13))
+    edges = np.cumsum(law.probs)
+    assert edges[-1] < 1.0
+    u = np.concatenate([
+        [0.0],
+        edges,                                   # exactly on every edge
+        np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        [1.0 - 2.0 ** -53],                      # the largest generator uniform
+        np.random.default_rng(3).random(1000),
+    ])
+    expected = np.minimum(np.searchsorted(edges, u, side="left"), len(edges) - 1)
+    np.testing.assert_array_equal(_atom_index(law, u), expected)
 
 
 def test_sample_environment_beta_moments():

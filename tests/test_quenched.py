@@ -11,6 +11,7 @@ import oracles
 from rwre.potential import WindowExhausted
 from rwre.quenched import (
     QuenchedChain,
+    _check_harmonic,
     attempt_moments,
     exit_prob,
     failure_prob,
@@ -262,6 +263,38 @@ def test_transform_increments_dominate_the_base_potential():
                     assert ht.v_hat[y] - ht.v_hat[x] >= dv - 1e-10
                 if math.isfinite(hs.v_hat[x]) or math.isfinite(hs.v_hat[y]):
                     assert hs.v_hat[y] - hs.v_hat[x] <= dv + 1e-10
+
+
+@pytest.mark.parametrize("L", [20_000, 50_000])
+def test_long_chains_pass_the_harmonic_check(L):
+    # the potential of a Beta(1.5, 1) chain drifts to about -0.61 L, and the
+    # rounding of the log-domain sums grows with it
+    for seed in range(10):
+        chain, _ = random_chain(L, 7700 + seed)
+        for kind in ("failure", "success"):
+            h_transform(chain, L // 2, L, kind)
+
+
+def test_attempt_moments_on_a_long_chain():
+    L = 20_000
+    chain, _ = random_chain(L, 7700)
+    mom = attempt_moments(chain, 0, L // 2, L)
+    assert 0.0 < mom.p_fail < 1.0
+    assert 2.0 <= mom.mean_F < math.inf
+    assert mom.mean_F ** 2 <= mom.second_F < math.inf
+    assert 1.0 <= mom.mean_G_bound < math.inf
+
+
+def test_harmonic_check_flags_a_moved_scale_entry():
+    L = 50_000
+    chain, _ = random_chain(L, 7700)
+    b = L // 2
+    log_h = h_transform(chain, b, L, "failure").log_scale.copy()
+    interior, v = chain._wslice(b + 1, L - 1), chain._vslice(b, L - 1)
+    _check_harmonic(interior, log_h, v, "failure")
+    log_h[L // 4] += 1e-9
+    with pytest.raises(FloatingPointError):
+        _check_harmonic(interior, log_h, v, "failure")
 
 
 # ------------------------------------------------------- attempt moments
