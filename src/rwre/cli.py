@@ -12,8 +12,10 @@ no kappa in (0,1)), 1 anything else.  Diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
+from dataclasses import fields
 
 from .constants import (
     feller_from_estimate,
@@ -24,15 +26,11 @@ from .constants import (
 )
 from .env import EnvironmentLaw, RegimeError, kappa_solve, moment_rho_log, sample_environment
 from .experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     parse_config_text,
     report_csv_text,
     run_from_manifest,
-    run_position_experiment,
-    run_tau_experiment,
-    run_valley_census,
-    verify_crossing_bound,
-    verify_reduction,
 )
 from .potential import build_potential, detect_deep_valleys, detect_star_valleys
 from .rng import stream_key
@@ -79,13 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
-    for name, help_text in (
-            ("simulate-tau", "annealed hitting-time experiment"),
-            ("simulate-x", "position experiment"),
-            ("census", "valley census over environments"),
-            ("verify-reduction", "single-valley reduction bracket"),
-            ("verify-crossing", "crossing-time growth bound")):
-        p = sub.add_parser(name, help=help_text)
+    for experiment in EXPERIMENTS.values():
+        p = sub.add_parser(experiment.command, help=experiment.help)
         p.add_argument("--config", help="key = value config file")
         law_arg(p, required=False)
         p.add_argument("--n-values", help="comma-separated target levels")
@@ -97,8 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--step-cap", type=int)
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--svg", action="store_true")
-        if name == "verify-reduction":
-            p.add_argument("--environments", type=int, default=200)
+        for key in experiment.flags:           # absent unless given: the runner's default
+            p.add_argument("--" + key.replace("_", "-"), type=experiment.params[key],
+                           default=argparse.SUPPRESS)
 
     p = sub.add_parser("report", help="regenerate outputs from a manifest")
     p.add_argument("--manifest", required=True)
@@ -112,19 +106,9 @@ def _config_from_args(args) -> ExperimentConfig:
     if args.config:
         with open(args.config) as f:
             parts.append(f.read())
-    overrides = {
-        "law": args.law,
-        "n_values": args.n_values,
-        "replicas": args.replicas,
-        "epsilon": args.epsilon,
-        "lambda_grid": args.lambda_grid,
-        "master_seed": args.master_seed,
-        "output_dir": args.output_dir,
-        "step_cap": args.step_cap,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            parts.append(f"{key} = {value}")
+    for field in fields(ExperimentConfig):
+        if getattr(args, field.name) is not None:
+            parts.append(f"{field.name} = {getattr(args, field.name)}")
     return parse_config_text("\n".join(parts))
 
 
@@ -203,29 +187,21 @@ def _cmd_stable(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(experiment, args) -> int:
     config = _config_from_args(args)
-    runner = {
-        "simulate-tau": run_tau_experiment,
-        "simulate-x": run_position_experiment,
-        "census": run_valley_census,
-        "verify-reduction": verify_reduction,
-        "verify-crossing": verify_crossing_bound,
-    }[args.command]
-    kwargs = {"workers": args.workers, "svg": args.svg}
-    if args.command == "verify-reduction":
-        kwargs["environments"] = args.environments
-    report = runner(config, **kwargs)
-    if config.output_dir is None:
-        sys.stdout.write(report_csv_text(report))
-    else:
-        print(f"wrote {config.output_dir}/{report.experiment}.csv")
-    return 0
+    return _print_outcome(experiment.runner(
+        config, workers=args.workers, svg=args.svg,
+        **{key: value for key, value in vars(args).items() if key in experiment.flags}))
 
 
 def _cmd_report(args) -> int:
-    report = run_from_manifest(args.manifest, workers=args.workers,
-                               output_dir=args.output_dir)
+    return _print_outcome(run_from_manifest(args.manifest, workers=args.workers,
+                                            output_dir=args.output_dir))
+
+
+def _print_outcome(report) -> int:
+    """The CSV on stdout, or where it was written when the config names an
+    output directory."""
     if report.config.output_dir is None:
         sys.stdout.write(report_csv_text(report))
     else:
@@ -238,12 +214,8 @@ _COMMANDS = {
     "constants": _cmd_constants,
     "valleys": _cmd_valleys,
     "stable-sample": _cmd_stable,
-    "simulate-tau": _cmd_experiment,
-    "simulate-x": _cmd_experiment,
-    "census": _cmd_experiment,
-    "verify-reduction": _cmd_experiment,
-    "verify-crossing": _cmd_experiment,
     "report": _cmd_report,
+    **{e.command: functools.partial(_cmd_experiment, e) for e in EXPERIMENTS.values()},
 }
 
 

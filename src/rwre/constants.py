@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import betaln, digamma
@@ -215,6 +216,22 @@ def _simulate_series_block(law: EnvironmentLaw, rng: np.random.Generator,
     return r, int(active.size)
 
 
+def _reject_arithmetic(law: EnvironmentLaw) -> None:
+    """Kesten's x^kappa P{R > x} -> C_K needs a non-arithmetic log rho.  A
+    discrete law whose nonzero log-rho atoms are all rational multiples of
+    one span (denominator at most 64, to 1e-12 relative) lives on a
+    lattice, where that product oscillates and no C_K exists."""
+    if law.kind != "discrete":
+        return
+    logs = [x for x in (math.log((1.0 - w) / w) for w in law.values) if x != 0.0]
+    ratios = [x / logs[0] for x in logs[1:]]
+    if all(abs(float(Fraction(r).limit_denominator(64)) - r) <= 1e-12 * abs(r)
+           for r in ratios):
+        raise ValueError(f"law {law.spec_text()} is arithmetic (its log rho atoms lie on "
+                         "one lattice), so x^kappa P{R > x} oscillates and has no "
+                         "tail constant C_K")
+
+
 def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 1_000_000,
                          truncation: int = _SERIES_TERM_CAP, seed: int = 0,
                          n_levels: int = 40, min_exceed: int = 200,
@@ -231,7 +248,10 @@ def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 1_00
     sorted copy and the quantile's working copy), plus about 5 MB for one
     _SERIES_BLOCK block of the simulation (see _simulate_series_block),
     whatever the term cap.
+
+    Raises ValueError for an arithmetic discrete law, which has no C_K.
     """
+    _reject_arithmetic(law)
     rng = generator(stream_key(seed, "kesten"))
     out = np.empty(n_series)
     truncated = 0

@@ -113,10 +113,18 @@ class EnvironmentLaw:
         raise ValueError(f"unknown law kind {kind!r}")
 
     def spec_text(self) -> str:
+        """The law as ``parse`` reads it back, digit for digit."""
         if self.kind == "beta":
-            return f"beta:{self.alpha:g},{self.beta:g}"
-        atoms = ";".join(f"{v:g}@{p:g}" for v, p in zip(self.values, self.probs))
+            return f"beta:{_spec_number(self.alpha)},{_spec_number(self.beta)}"
+        atoms = ";".join(f"{_spec_number(v)}@{_spec_number(p)}"
+                         for v, p in zip(self.values, self.probs))
         return f"discrete:{atoms}"
+
+
+def _spec_number(value: float) -> str:
+    """%g when it reads back exactly, else the full repr."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
 @dataclass(frozen=True)

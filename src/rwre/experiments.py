@@ -1,6 +1,8 @@
 """Monte Carlo harness: end-to-end checks of the stable limit.
 
-Five experiments share one configuration type and one report type:
+Five experiments share one configuration type and one report type, and
+EXPERIMENTS declares them: runner, CLI command and the runner keywords
+that a manifest records next to the configuration.
 
 * run_tau_experiment      annealed hitting times tau(n), Laplace transform
                           against exp(-Lambda lambda^kappa), Hill index, KS
@@ -21,8 +23,8 @@ stream_key(master_seed, tag, ..., i) and results merge in block order, so
 a report is bit-identical for any worker count.  Workers are threads: the
 point is deterministic decomposition, not speedup.
 
-Estimates never mix in truncated replicas (step caps, window exhaustion,
-branching clip); they are counted and reported instead.
+Estimates never mix in truncated replicas (window exhaustion, branching
+clip); they are counted and reported instead.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -69,6 +72,8 @@ from .rng import generator, stream_key
 from .stable import StableSpec, predicted_tau_cdf, sample_positive_stable
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentConfig",
     "ConvergenceReport",
     "ReportRow",
@@ -99,6 +104,7 @@ _POS_BLOCK = 512           # replicas per position block
 _POS_EXTEND = 1024         # window growth unit (sites)
 _POS_MAX_WIDTH = 20_000    # hard cap on the per-block environment window
 _TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica is clipped
+_SHORT_LADDER = "the n-th ladder epoch"     # reduction windows grow right to find it
 
 _C_K_SOURCE_CODE = {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}
 
@@ -136,28 +142,36 @@ class ExperimentConfig:
             raise ValueError("step_cap must be positive")
 
 
-_CONFIG_KEYS = ("law", "n_values", "replicas", "epsilon", "lambda_grid",
-                "master_seed", "output_dir", "step_cap")
+def _split(cast):
+    return lambda raw: tuple(cast(p) for p in raw.split(",") if p.strip())
 
 
-def _format_value(key: str, value) -> str:
-    if key == "law":
+# How a ``key = value`` line reads back a value of each declared type;
+# config fields and runner parameters share it.
+_PARSERS = {EnvironmentLaw: EnvironmentLaw.parse, int: int, float: float,
+            str | None: str, tuple[int, ...]: _split(int), tuple[float, ...]: _split(float)}
+
+_CONFIG_TYPES = get_type_hints(ExperimentConfig)
+
+
+def _format(value) -> str:
+    """The right-hand side of a ``key = value`` line; floats print as repr,
+    so they read back bit for bit."""
+    if isinstance(value, EnvironmentLaw):
         return value.spec_text()
-    if key in ("n_values", "lambda_grid"):
-        return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-    if key == "epsilon":
-        return repr(value)
-    return str(value)
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value)
+
+
+def _kv_text(values: dict) -> str:
+    """``key = value`` lines for the values that are not None."""
+    return "".join(f"{key} = {_format(value)}\n"
+                   for key, value in values.items() if value is not None)
 
 
 def config_text(config: ExperimentConfig) -> str:
-    lines = []
-    for key in _CONFIG_KEYS:
-        value = getattr(config, key)
-        if value is None:
-            continue
-        lines.append(f"{key} = {_format_value(key, value)}")
-    return "\n".join(lines) + "\n"
+    return _kv_text({key: getattr(config, key) for key in _CONFIG_TYPES})
 
 
 def _parse_kv_lines(text: str) -> dict[str, str]:
@@ -173,34 +187,23 @@ def _parse_kv_lines(text: str) -> dict[str, str]:
     return out
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Build a config from ``key = value`` lines with ``#`` comments."""
-    mapping = _parse_kv_lines(text)
-    kwargs = {}
+def _config_from(mapping: dict[str, str]) -> ExperimentConfig:
+    values = {}
     for key, raw in mapping.items():
-        if key == "law":
-            kwargs[key] = EnvironmentLaw.parse(raw)
-        elif key == "n_values":
-            kwargs[key] = tuple(int(p) for p in raw.split(",") if p.strip())
-        elif key == "lambda_grid":
-            kwargs[key] = tuple(float(p) for p in raw.split(",") if p.strip())
-        elif key in ("replicas", "master_seed", "step_cap"):
-            kwargs[key] = int(raw)
-        elif key == "epsilon":
-            kwargs[key] = float(raw)
-        elif key == "output_dir":
-            kwargs[key] = raw
-        elif key in ("experiment", "versions"):
-            continue                      # manifest lines, not config fields
-        else:
+        if key in _CONFIG_TYPES:
+            values[key] = _PARSERS[_CONFIG_TYPES[key]](raw)
+        elif key not in ("experiment", "versions"):      # manifest lines
             raise ValueError(f"unknown config key {key!r}")
-    if "law" not in kwargs:
-        raise ValueError("config needs a law")
-    if "n_values" not in kwargs:
-        raise ValueError("config needs n_values")
-    if "replicas" not in kwargs:
-        raise ValueError("config needs replicas")
-    return ExperimentConfig(**kwargs)
+    for key in ("law", "n_values", "replicas"):
+        if key not in values:
+            raise ValueError(f"config needs {key}")
+    return ExperimentConfig(**values)
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Build a config from ``key = value`` lines with ``#`` comments; the
+    experiment and versions lines of a manifest are skipped."""
+    return _config_from(_parse_kv_lines(text))
 
 
 # ----------------------------------------------------------------- report
@@ -303,6 +306,7 @@ class ConvergenceReport:
     rows: tuple[ReportRow, ...]
     crossing: tuple[CrossingPoint, ...] = ()
     extras: tuple[tuple[str, float], ...] = ()
+    params: tuple[tuple[str, object], ...] = ()    # runner keywords, for the manifest
 
     def extra(self, key: str) -> float:
         return dict(self.extras)[key]
@@ -310,15 +314,12 @@ class ConvergenceReport:
 
 # ------------------------------------------------------------ primitives
 
-def _kappa_of(config: ExperimentConfig) -> float:
-    return kappa_solve(config.law).kappa
-
-
-def _limit_params(config: ExperimentConfig, kappa: float,
-                  c_k: float | None = None) -> tuple[LimitLawParams, str]:
-    """Scale of the limit law: an explicit tail constant when the caller
-    passes one, else the closed form for Beta laws and the renewal-series
-    estimate otherwise."""
+def _limit_params(config: ExperimentConfig, c_k: float | None,
+                  ) -> tuple[float, LimitLawParams, tuple[tuple[str, float], ...]]:
+    """kappa, the limit-law scale and the extras naming its tail constant's
+    route: an explicit constant when the caller passes one, else the closed
+    form for Beta laws and the renewal-series estimate otherwise."""
+    kappa = kappa_solve(config.law).kappa
     moment = moment_rho_log(config.law, kappa)
     if c_k is not None:
         source = "override"
@@ -330,17 +331,34 @@ def _limit_params(config: ExperimentConfig, kappa: float,
                                    seed=stream_key(config.master_seed, "ck"))
         c_k = est.constant_hat
         source = "estimate"
-    return limit_scale(kappa, c_k, moment), source
+    params = limit_scale(kappa, c_k, moment)
+    return kappa, params, (("c_k", params.c_k), ("c_k_source_code", _C_K_SOURCE_CODE[source]))
 
 
-def _run_blocks(tasks, workers: int) -> list:
-    """Run callables and return their results in task order, whatever the
-    worker count; each task owns its stream, so scheduling cannot leak in."""
+def _as_declared(experiment: str, **values) -> dict:
+    """Runner keywords as a manifest rerun reads them back, each parsed as
+    its declared type; None stays None."""
+    types = EXPERIMENTS[experiment].params
+    return {key: None if value is None else _PARSERS[types[key]](_format(value))
+            for key, value in values.items()}
+
+
+def _run_blocks(task, count: int, workers: int, *tag) -> list:
+    """task(i, stream_key(*tag, i)) for i in range(count), returned in index
+    order whatever the worker count; each task owns its stream, so
+    scheduling cannot leak in."""
+    args = [(i, stream_key(*tag, i)) for i in range(count)]
     if workers <= 1:
-        return [task() for task in tasks]
+        return [task(*a) for a in args]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [f.result() for f in futures]
+        return list(pool.map(lambda a: task(*a), args))
+
+
+def _mean_se(values) -> tuple[float, float]:
+    """Sample mean and its standard error; one value has error 0."""
+    values = np.asarray(values, dtype=np.float64)
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return float(values.mean()), se
 
 
 def hill_estimate(sample: np.ndarray, k: int | None = None) -> HillEstimate:
@@ -407,13 +425,13 @@ def _tau_block(law: EnvironmentLaw, n: int, count: int, key: int,
     return _branching_cascade(rho_at, rng, count, 0, n, floor=-_TAU_DEPTH - 1)
 
 
-def _replica_blocks(replicas: int, block: int, workers: int,
-                    task) -> tuple[np.ndarray, np.ndarray]:
-    """Split replicas into blocks of at most block, run task(count, idx)
-    for each and concatenate the (values, flags) pairs in block order."""
+def _replica_blocks(replicas: int, block: int, workers: int, task,
+                    *tag) -> tuple[np.ndarray, np.ndarray]:
+    """Split replicas into blocks of at most block, run task(count, key)
+    for block i on key stream_key(*tag, i) and concatenate the (values,
+    flags) pairs in block order."""
     counts = [min(block, replicas - start) for start in range(0, replicas, block)]
-    parts = _run_blocks([lambda c=c, i=i: task(c, i) for i, c in enumerate(counts)],
-                        workers)
+    parts = _run_blocks(lambda i, key: task(counts[i], key), len(counts), workers, *tag)
     return (np.concatenate([p[0] for p in parts]),
             np.concatenate([p[1] for p in parts]))
 
@@ -423,17 +441,17 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
                        c_k: float | None = None) -> ConvergenceReport:
     """Annealed tau(n) for each n: Laplace transform on the lambda grid
     against exp(-Lambda lambda^kappa), Hill index against kappa, KS
-    distance to the sampled limit.  Truncations (branching clip or
-    tau > step_cap) are counted and excluded.  c_k overrides the tail
+    distance to the sampled limit.  Replicas the branching cascade clips
+    are counted and excluded; config.step_cap plays no part, since the
+    cascade's cost does not grow with tau.  c_k overrides the tail
     constant behind the predicted columns."""
-    kappa = _kappa_of(config)
-    params, c_k_source = _limit_params(config, kappa, c_k)
+    run_params = _as_declared("tau", c_k=c_k)
+    kappa, params, c_k_extras = _limit_params(config, run_params["c_k"])
     rows = []
     for n in config.n_values:
-        tau, clipped = _replica_blocks(
-            config.replicas, _TAU_BLOCK, workers, lambda c, i: _tau_block(
-                config.law, n, c, stream_key(config.master_seed, "tau", n, i)))
-        trunc = clipped | (tau > float(config.step_cap))
+        tau, trunc = _replica_blocks(
+            config.replicas, _TAU_BLOCK, workers,
+            lambda c, key: _tau_block(config.law, n, c, key), config.master_seed, "tau", n)
         kept = tau[~trunc]
         if kept.size < 10:
             raise RuntimeError(f"n={n}: only {kept.size} usable replicas")
@@ -441,10 +459,9 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
         scaled = kept / scale
         points = []
         for lam in config.lambda_grid:
-            obs = np.exp(-lam * scaled)
-            se = float(obs.std(ddof=1) / math.sqrt(obs.size)) if obs.size > 1 else 0.0
+            value, se = _mean_se(np.exp(-lam * scaled))
             points.append(LaplacePoint(
-                lam=lam, value=float(obs.mean()), stderr=se,
+                lam=lam, value=value, stderr=se,
                 predicted=math.exp(-params.lambda_scale * lam ** kappa)))
         hill = hill_estimate(kept)
         ks = _ks_to_predicted(scaled, params,
@@ -453,13 +470,10 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
             n=n, replicas_used=int(kept.size), truncated=int(trunc.sum()),
             laplace=tuple(points), hill=hill, ks=ks,
             extras=(("median_scaled", float(np.median(scaled))),)))
-    report = ConvergenceReport(
+    return _emit(ConvergenceReport(
         experiment="tau", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("lambda_scale", params.lambda_scale),
-                ("c_k", params.c_k),
-                ("c_k_source_code", _C_K_SOURCE_CODE[c_k_source])))
-    _emit(report, svg)
-    return report
+        extras=(("kappa", kappa), ("lambda_scale", params.lambda_scale), *c_k_extras)),
+        svg, run_params)
 
 
 # -------------------------------------------------- position experiment
@@ -479,24 +493,18 @@ def _position_block(law: EnvironmentLaw, n: int, count: int, key: int,
         w = om[rows_idx, pos - lo]
         step = np.where(rng.random(count) < w, 1, -1)
         pos = np.where(frozen, pos, pos + step)
-        if pos.max() >= hi:
+        for side in (1, -1):                   # the right edge, then the left
+            edge = hi if side > 0 else lo
+            out = side * (pos - edge) >= 0
+            if not out.any():
+                continue
             if om.shape[1] + _POS_EXTEND > _POS_MAX_WIDTH:
-                frozen |= pos >= hi
-                pos = np.minimum(pos, hi)
+                frozen |= out
+                pos = np.where(out, edge, pos)
             else:
-                ext = draw_omegas(law, rng, count * _POS_EXTEND
-                                   ).reshape(count, _POS_EXTEND)
-                om = np.concatenate([om, ext], axis=1)
-                hi += _POS_EXTEND
-        if pos.min() <= lo:
-            if om.shape[1] + _POS_EXTEND > _POS_MAX_WIDTH:
-                frozen |= pos <= lo
-                pos = np.maximum(pos, lo)
-            else:
-                ext = draw_omegas(law, rng, count * _POS_EXTEND
-                                   ).reshape(count, _POS_EXTEND)
-                om = np.concatenate([ext, om], axis=1)
-                lo -= _POS_EXTEND
+                ext = draw_omegas(law, rng, count * _POS_EXTEND).reshape(count, _POS_EXTEND)
+                om = np.concatenate([om, ext] if side > 0 else [ext, om], axis=1)
+                hi, lo = (hi + _POS_EXTEND, lo) if side > 0 else (hi, lo - _POS_EXTEND)
     return pos.astype(np.float64), frozen
 
 
@@ -505,15 +513,16 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
                             c_k: float | None = None) -> ConvergenceReport:
     """X_n at each n, compared along X_n / n^kappa against
     x_scale * S^{-kappa} with S sampled from the stable module."""
-    kappa = _kappa_of(config)
-    params, c_k_source = _limit_params(config, kappa, c_k)
+    run_params = _as_declared("position", c_k=c_k)
+    kappa, params, c_k_extras = _limit_params(config, run_params["c_k"])
     if max(config.n_values) > config.step_cap:
         raise ValueError("position experiment needs step_cap >= max(n_values)")
     rows = []
     for n in config.n_values:
         x, frozen = _replica_blocks(
-            config.replicas, _POS_BLOCK, workers, lambda c, i: _position_block(
-                config.law, n, c, stream_key(config.master_seed, "pos", n, i), kappa))
+            config.replicas, _POS_BLOCK, workers,
+            lambda c, key: _position_block(config.law, n, c, key, kappa),
+            config.master_seed, "pos", n)
         kept = x[~frozen]
         scaled = kept / float(n) ** kappa
         ref_rng = generator(stream_key(config.master_seed, "pos-pred", n))
@@ -528,13 +537,10 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
                         n_sample=int(scaled.size), n_reference=int(reference.size)),
             extras=(("median_scaled", float(np.median(scaled))),
                     ("median_x", float(np.median(kept))))))
-    report = ConvergenceReport(
+    return _emit(ConvergenceReport(
         experiment="position", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("x_scale", params.x_scale),
-                ("c_k", params.c_k),
-                ("c_k_source_code", _C_K_SOURCE_CODE[c_k_source])))
-    _emit(report, svg)
-    return report
+        extras=(("kappa", kappa), ("x_scale", params.x_scale), *c_k_extras)),
+        svg, run_params)
 
 
 def duality_product(tau_report: ConvergenceReport,
@@ -577,32 +583,40 @@ def _left_pad(d_n: float, drift: float) -> int:
     return int(math.ceil((d_n + 10.0) / max(drift, 0.05) * 4.0)) + 256
 
 
+def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, widen):
+    """Sample sites [left, right] of the environment at key and run scan on
+    its potential.  A scan that runs off the window raises WindowExhausted;
+    the window then becomes widen(exhausted, left, right) and is sampled
+    again, at most three times.  Returns (env, left, scan result, retries),
+    with env None when the fourth window was still too small."""
+    for retries in range(4):
+        env = sample_environment(law, (left, right), seed=key)
+        path = build_potential(env)
+        try:
+            return env, left, scan(path), retries
+        except WindowExhausted as exhausted:
+            left, right = widen(exhausted, left, right)
+    return None, left, None, 4
+
+
 def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                 delta: float, c_prime: float, c_dprime: float, key: int,
                 left_pad: int, h_grid: tuple[float, ...],
                 ) -> dict:
-    right = int(math.ceil(c_prime * n)) + 2000
-    left = -left_pad
-    retries = 0
-    while True:
-        env = sample_environment(law, (left, right), seed=key)
-        path = build_potential(env)
-        try:
-            table = excursion_table(path)
-            deep = detect_deep_valleys(path, n, epsilon, kappa, table=table)
-            star = detect_star_valleys(path, n, epsilon, kappa)
-            record = check_good_environment(path, n, epsilon, delta,
-                                            c_prime, c_dprime, kappa,
-                                            table=table)
-            break
-        except WindowExhausted as exhausted:
-            retries += 1
-            if retries > 3:
-                return {"ok": False, "retries": retries}
-            if exhausted.side == "left":
-                left *= 4
-            else:
-                right = int(right * 1.6)
+    def scan(path):
+        table = excursion_table(path)
+        return (table, detect_deep_valleys(path, n, epsilon, kappa, table=table),
+                detect_star_valleys(path, n, epsilon, kappa),
+                check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
+                                       kappa, table=table))
+
+    env, _, found, retries = _widening(
+        law, key, -left_pad, int(math.ceil(c_prime * n)) + 2000, scan,
+        lambda exhausted, left, right: (4 * left, right) if exhausted.side == "left"
+        else (left, int(right * 1.6)))
+    if env is None:
+        return {"ok": False, "retries": retries}
+    table, deep, star, record = found
     heights = table.heights[:n]
     tail_counts = tuple(int(np.sum(heights >= h)) for h in h_grid)
     deep_set = {(v.b, v.d_bar) for v in deep}
@@ -629,6 +643,8 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     good-environment event frequencies.  The A2 band is self-calibrated
     per environment (its own K_n / n), matching the check's default.
     """
+    run_params = _as_declared("census", delta=delta, c_prime=c_prime, c_dprime=c_dprime)
+    delta, c_prime, c_dprime = run_params.values()
     kappa, fallback = _census_kappa(config.law)
     if delta is None:
         delta = config.epsilon / kappa + 0.3
@@ -650,13 +666,10 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
         left_pad = _left_pad(d_n, drift)
         h_grid = tuple(float(h) for h in (2.0, 4.0, 6.0, 8.0))
         q_hat = c_i_hat * math.exp(-kappa * h_n)
-        tasks = []
-        for e in range(config.replicas):
-            key = stream_key(config.master_seed, "census", n, e)
-            tasks.append(lambda k=key: _census_env(
-                config.law, n, config.epsilon, kappa, delta, c_prime,
-                c_dprime, k, left_pad, h_grid))
-        parts = _run_blocks(tasks, workers)
+        parts = _run_blocks(
+            lambda _, key: _census_env(config.law, n, config.epsilon, kappa, delta,
+                                       c_prime, c_dprime, key, left_pad, h_grid),
+            config.replicas, workers, config.master_seed, "census", n)
         used = [p for p in parts if p["ok"]]
         exhausted = len(parts) - len(used)
         retries = sum(p["retries"] for p in parts)
@@ -686,14 +699,12 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
         rows.append(ReportRow(n=n, replicas_used=len(used), truncated=exhausted,
                               census=stats,
                               extras=(("h_n", h_n), ("d_n", d_n))))
-    report = ConvergenceReport(
+    return _emit(ConvergenceReport(
         experiment="census", config=config, rows=tuple(rows),
         extras=(("kappa", kappa), ("c_i_hat", c_i_hat),
                 ("c_prime", c_prime), ("c_dprime", c_dprime),
                 ("delta", delta), ("retries", float(total_retries)),
-                ("kappa_fallback", 1.0 if fallback else 0.0)))
-    _emit(report, svg)
-    return report
+                ("kappa_fallback", 1.0 if fallback else 0.0))), svg, run_params)
 
 
 # ----------------------------------------------------- reduction check
@@ -701,30 +712,19 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
 def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                    lam_values: tuple[float, ...], key: int, left_pad: int,
                    ) -> dict:
-    right = 4 * n + 1000
-    left = -left_pad
-    retries = 0
-    while True:
-        env = sample_environment(law, (left, right), seed=key)
-        path = build_potential(env)
+    def scan(path):
         epochs = ladder_epochs(path)
         if len(epochs) <= n:
-            retries += 1
-            if retries > 3:
-                return {"ok": False}
-            right *= 2
-            continue
-        e_n = int(epochs[n])
-        try:
-            deep = detect_deep_valleys(path, n, epsilon, kappa)
-        except WindowExhausted:
-            retries += 1
-            if retries > 3:
-                return {"ok": False}
-            left *= 4
-            right = int(right * 1.5)
-            continue
-        break
+            raise WindowExhausted("right", 2 * path.last_site, _SHORT_LADDER)
+        return int(epochs[n]), detect_deep_valleys(path, n, epsilon, kappa)
+
+    env, left, found, _ = _widening(
+        law, key, -left_pad, 4 * n + 1000, scan,
+        lambda exhausted, left, right: (left, 2 * right) if exhausted.what == _SHORT_LADDER
+        else (4 * left, int(right * 1.5)))
+    if env is None:
+        return {"ok": False}
+    e_n, deep = found
     scale = float(n) ** (1.0 / kappa)
     chain = QuenchedChain.from_environment(env, left, e_n, reflect_at=left)
     lefts = []
@@ -754,7 +754,9 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
     the only noise is environment-level; the report carries the bracket
     and the containment margin after widening by 3 combined SE.
     """
-    kappa = _kappa_of(config)
+    run_params = _as_declared("reduction", environments=environments)
+    environments = run_params["environments"]
+    kappa = kappa_solve(config.law).kappa
     for n in config.n_values:
         if n > 10 ** 5:
             raise ValueError("reduction check is sized for n <= 1e5")
@@ -768,25 +770,18 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
         band = float(n) ** (-config.epsilon / 4.0)
         k_lower = int(math.floor(n * q_n * (1.0 - band)))
         k_upper = int(math.floor(n * q_n * (1.0 + band)))
-        tasks = []
-        for e in range(environments):
-            key = stream_key(config.master_seed, "reduce", n, e)
-            tasks.append(lambda k=key: _reduction_env(
-                config.law, n, config.epsilon, kappa, config.lambda_grid,
-                k, left_pad))
-        parts = [p for p in _run_blocks(tasks, workers) if p["ok"]]
+        parts = [p for p in _run_blocks(
+            lambda _, key: _reduction_env(config.law, n, config.epsilon, kappa,
+                                          config.lambda_grid, key, left_pad),
+            environments, workers, config.master_seed, "reduce", n) if p["ok"]]
         if len(parts) < max(10, environments // 2):
             raise RuntimeError(f"n={n}: too few usable environments ({len(parts)})")
         with_valley = [p for p in parts if p["factors"]]
         points = []
         for j, lam in enumerate(config.lambda_grid):
-            left_vals = np.array([p["lefts"][j] for p in parts])
-            left_mean = float(left_vals.mean())
-            left_se = float(left_vals.std(ddof=1) / math.sqrt(left_vals.size))
-            f_vals = np.array([p["factors"][j] for p in with_valley])
-            f_mean = float(f_vals.mean()) if f_vals.size else 1.0
-            f_se = float(f_vals.std(ddof=1) / math.sqrt(f_vals.size)) \
-                if f_vals.size > 1 else 0.0
+            left_mean, left_se = _mean_se([p["lefts"][j] for p in parts])
+            f_mean, f_se = _mean_se([p["factors"][j] for p in with_valley]) \
+                if with_valley else (1.0, 0.0)
             low = f_mean ** k_upper
             high = f_mean ** k_lower
             low_se = abs(k_upper) * f_mean ** max(k_upper - 1, 0) * f_se
@@ -805,18 +800,16 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
                               truncated=environments - len(parts),
                               reduction=tuple(points),
                               extras=(("q_n", q_n),)))
-    report = ConvergenceReport(
+    return _emit(ConvergenceReport(
         experiment="reduction", config=config, rows=tuple(rows),
         extras=(("kappa", kappa), ("c_i_hat", ig.c_i),
-                ("environments", float(environments))))
-    _emit(report, svg)
-    return report
+                ("environments", float(environments)))), svg, run_params)
 
 
 # ------------------------------------------------------- crossing bound
 
 def _crossing_env(law: EnvironmentLaw, h_values: tuple[float, ...], key: int,
-                  window: int) -> dict:
+                  window: int) -> list[float | None]:
     env = sample_environment(law, (0, window), seed=key)
     path = build_potential(env)
     values = []
@@ -829,7 +822,7 @@ def _crossing_env(law: EnvironmentLaw, h_values: tuple[float, ...], key: int,
         chain = QuenchedChain.from_environment(env, 0, target, reflect_at=0)
         sol = linear_solve_oracle(chain, "expected_time")
         values.append(float(sol[0]))
-    return {"values": values}
+    return values
 
 
 def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
@@ -845,23 +838,17 @@ def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
     down with bounded steps never accumulating h) yields an empty fit and
     a slope of 0, trivially under the bound.
     """
+    run_params = _as_declared("crossing", h_values=h_values)
+    h_values = run_params["h_values"]
     environments = config.replicas
     window = 30_000
-    tasks = []
-    for e in range(environments):
-        key = stream_key(config.master_seed, "cross", e)
-        tasks.append(lambda k=key: _crossing_env(config.law, h_values, k, window))
-    parts = _run_blocks(tasks, workers)
+    parts = _run_blocks(lambda _, key: _crossing_env(config.law, h_values, key, window),
+                        environments, workers, config.master_seed, "cross")
     points = []
     for j, h in enumerate(h_values):
-        vals = np.array([p["values"][j] for p in parts
-                         if p["values"][j] is not None], dtype=np.float64)
+        vals = np.array([p[j] for p in parts if p[j] is not None], dtype=np.float64)
         skipped = environments - vals.size
-        if vals.size >= 2:
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-        else:
-            mean, se = 0.0, 0.0
+        mean, se = _mean_se(vals) if vals.size >= 2 else (0.0, 0.0)
         points.append(CrossingPoint(h=h, mean_tau=mean, stderr=se,
                                     environments=int(vals.size),
                                     skipped=int(skipped)))
@@ -873,98 +860,66 @@ def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
         slope = float(np.polyfit(hs, logs, 1)[0])
     else:
         slope = 0.0
-    report = ConvergenceReport(
+    return _emit(ConvergenceReport(
         experiment="crossing", config=config, rows=(),
         crossing=tuple(points),
-        extras=(("slope", slope), ("environments", float(environments))))
-    _emit(report, svg)
-    return report
+        extras=(("slope", slope), ("environments", float(environments)))), svg, run_params)
 
 
 # ------------------------------------------------------ emission layer
 
 def _fmt(value: float) -> str:
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
+
+
+def _section(lines: list[str], name: str, header: str, rows: list) -> None:
+    if rows:
+        lines += [f"# section {name}", header]
+        lines += [",".join(_fmt(cell) for cell in row) for row in rows]
 
 
 def report_csv_text(report: ConvergenceReport) -> str:
     """Deterministic CSV: sections with versioned headers, one laplace row
     per (n, lambda)."""
     lines = [f"# {REPORT_VERSION}", f"# experiment = {report.experiment}"]
-    lap = [(r, p) for r in report.rows for p in r.laplace]
-    if lap:
-        lines.append("# section laplace")
-        lines.append("n,lambda,empirical,stderr,predicted,replicas_used,truncated")
-        for r, p in lap:
-            lines.append(f"{r.n},{_fmt(p.lam)},{_fmt(p.value)},{_fmt(p.stderr)},"
-                         f"{_fmt(p.predicted)},{r.replicas_used},{r.truncated}")
-    tails = [r for r in report.rows if r.hill is not None or r.ks is not None]
-    if tails:
-        lines.append("# section tail")
-        lines.append("n,hill,ci_low,ci_high,k,ks_distance,dkw_epsilon,"
-                     "replicas_used,truncated")
-        for r in tails:
-            h = r.hill
-            hill_part = (f"{_fmt(h.index)},{_fmt(h.ci_low)},{_fmt(h.ci_high)},{h.k}"
-                         if h is not None else "nan,nan,nan,0")
-            ks_part = (f"{_fmt(r.ks.distance)},{_fmt(r.ks.dkw_epsilon)}"
-                       if r.ks is not None else "nan,nan")
-            lines.append(f"{r.n},{hill_part},{ks_part},"
-                         f"{r.replicas_used},{r.truncated}")
-    census = [r for r in report.rows if r.census is not None]
-    if census:
-        lines.append("# section census")
-        lines.append("n,environments,k_mean,k_over_nq,q_hat,coincidence,"
-                     "a1,a2,a3,a4,a5,joint,retries,exhausted")
-        for r in census:
-            c = r.census
-            lines.append(
-                f"{r.n},{c.environments},{_fmt(c.k_mean)},{_fmt(c.k_over_nq_mean)},"
-                f"{_fmt(c.q_hat)},{_fmt(c.coincidence)},{_fmt(c.a1)},{_fmt(c.a2)},"
-                f"{_fmt(c.a3)},{_fmt(c.a4)},{_fmt(c.a5)},{_fmt(c.joint)},"
-                f"{c.retries},{c.exhausted}")
-        lines.append("# section height_tail")
-        lines.append("n,h,scaled_tail")
-        for r in census:
-            for h, ratio in r.census.height_ratios:
-                lines.append(f"{r.n},{_fmt(h)},{_fmt(ratio)}")
-    reduction = [(r, p) for r in report.rows for p in r.reduction]
-    if reduction:
-        lines.append("# section reduction")
-        lines.append("n,lambda,lambda_n,left,left_se,factor,factor_se,"
-                     "k_lower,k_upper,bracket_low,bracket_high,margin,"
-                     "envs_with_valley")
-        for r, p in reduction:
-            lines.append(
-                f"{r.n},{_fmt(p.lam)},{_fmt(p.lam_n)},{_fmt(p.left)},"
-                f"{_fmt(p.left_se)},{_fmt(p.factor)},{_fmt(p.factor_se)},"
-                f"{p.k_lower},{p.k_upper},{_fmt(p.bracket_low)},"
-                f"{_fmt(p.bracket_high)},{_fmt(p.margin)},{p.envs_with_valley}")
-    if report.crossing:
-        lines.append("# section crossing")
-        lines.append("h,mean_tau,stderr,environments,skipped")
-        for p in report.crossing:
-            lines.append(f"{_fmt(p.h)},{_fmt(p.mean_tau)},{_fmt(p.stderr)},"
-                         f"{p.environments},{p.skipped}")
-    extra_rows = list(report.extras)
-    for r in report.rows:
-        extra_rows.extend((f"{k}@{r.n}", v) for k, v in r.extras)
-    if extra_rows:
-        lines.append("# section extras")
-        lines.append("key,value")
-        for k, v in extra_rows:
-            lines.append(f"{k},{_fmt(v)}")
+    rows = report.rows
+    _section(lines, "laplace", "n,lambda,empirical,stderr,predicted,replicas_used,truncated",
+             [(r.n, *astuple(p), r.replicas_used, r.truncated)
+              for r in rows for p in r.laplace])
+    _section(lines, "tail", "n,hill,ci_low,ci_high,k,ks_distance,dkw_epsilon,"
+             "replicas_used,truncated",
+             [(r.n, *((r.hill.index, r.hill.ci_low, r.hill.ci_high, r.hill.k)
+                      if r.hill is not None else (math.nan,) * 3 + (0,)),
+               *((r.ks.distance, r.ks.dkw_epsilon) if r.ks is not None else (math.nan,) * 2),
+               r.replicas_used, r.truncated)
+              for r in rows if r.hill is not None or r.ks is not None])
+    census = [r for r in rows if r.census is not None]
+    _section(lines, "census", "n,environments,k_mean,k_over_nq,q_hat,coincidence,"
+             "a1,a2,a3,a4,a5,joint,retries,exhausted",
+             [(r.n, *astuple(r.census)[:-1]) for r in census])  # but height_ratios
+    _section(lines, "height_tail", "n,h,scaled_tail",
+             [(r.n, h, ratio) for r in census for h, ratio in r.census.height_ratios])
+    _section(lines, "reduction", "n,lambda,lambda_n,left,left_se,factor,factor_se,"
+             "k_lower,k_upper,bracket_low,bracket_high,margin,envs_with_valley",
+             [(r.n, *astuple(p)) for r in rows for p in r.reduction])
+    _section(lines, "crossing", "h,mean_tau,stderr,environments,skipped",
+             [astuple(p) for p in report.crossing])
+    _section(lines, "extras", "key,value",
+             list(report.extras) + [(f"{k}@{r.n}", v) for r in rows for k, v in r.extras])
     return "\n".join(lines) + "\n"
 
 
 def manifest_text(report: ConvergenceReport) -> str:
+    """The config, the runner keywords the report records and the library
+    versions, as ``key = value`` lines that run_from_manifest reads."""
     versions = (f"python:{sys.version_info.major}.{sys.version_info.minor};"
                 f"numpy:{np.__version__};rwre:{_pkg_version}")
     return (f"# {MANIFEST_VERSION}\n"
             f"experiment = {report.experiment}\n"
             f"{config_text(report.config)}"
+            f"{_kv_text(dict(report.params))}"
             f"versions = {versions}\n")
 
 
@@ -1005,51 +960,67 @@ def _svg_text(report: ConvergenceReport) -> str:
 def write_report(report: ConvergenceReport, output_dir: str,
                  svg: bool = False) -> dict[str, str]:
     os.makedirs(output_dir, exist_ok=True)
-    paths = {}
-    csv_path = os.path.join(output_dir, f"{report.experiment}.csv")
-    with open(csv_path, "w") as f:
-        f.write(report_csv_text(report))
-    paths["csv"] = csv_path
-    man_path = os.path.join(output_dir, f"{report.experiment}.manifest.txt")
-    with open(man_path, "w") as f:
-        f.write(manifest_text(report))
-    paths["manifest"] = man_path
+    outputs = {"csv": (".csv", report_csv_text), "manifest": (".manifest.txt", manifest_text)}
     if svg:
-        svg_path = os.path.join(output_dir, f"{report.experiment}.svg")
-        with open(svg_path, "w") as f:
-            f.write(_svg_text(report))
-        paths["svg"] = svg_path
+        outputs["svg"] = (".svg", _svg_text)
+    paths = {}
+    for kind, (suffix, text) in outputs.items():
+        paths[kind] = os.path.join(output_dir, report.experiment + suffix)
+        with open(paths[kind], "w") as f:
+            f.write(text(report))
     return paths
 
 
-def _emit(report: ConvergenceReport, svg: bool) -> None:
+def _emit(report: ConvergenceReport, svg: bool, run_params: dict) -> ConvergenceReport:
+    """Attach the runner keywords and write the outputs when the config
+    names an output directory."""
+    report = replace(report, params=tuple(run_params.items()))
     if report.config.output_dir is not None:
         write_report(report, report.config.output_dir, svg=svg)
+    return report
 
 
-_RUNNERS = {
-    "tau": run_tau_experiment,
-    "position": run_position_experiment,
-    "census": run_valley_census,
-    "reduction": verify_reduction,
-    "crossing": verify_crossing_bound,
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its runner, the CLI command that drives it, and the
+    runner's own keyword parameters with their types, which the manifest
+    records.  flags names the parameters the command also takes as flags."""
+    runner: Callable[..., ConvergenceReport]
+    command: str
+    help: str
+    params: dict[str, type]
+    flags: tuple[str, ...] = ()
+
+
+EXPERIMENTS = {
+    "tau": Experiment(run_tau_experiment, "simulate-tau",
+                      "annealed hitting-time experiment", {"c_k": float}),
+    "position": Experiment(run_position_experiment, "simulate-x",
+                           "position experiment", {"c_k": float}),
+    "census": Experiment(run_valley_census, "census", "valley census over environments",
+                         {"delta": float, "c_prime": float, "c_dprime": float}),
+    "reduction": Experiment(verify_reduction, "verify-reduction",
+                            "single-valley reduction bracket", {"environments": int},
+                            flags=("environments",)),
+    "crossing": Experiment(verify_crossing_bound, "verify-crossing",
+                           "crossing-time growth bound", {"h_values": tuple[float, ...]}),
 }
 
 
 def run_from_manifest(path: str, workers: int = 1,
                       output_dir: str | None = None) -> ConvergenceReport:
-    """Re-run the experiment a manifest describes; with the same config
-    the regenerated CSV is byte-identical for any worker count."""
+    """Re-run the experiment a manifest describes, with its config and
+    runner keywords; a keyword the manifest lacks takes the runner's
+    default.  The regenerated CSV is byte-identical for any worker count."""
     with open(path) as f:
-        text = f.read()
-    mapping = _parse_kv_lines(text)
-    experiment = mapping.get("experiment")
-    if experiment not in _RUNNERS:
-        raise ValueError(f"manifest names unknown experiment {experiment!r}")
-    config = parse_config_text(text)
+        mapping = _parse_kv_lines(f.read())
+    name = mapping.get("experiment")
+    if name not in EXPERIMENTS:
+        raise ValueError(f"manifest names unknown experiment {name!r}")
+    experiment = EXPERIMENTS[name]
+    params = {key: _PARSERS[kind](mapping.pop(key))
+              for key, kind in experiment.params.items() if key in mapping}
+    config = _config_from(mapping)
     if output_dir is not None:
-        config = ExperimentConfig(
-            **{**{f.name: getattr(config, f.name) for f in fields(config)},
-               "output_dir": output_dir})
-    return _RUNNERS[experiment](config, workers=workers)
-
+        config = replace(config, output_dir=output_dir)
+    return experiment.runner(config, workers=workers, **params)

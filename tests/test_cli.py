@@ -1,6 +1,7 @@
 """Command-line surface: parsing, outputs, and exit codes."""
 
 import os
+import re
 
 import pytest
 
@@ -135,3 +136,29 @@ def test_experiment_smoke_commands(capsys, tmp_path):
                  "--n-values", "64", "--replicas", "50",
                  "--master-seed", "2"]) == 0
     assert "# experiment = position" in capsys.readouterr().out
+
+
+CONFIG_FLAGS = {"--config", "--law", "--n-values", "--replicas", "--epsilon",
+                "--lambda-grid", "--master-seed", "--output-dir", "--step-cap",
+                "--workers", "--svg", "--help"}
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("simulate-tau", set()), ("simulate-x", set()), ("census", set()),
+    ("verify-reduction", {"--environments"}), ("verify-crossing", set())])
+def test_experiment_commands_keep_their_flags(command, extra, capsys):
+    assert main([command, "--help"]) == 0
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert flags == CONFIG_FLAGS | extra
+
+
+def test_verify_reduction_manifest_keeps_environments(tmp_path, capsys):
+    out, again = str(tmp_path / "out"), str(tmp_path / "out2")
+    assert main(["verify-reduction", "--law", "beta:1.5,1.0", "--n-values", "300",
+                 "--replicas", "1", "--environments", "12", "--output-dir", out]) == 0
+    assert main(["report", "--manifest", os.path.join(out, "reduction.manifest.txt"),
+                 "--output-dir", again]) == 0
+    capsys.readouterr()
+    with open(os.path.join(out, "reduction.csv")) as a, \
+            open(os.path.join(again, "reduction.csv")) as b:
+        assert a.read() == b.read()

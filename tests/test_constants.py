@@ -148,6 +148,23 @@ def test_kesten_tail_estimate_smoke():
     assert np.all(np.diff(est.raw_tail) <= 0.0)
 
 
+@pytest.mark.parametrize("spec", ["discrete:0.8@0.7;0.2@0.3",
+                                  "discrete:0.75@0.6;0.25@0.3;0.5@0.1"])
+def test_kesten_tail_estimate_rejects_arithmetic_laws(spec):
+    # log rho takes -log 4 and +log 4 (then -log 3, +log 3 and 0): a lattice
+    # law, for which x^kappa P{R > x} oscillates and no tail constant exists
+    with pytest.raises(ValueError, match="arithmetic"):
+        kesten_tail_estimate(EnvironmentLaw.parse(spec), 0.5, n_series=1000)
+
+
+@pytest.mark.parametrize("spec", ["discrete:0.8@0.5;0.3@0.5",
+                                  "discrete:0.8@0.5;0.3@0.3;0.6@0.2"])
+def test_kesten_tail_estimate_accepts_non_arithmetic_laws(spec):
+    est = kesten_tail_estimate(EnvironmentLaw.parse(spec), 0.45, n_series=20_000, seed=1)
+    assert est.n_series == 20_000
+    assert est.constant_hat > 0.0
+
+
 # ------------------------------------------------------------ limit scale
 
 def test_meander_and_u_constants():

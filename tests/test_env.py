@@ -45,6 +45,14 @@ def test_parse_discrete_round_trip():
     assert EnvironmentLaw.parse(law.spec_text()) == law
 
 
+def test_spec_text_keeps_every_digit():
+    # a manifest records the law by its spec text
+    for law in (EnvironmentLaw.beta_law(1.2345678, 1.0),
+                EnvironmentLaw.discrete((0.8, 0.3333333333), (0.6, 0.4))):
+        assert EnvironmentLaw.parse(law.spec_text()) == law
+    assert BETA_LAW.spec_text() == "beta:1.5,1"
+
+
 @pytest.mark.parametrize("text", [
     "beta", "beta:1.5", "beta:1.5,1.0,2", "gauss:0,1",
     "discrete:1.5@1.0", "discrete:0.5@0.4;0.5@0.7",

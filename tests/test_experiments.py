@@ -1,6 +1,7 @@
 """Experiment drivers: reports, reproducibility, and the verification
 harnesses at desk scale."""
 
+import inspect
 import math
 import os
 
@@ -9,6 +10,7 @@ import pytest
 
 from rwre.env import EnvironmentLaw
 from rwre.experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     config_text,
     duality_product,
@@ -144,6 +146,21 @@ def test_tau_worker_count_is_invisible(tau_report):
         assert report_csv_text(again) == report_csv_text(tau_report)
 
 
+def test_tau_ignores_step_cap():
+    # the branching cascade's cost does not grow with tau, so nothing is
+    # censored at the step cap
+    capped = run_tau_experiment(beta_config(n_values=(200,), step_cap=1))
+    uncapped = run_tau_experiment(beta_config(n_values=(200,), step_cap=10 ** 30))
+    assert report_csv_text(capped) == report_csv_text(uncapped)
+
+
+def test_tau_rejects_an_arithmetic_law():
+    # log rho = +/- log 4: no tail constant, so no predicted columns
+    with pytest.raises(ValueError, match="arithmetic"):
+        run_tau_experiment(beta_config(law=EnvironmentLaw.parse("discrete:0.8@0.7;0.2@0.3"),
+                                       n_values=(50,), replicas=20))
+
+
 def test_tau_stderr_shrinks_with_replicas():
     small = run_tau_experiment(beta_config(n_values=(300,), replicas=400))
     large = run_tau_experiment(beta_config(n_values=(300,), replicas=1600))
@@ -165,6 +182,52 @@ def test_manifest_round_trip(tau_report, tmp_path):
     assert text.startswith("# rwre-manifest-v1")
     assert "experiment = tau" in text
     assert "numpy:" in text
+
+
+def test_experiment_table_declares_every_runner_keyword():
+    for name, experiment in EXPERIMENTS.items():
+        keywords = list(inspect.signature(experiment.runner).parameters)
+        assert keywords[:3] == ["config", "workers", "svg"], name
+        assert list(experiment.params) == keywords[3:], name
+        assert set(experiment.flags) <= set(experiment.params), name
+
+
+@pytest.mark.parametrize("runner,config_kw,params", [
+    (verify_reduction, dict(n_values=(300,)), dict(environments=12)),
+    (verify_crossing_bound, dict(replicas=20), dict(h_values=(3.0, 4.0))),
+    (verify_crossing_bound, dict(replicas=20), dict(h_values=(3, 4))),
+    (run_valley_census, dict(n_values=(200,), replicas=6), dict(c_dprime=20.0)),
+    (run_tau_experiment, dict(n_values=(200,), replicas=300), dict(c_k=2.0)),
+    (run_position_experiment, dict(n_values=(64,), replicas=64), dict(c_k=2.0)),
+], ids=["reduction", "crossing", "crossing-int-h", "census", "tau", "position"])
+def test_manifest_reruns_runner_parameters(runner, config_kw, params, tmp_path):
+    # a runner keyword away from its default must survive the manifest; an
+    # int given for a float keyword runs as the float a rerun reads back
+    paths = write_report(runner(beta_config(**config_kw), **params), str(tmp_path))
+    with open(paths["csv"]) as fh:
+        stored = fh.read()
+    with open(paths["manifest"]) as fh:
+        assert f"{next(iter(params))} = " in fh.read()
+    for workers in (1, 3):
+        rerun = run_from_manifest(paths["manifest"], workers=workers)
+        assert report_csv_text(rerun) == stored
+
+
+def test_manifest_without_parameter_lines_reruns_with_the_defaults(tmp_path):
+    # a manifest written before runner keywords were recorded
+    path = tmp_path / "crossing.manifest.txt"
+    path.write_text("# rwre-manifest-v1\n"
+                    "experiment = crossing\n"
+                    "law = beta:1.5,1\n"
+                    "n_values = 200,400\n"
+                    "replicas = 20\n"
+                    "epsilon = 0.2\n"
+                    "lambda_grid = 0.5,1.0,2.0\n"
+                    "master_seed = 1\n"
+                    "step_cap = 1000000000000\n"
+                    "versions = python:3.11;numpy:2.4.6;rwre:0.1.0\n")
+    rerun = run_from_manifest(str(path))
+    assert report_csv_text(rerun) == report_csv_text(verify_crossing_bound(beta_config(replicas=20)))
 
 
 # ------------------------------------------------- position experiment
