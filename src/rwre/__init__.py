@@ -66,7 +66,6 @@ from .constants import (
     IglehartEstimate,
     LimitLawParams,
     TailEstimate,
-    feller_constant,
     iglehart_constant,
     kesten_constant_beta,
     kesten_tail_estimate,

@@ -53,8 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kappa", help="root of E[rho^t] = 1 in (0,1)")
     law_arg(p)
-    p.add_argument("--method", choices=("closed_form", "bisection_quadrature",
-                                        "bisection_mc"), default=None)
+    p.add_argument("--method", choices=("closed_form", "bisection_quadrature"),
+                   default=None)
     p.add_argument("--tol", type=float, default=1e-12)
 
     p = sub.add_parser("constants", help="limit-law constants table")
@@ -145,12 +145,10 @@ def _cmd_constants(args) -> int:
     if law.kind == "beta":
         c_k = kesten_constant_beta(law.alpha, law.beta)
         rows.append(("C_K", f"{c_k:.12g}", "-", "closed_form"))
-    series = args.series if args.series else (0 if law.kind == "beta" else 10 ** 6)
-    if series:
-        est = kesten_tail_estimate(law, kappa, n_series=series,
-                                   seed=stream_key(args.seed, "ck"))
-        rows.append(("C_K", f"{est.constant_hat:.6g}", f"{est.stderr:.2g}",
-                     "series_mc"))
+    series = {"n_series": args.series} if args.series else {}
+    if series or law.kind != "beta":
+        est = kesten_tail_estimate(law, kappa, seed=stream_key(args.seed, "ck"), **series)
+        rows.append(("C_K", f"{est.constant_hat:.6g}", f"{est.stderr:.2g}", "goldie"))
         if law.kind != "beta":
             c_k = est.constant_hat
     params = limit_scale(kappa, c_k, moment)

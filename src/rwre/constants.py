@@ -12,9 +12,12 @@ law whose scale is an explicit product of four ingredients:
 
 C_I comes out of a joint Monte Carlo over excursions (with a delta-method
 standard error that keeps the covariance between the two excursion
-functionals).  C_K has a closed form in the Beta case and a direct tail
-estimator for any law; the estimator simulates the series to numerical
-convergence and reads the constant off the flat region of x^kappa P{R > x}.
+functionals).  C_K has a closed form in the Beta case and, for any law,
+Goldie's implicit renewal formula (Ann. Appl. Probab. 1991)
+C_K = E[R^kappa - (R - 1)^kappa] / (kappa E[rho^kappa log rho]): with
+R >= 1 and 0 < kappa < 1 the summand lies in (0, 1], so the estimate is
+the sample mean of a bounded variable over series simulated to numerical
+convergence.
 The combined scale Lambda = 2^kappa (pi kappa^2 / sin(pi kappa)) C_K^2
 times the log-moment then feeds every prediction downstream: the Laplace
 transform e^{-Lambda lambda^kappa}, the tau prefactor Lambda^{1/kappa},
@@ -39,12 +42,9 @@ __all__ = [
     "IglehartEstimate",
     "sample_excursions",
     "iglehart_constant",
-    "feller_constant",
     "feller_from_estimate",
     "kesten_constant_beta",
     "kesten_tail_estimate",
-    "meander_moment",
-    "c_u",
     "limit_scale",
     "limit_scale_beta",
 ]
@@ -69,11 +69,9 @@ class LimitLawParams:
 
 @dataclass(frozen=True)
 class TailEstimate:
-    level_grid: np.ndarray
-    raw_tail: np.ndarray          # empirical P{R > x} on the grid
-    constant_hat: float           # flat-region mean of x^kappa P{R > x}
+    constant_hat: float           # Goldie's E[R^kappa - (R - 1)^kappa] / (kappa m)
     index_hat: float              # Hill estimate of the tail index
-    stderr: float                 # block-bootstrap stderr of constant_hat
+    stderr: float                 # sample standard error of constant_hat
     n_series: int
     truncated_series: int         # series stopped by the term cap, not by tolerance
 
@@ -151,13 +149,6 @@ def iglehart_constant(law: EnvironmentLaw, kappa: float, n_excursions: int = 200
                             truncated_excursions=truncated)
 
 
-def feller_constant(c_i: float, e_kv: float) -> float:
-    """C_F = C_I / (1 - E[e^{kappa V(e_1)}])."""
-    if not 0.0 < e_kv < 1.0:
-        raise ValueError(f"E[e^(kappa V(e_1))] must lie in (0,1), got {e_kv}")
-    return c_i / (1.0 - e_kv)
-
-
 def feller_from_estimate(est: IglehartEstimate, kappa: float, moment: float,
                          ) -> tuple[float, float]:
     """(C_F, stderr) by the delta method on the same excursion sample."""
@@ -232,82 +223,44 @@ def _reject_arithmetic(law: EnvironmentLaw) -> None:
                          "tail constant C_K")
 
 
-def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 1_000_000,
+def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 200_000,
                          truncation: int = _SERIES_TERM_CAP, seed: int = 0,
-                         n_levels: int = 40, min_exceed: int = 200,
                          ) -> TailEstimate:
-    """Estimate the tail constant of R = sum e^{V(k)} directly.
+    """Estimate the tail constant of R = sum e^{V(k)} by Goldie's identity
+    C_K = E[R^kappa - (R - 1)^kappa] / (kappa m), m = E[rho^kappa log rho].
 
-    The level window runs from the 99.9th percentile of the sample up to
-    the largest level that still has min_exceed exceedances; within it
-    x^kappa P{R > x} should be flat, and its mean is the estimate.  The
-    standard error is a block bootstrap over sample shards, and the Hill
-    estimator over the top n^{0.6} order statistics reads off the index.
+    Each summand is -R^kappa expm1(kappa log1p(-1/R)), which lies in
+    (0, 1] for 0 < kappa < 1 and keeps its digits when R is large; the
+    standard error is the sample one.  The Hill estimator over the top max(200, n^0.6)
+    series reads off the index.
 
-    Memory: about 32 bytes a series (the sample, its sort order, its
-    sorted copy and the quantile's working copy), plus about 5 MB for one
+    Memory: about 24 bytes a series (the sample, its summands and the
+    standard deviation's temporary), plus about 5 MB for one
     _SERIES_BLOCK block of the simulation (see _simulate_series_block),
     whatever the term cap.
 
     Raises ValueError for an arithmetic discrete law, which has no C_K.
     """
     _reject_arithmetic(law)
+    scale = kappa * moment_rho_log(law, kappa)
     rng = generator(stream_key(seed, "kesten"))
     out = np.empty(n_series)
+    g = np.empty(n_series)
     truncated = 0
-    done = 0
-    n_shards = 16
-    while done < n_series:
-        m = min(_SERIES_BLOCK, n_series - done)
-        r, trunc = _simulate_series_block(law, rng, m, truncation)
-        out[done : done + m] = r
+    for lo in range(0, n_series, _SERIES_BLOCK):
+        r, trunc = _simulate_series_block(law, rng, min(_SERIES_BLOCK, n_series - lo),
+                                          truncation)
+        out[lo : lo + r.size] = r
+        g[lo : lo + r.size] = -r ** kappa * np.expm1(kappa * np.log1p(-1.0 / r))
         truncated += trunc
-        done += m
-    shard_id = (np.arange(n_series) * n_shards) // n_series
-    order = np.argsort(out)
-    r_sorted = out[order]
-    lo = float(np.quantile(r_sorted, 0.999))
-    hi = float(r_sorted[-min_exceed])
-    if hi <= lo:
-        hi = lo * 2.0
-    level_grid = np.geomspace(lo, hi, n_levels)
-    counts = n_series - np.searchsorted(r_sorted, level_grid, side="right")
-    raw_tail = counts / n_series
-    constant_hat = float(np.mean(level_grid ** kappa * raw_tail))
 
-    # per-shard exceedance counts feed a cheap block bootstrap
-    shard_counts = np.zeros((n_shards, n_levels))
-    for s in range(n_shards):
-        rs = np.sort(out[shard_id == s])
-        shard_counts[s] = len(rs) - np.searchsorted(rs, level_grid, side="right")
-    shard_sizes = np.bincount(shard_id, minlength=n_shards).astype(np.float64)
-    boot_rng = generator(stream_key(seed, "kesten", "boot"))
-    boots = np.empty(200)
-    for bi in range(len(boots)):
-        pick = boot_rng.integers(0, n_shards, size=n_shards)
-        tail = shard_counts[pick].sum(axis=0) / shard_sizes[pick].sum()
-        boots[bi] = np.mean(level_grid ** kappa * tail)
-    stderr = float(np.std(boots, ddof=1))
-
-    k_hill = max(min_exceed, int(n_series ** 0.6))
-    top = r_sorted[-(k_hill + 1):]
+    k_hill = min(max(200, int(n_series ** 0.6)), n_series - 1)
+    out.partition(n_series - k_hill - 1)
+    top = np.sort(out[-(k_hill + 1):])
     index_hat = 1.0 / float(np.mean(np.log(top[1:] / top[0])))
-    return TailEstimate(level_grid=level_grid, raw_tail=raw_tail,
-                        constant_hat=constant_hat, index_hat=index_hat,
-                        stderr=stderr, n_series=n_series,
-                        truncated_series=truncated)
-
-
-def meander_moment(c_k: float, c_f: float) -> float:
-    """E[M^kappa] = C_K / C_F."""
-    if c_f <= 0:
-        raise ValueError("C_F must be positive")
-    return c_k / c_f
-
-
-def c_u(c_i: float, m_moment: float) -> float:
-    """C_U = C_I E[M^kappa]."""
-    return c_i * m_moment
+    return TailEstimate(constant_hat=float(g.mean()) / scale, index_hat=index_hat,
+                        stderr=float(g.std(ddof=1)) / math.sqrt(n_series) / scale,
+                        n_series=n_series, truncated_series=truncated)
 
 
 def limit_scale(kappa: float, c_k: float, moment: float) -> LimitLawParams:

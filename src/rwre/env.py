@@ -149,7 +149,7 @@ class EnvironmentSlice:
 class KappaResult:
     kappa: float
     residual: float
-    method: str                    # closed_form | bisection_mc | bisection_quadrature
+    method: str                    # closed_form | bisection_quadrature
 
 
 def rho(omega: float) -> float:
@@ -261,23 +261,15 @@ def mean_log_rho(law: EnvironmentLaw) -> float:
     return float(sum(p * x for p, x in zip(law.probs, lr)))
 
 
-def _lambda_mc(law: EnvironmentLaw, t: float, seed: int, n: int = 10**6) -> float:
-    u = rng.counter_uniforms(rng.stream_key(seed, "lambda-mc"), 0, n)
-    omegas = _law_uniform_to_omega(law, u)
-    log_rhos = np.log1p(-omegas) - np.log(omegas)
-    return float(logsumexp(t * log_rhos)) - math.log(n)
-
-
-def kappa_solve(law: EnvironmentLaw, tol: float = 1e-12, method: str | None = None,
-                seed: int = 0) -> KappaResult:
+def kappa_solve(law: EnvironmentLaw, tol: float = 1e-12,
+                method: str | None = None) -> KappaResult:
     """Root of E[rho^kappa] = 1 in (0,1).
 
     Beta laws with 0 < alpha-beta < 1 use the closed form kappa =
     alpha-beta; otherwise convex bisection on lambda_fn (method
-    "bisection_quadrature", since Lambda is evaluated by exact
-    quadrature/sums), or on a Monte Carlo estimate of Lambda when method
-    "bisection_mc" is forced.  Raises NoRootError outside the transient
-    zero-speed regime.
+    "bisection_quadrature", since Lambda is evaluated exactly, by
+    log-beta functions or by sums over the atoms).  Raises NoRootError
+    outside the transient zero-speed regime.
     """
     if mean_log_rho(law) >= 0:
         raise NoRootError(
@@ -295,12 +287,9 @@ def kappa_solve(law: EnvironmentLaw, tol: float = 1e-12, method: str | None = No
             )
         return KappaResult(kappa=kappa, residual=abs(lambda_fn(law, kappa)), method=method)
 
-    if method == "bisection_mc":
-        fn = lambda t: _lambda_mc(law, t, seed)
-    elif method == "bisection_quadrature":
-        fn = lambda t: lambda_fn(law, t)
-    else:
+    if method != "bisection_quadrature":
         raise ValueError(f"unknown kappa method {method!r}")
+    fn = lambda t: lambda_fn(law, t)
 
     lo = _EDGE
     hi = min(1.0 - _EDGE, _lambda_sup(law) - _EDGE)

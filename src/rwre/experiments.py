@@ -327,7 +327,7 @@ def _limit_params(config: ExperimentConfig, c_k: float | None,
         c_k = kesten_constant_beta(config.law.alpha, config.law.beta)
         source = "closed_form"
     else:
-        est = kesten_tail_estimate(config.law, kappa, n_series=10 ** 6,
+        est = kesten_tail_estimate(config.law, kappa,
                                    seed=stream_key(config.master_seed, "ck"))
         c_k = est.constant_hat
         source = "estimate"

@@ -530,13 +530,13 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
 
 def simulate_walk(env, start: int, stop: tuple[str, int], seed,
                   reflect_at: int | None = None, step_cap: int = 10**10,
-                  trace: bool = False, use_branching: bool = False) -> WalkResult:
+                  trace: bool = False) -> WalkResult:
     """Step-by-step walk in an environment slice (or chain).
 
     stop is ("hit", site) or ("steps", count).  The walk must stay inside
-    the realized window; walking off it raises WindowExhausted.  The
-    branching fast path (off by default) is exact in distribution for
-    upward hitting times but produces no trace.
+    the realized window; walking off it raises WindowExhausted.  Upward
+    hitting times without a trace come faster and exactly in distribution
+    from sample_hitting_times.
     """
     if isinstance(env, QuenchedChain):
         # omegas exist only on the interior; the endpoints can be stop
@@ -551,14 +551,6 @@ def simulate_walk(env, start: int, stop: tuple[str, int], seed,
     kind, value = stop
     if kind not in ("hit", "steps"):
         raise ValueError(f"stop must be ('hit', site) or ('steps', n), got {stop!r}")
-
-    if use_branching and kind == "hit" and value > start and not trace \
-            and not isinstance(env, QuenchedChain):
-        tau = sample_hitting_times(env, value, 1, seed, start=start,
-                                   reflect_at=reflect_at)
-        steps = int(tau[0]) if tau[0] < 2**62 else step_cap
-        return WalkResult(final_site=value, steps=steps, stopped_on="hit",
-                          truncated=False)
 
     rng = generator(stream_key(seed, "walk") if isinstance(seed, int) else seed)
     x = start

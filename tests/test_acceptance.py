@@ -215,18 +215,29 @@ def test_c07_iglehart_formula_route_vs_height_census():
 def test_c08_kesten_tail_constant_and_index():
     t0 = time.perf_counter()
     est = kesten_tail_estimate(BETA_LAW, 0.5, n_series=10 ** 7, seed=0)
+    # Goldie's estimate on two more Beta laws, a million series each
+    others = {(a, b): kesten_tail_estimate(EnvironmentLaw.beta_law(a, b), a - b,
+                                           n_series=10 ** 6, seed=0)
+              for a, b in ((2.0, 1.5), (1.8, 1.2))}
     elapsed = time.perf_counter() - t0
     closed = kesten_constant_beta(1.5, 1.0)
     hill_ok = abs(est.index_hat - 0.5) <= 0.05
     ck_ok = abs(est.constant_hat - closed) <= 0.6
-    report(8, hill_ok and ck_ok and elapsed < 300.0,
-           f"hill index={est.index_hat:.4f}, C_K hat={est.constant_hat:.4f} "
-           f"+/- {est.stderr:.3f} vs closed form {closed:.6g}, {elapsed:.0f}s")
+    z = {(1.5, 1.0): (est.constant_hat - closed) / est.stderr}
+    z.update({law: (e.constant_hat - kesten_constant_beta(*law)) / e.stderr
+              for law, e in others.items()})
+    goldie_ok = all(abs(v) <= 4.0 for v in z.values())
+    report(8, hill_ok and ck_ok and goldie_ok and elapsed < 300.0,
+           f"hill index={est.index_hat:.4f}, C_K hat={est.constant_hat:.5f} "
+           f"+/- {est.stderr:.5f} vs closed form {closed:.6g}, z by law "
+           + ", ".join(f"beta:{a:g},{b:g} {v:+.2f}" for (a, b), v in z.items())
+           + f", {elapsed:.0f}s")
     assert elapsed < 300.0
     assert hill_ok
-    # the direct series-tail measurement against the closed form
+    # the series measurement against the closed form
     # Gamma(alpha) / (Gamma(kappa + 1) Gamma(beta)), which is 1 here
     assert ck_ok
+    assert goldie_ok
 
 
 def test_c09_valley_census_at_scale():

@@ -2,10 +2,14 @@
 
 import os
 import re
+import shlex
 
 import pytest
 
-from rwre.cli import main
+from rwre.cli import _build_parser, _config_from_args, main
+from rwre.experiments import EXPERIMENTS
+
+DOCS = os.path.join(os.path.dirname(__file__), os.pardir)
 
 
 def test_kappa_beta(capsys):
@@ -23,6 +27,11 @@ def test_kappa_quadrature_route(capsys):
 def test_kappa_two_atom(capsys):
     assert main(["kappa", "--law", "discrete:0.8@0.6;0.25@0.4"]) == 0
     assert abs(float(capsys.readouterr().out) - 0.5199783222299662) < 1e-9
+
+
+def test_kappa_monte_carlo_route_is_gone(capsys):
+    assert main(["kappa", "--law", "beta:1.5,1.0", "--method", "bisection_mc"]) == 2
+    capsys.readouterr()
 
 
 def test_argument_errors_exit_2(capsys):
@@ -47,6 +56,14 @@ def test_constants_table(capsys):
     assert "closed_form" in lines["C_K"]
     assert lines["C_K"].split()[1] == "1"
     assert "Lambda" in lines and "x_scale" in lines and "C_F" in lines
+
+
+def test_constants_table_goldie_route(capsys):
+    assert main(["constants", "--law", "beta:1.5,1.0", "--excursions", "20000",
+                 "--series", "20000"]) == 0
+    routes = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("C_K ")]
+    assert routes == ["closed_form", "goldie"]
 
 
 def test_valleys_listing(capsys):
@@ -162,3 +179,20 @@ def test_verify_reduction_manifest_keeps_environments(tmp_path, capsys):
     with open(os.path.join(out, "reduction.csv")) as a, \
             open(os.path.join(again, "reduction.csv")) as b:
         assert a.read() == b.read()
+
+
+def _documented_commands(name):
+    """The rwre command lines of the first code block that has any."""
+    with open(os.path.join(DOCS, name)) as fh:
+        blocks = fh.read().split("```")[1::2]
+    block = next(b for b in blocks if "\nrwre " in b)
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("rwre ")]
+
+
+@pytest.mark.parametrize("doc", ["README.md", "PAPER.md"])
+def test_documented_experiment_commands_build_their_configs(doc):
+    commands = {e.command for e in EXPERIMENTS.values()}
+    lines = [argv[1:] for argv in _documented_commands(doc) if argv[1] in commands]
+    assert {argv[0] for argv in lines} == commands
+    for argv in lines:
+        _config_from_args(_build_parser().parse_args(argv))

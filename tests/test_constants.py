@@ -4,21 +4,26 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
 import oracles
-from rwre.env import EnvironmentLaw, NoRootError, RegimeError, moment_rho_log
+from rwre.env import (
+    EnvironmentLaw,
+    NoRootError,
+    RegimeError,
+    kappa_solve,
+    lambda_fn,
+    moment_rho_log,
+)
 from rwre.constants import (
+    _SERIES_BLOCK,
     _simulate_series_block,
-    c_u,
-    feller_constant,
     feller_from_estimate,
     iglehart_constant,
     kesten_constant_beta,
     kesten_tail_estimate,
     limit_scale,
     limit_scale_beta,
-    meander_moment,
     sample_excursions,
 )
 from rwre.rng import generator, stream_key
@@ -65,19 +70,10 @@ def test_iglehart_constant_validates_kappa():
                           n_excursions=1000)
 
 
-def test_feller_constant_identity_and_domain():
-    assert feller_constant(0.2671, 0.5649) == pytest.approx(0.2671 / 0.4351,
-                                                            rel=1e-14)
-    with pytest.raises(ValueError):
-        feller_constant(0.3, 1.0)
-    with pytest.raises(ValueError):
-        feller_constant(0.3, -0.1)
-
-
 def test_feller_from_estimate_matches_ratio_form():
     est = iglehart_constant(BETA_LAW, 0.5, n_excursions=50_000, seed=1)
     c_f, se = feller_from_estimate(est, 0.5, BETA_MOMENT)
-    assert c_f == pytest.approx(feller_constant(est.c_i, est.e_kv), rel=1e-10)
+    assert c_f == pytest.approx(est.c_i / (1.0 - est.e_kv), rel=1e-10)
     assert se > 0.0
 
 
@@ -142,10 +138,25 @@ def test_kesten_tail_estimate_smoke():
     assert est.n_series == 100_000
     assert abs(est.index_hat - 0.5) < 0.12
     assert 0.5 < est.constant_hat < 2.0
-    assert est.stderr > 0.0
-    assert np.all(np.diff(est.level_grid) > 0.0)
-    assert np.all(est.raw_tail > 0.0)
-    assert np.all(np.diff(est.raw_tail) <= 0.0)
+    assert 0.0 < est.stderr < 0.01
+    assert est.truncated_series == 0
+    assert abs(est.constant_hat - 1.0) <= 4.0 * est.stderr
+
+
+def test_goldie_estimate_agrees_with_the_tail_window_read():
+    # the same 1e6 series read two ways: Goldie's mean and the level window
+    # of x^kappa P{R > x}; the tau_discrete law has no closed form
+    law = EnvironmentLaw.parse("discrete:0.8@0.5;0.3@0.5")
+    kappa = kappa_solve(law).kappa
+    seed = stream_key(0, "ck")
+    est = kesten_tail_estimate(law, kappa, n_series=10 ** 6, seed=seed)
+    rng = generator(stream_key(seed, "kesten"))
+    r = np.concatenate([_simulate_series_block(law, rng, _SERIES_BLOCK, 100_000)[0]
+                        for _ in range(10 ** 6 // _SERIES_BLOCK)])
+    window, window_se = oracles.tail_window_read(r, kappa)
+    combined = math.hypot(est.stderr, window_se)
+    assert abs(window - est.constant_hat) <= 4.0 * combined
+    assert est.stderr < 0.1 * window_se
 
 
 @pytest.mark.parametrize("spec", ["discrete:0.8@0.7;0.2@0.3",
@@ -160,19 +171,24 @@ def test_kesten_tail_estimate_rejects_arithmetic_laws(spec):
 @pytest.mark.parametrize("spec", ["discrete:0.8@0.5;0.3@0.5",
                                   "discrete:0.8@0.5;0.3@0.3;0.6@0.2"])
 def test_kesten_tail_estimate_accepts_non_arithmetic_laws(spec):
-    est = kesten_tail_estimate(EnvironmentLaw.parse(spec), 0.45, n_series=20_000, seed=1)
+    # the root of E[rho^t] = 1, which lies above 1 for the three-atom law
+    law = EnvironmentLaw.parse(spec)
+    root = optimize.brentq(lambda t: lambda_fn(law, t), 0.05, 5.0)
+    est = kesten_tail_estimate(law, root, n_series=20_000, seed=1)
     assert est.n_series == 20_000
     assert est.constant_hat > 0.0
 
 
+def test_kesten_tail_estimate_needs_the_root():
+    # Goldie's identity divides by kappa E[rho^kappa log rho], which is
+    # positive at the root; at 0.45, below the three-atom law's root, the
+    # moment is negative
+    with pytest.raises(RegimeError):
+        kesten_tail_estimate(EnvironmentLaw.parse("discrete:0.8@0.5;0.3@0.3;0.6@0.2"),
+                             0.45, n_series=1000)
+
+
 # ------------------------------------------------------------ limit scale
-
-def test_meander_and_u_constants():
-    assert meander_moment(3.0, 0.6) == pytest.approx(5.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        meander_moment(3.0, 0.0)
-    assert c_u(0.25, 4.0) == pytest.approx(1.0, rel=1e-14)
-
 
 def test_limit_scale_assembly():
     params = limit_scale(0.5, 3.0, BETA_MOMENT)

@@ -98,12 +98,6 @@ def test_kappa_bisection_matches_closed_form():
         assert abs(closed - bisect) < 1e-8
 
 
-def test_kappa_monte_carlo_route_lands_near_root():
-    result = kappa_solve(BETA_LAW, method="bisection_mc")
-    assert result.method == "bisection_mc"
-    assert abs(result.kappa - 0.5) < 5e-3
-
-
 def test_kappa_two_atom_frozen_value():
     result = kappa_solve(TWO_ATOM)
     assert result.method == "bisection_quadrature"
