@@ -102,6 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The config of an experiment command, from --config and the flags;
+    only the fields the experiment needs must be given."""
+    experiment = next(e for e in EXPERIMENTS.values() if e.command == args.command)
     parts = []
     if args.config:
         with open(args.config) as f:
@@ -109,7 +112,7 @@ def _config_from_args(args) -> ExperimentConfig:
     for field in fields(ExperimentConfig):
         if getattr(args, field.name) is not None:
             parts.append(f"{field.name} = {getattr(args, field.name)}")
-    return parse_config_text("\n".join(parts))
+    return parse_config_text("\n".join(parts), needs=experiment.needs)
 
 
 def _print_table(rows: list[tuple[str, str, str, str]]) -> None:

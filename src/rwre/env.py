@@ -15,8 +15,12 @@ Two law families are supported, matching the text grammar used by the CLI:
 * ``discrete:w1@p1;w2@p2;...``  finite support {w_k} with probabilities
                     {p_k}; all moments are exact finite sums.
 
-Environment sampling is counter-based: site i of law+seed always receives
-the same omega regardless of which window is materialized (see rng).
+Environment sampling is keyed by site block: site i of law+seed always
+receives the same omega regardless of which window is materialized (see
+rng).  Beta laws with B = 1 and discrete laws invert their CDF on counter
+uniforms, drawn for just the sites a window covers; other Beta laws draw
+each touched block of _SITE_BLOCK sites whole from a generator keyed by
+the block, through draw_omegas.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv, betaln, digamma, logsumexp
+from scipy.special import betaln, digamma, logsumexp
 
 from . import rng
 
@@ -172,20 +176,18 @@ def _atom_index(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
 
 
 def _law_uniform_to_omega(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of a discrete law or of Beta(a,1), whose CDF is x^a."""
     if law.kind == "beta":
-        if law.beta == 1.0:
-            # CDF of Beta(a,1) is x^a, inverted in closed form
-            return u ** (1.0 / law.alpha)
-        return betaincinv(law.alpha, law.beta, u)
+        return u ** (1.0 / law.alpha)
     return np.asarray(law.values)[_atom_index(law, u)]
 
 
 def draw_omegas(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
     """size i.i.d. omegas from a generator, for samplers that draw a fresh
-    environment per replica rather than a site-keyed window.  Beta laws
-    use the generator's own beta sampler (inversion through betaincinv
-    costs about a microsecond a draw); discrete laws invert the same CDF
-    as sample_environment.  Draws are clipped into _OMEGA_CLIP."""
+    environment per replica, and for the site blocks of sample_environment
+    on Beta laws with B != 1.  Beta laws use the generator's own beta
+    sampler; discrete laws invert the same CDF as sample_environment.
+    Draws are clipped into _OMEGA_CLIP."""
     if law.kind == "beta":
         om = rng.beta(law.alpha, law.beta, size)
     else:
@@ -206,26 +208,32 @@ def draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np
 def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: int) -> EnvironmentSlice:
     """i.i.d. omegas on the inclusive site range [lo, hi].
 
-    Site i is drawn from stream (seed, "env", block(i)) at counter i mod
-    block, so identical (law, range, seed) gives bit-identical output and
-    overlapping ranges agree site by site.
+    Site i belongs to block i // _SITE_BLOCK, whose stream is (seed,
+    "env", block).  Laws that invert by CDF read counter i mod block of
+    that stream; other Beta laws draw the whole block from a generator on
+    it and keep the slice the range covers.  Either way identical (law,
+    range, seed) gives bit-identical output and overlapping ranges agree
+    site by site.
     """
     lo, hi = int(site_range[0]), int(site_range[1])
     if lo > hi:
         raise ValueError(f"empty site range [{lo}, {hi}]")
-    u = np.empty(hi - lo + 1, dtype=np.float64)
+    by_cdf = law.kind == "discrete" or law.beta == 1.0     # closed-form inverse CDF
+    out = np.empty(hi - lo + 1, dtype=np.float64)
     # the range is contiguous, so each block contributes one slice;
     # floor division keeps the block map right for negative sites
     pos = 0
     for blk in range(lo // _SITE_BLOCK, hi // _SITE_BLOCK + 1):
-        blk_lo = max(lo, blk * _SITE_BLOCK)
-        blk_hi = min(hi, blk * _SITE_BLOCK + _SITE_BLOCK - 1)
-        count = blk_hi - blk_lo + 1
+        base = blk * _SITE_BLOCK
+        start, stop = max(lo, base) - base, min(hi, base + _SITE_BLOCK - 1) - base + 1
         key = rng.stream_key(seed, "env", blk)
-        u[pos : pos + count] = rng.counter_uniforms(
-            key, blk_lo - blk * _SITE_BLOCK, count)
-        pos += count
-    omegas = _law_uniform_to_omega(law, u)
+        if by_cdf:
+            out[pos : pos + stop - start] = rng.counter_uniforms(key, start, stop - start)
+        else:
+            out[pos : pos + stop - start] = draw_omegas(
+                law, rng.generator(key), _SITE_BLOCK)[start:stop]
+        pos += stop - start
+    omegas = _law_uniform_to_omega(law, out) if by_cdf else out
     info = {"law": law.spec_text(), "seed": int(seed), "range": (lo, hi)}
     return EnvironmentSlice(offset=lo, omegas=omegas, seed_info=info)
 

@@ -1,8 +1,9 @@
 """Monte Carlo harness: end-to-end checks of the stable limit.
 
 Five experiments share one configuration type and one report type, and
-EXPERIMENTS declares them: runner, CLI command and the runner keywords
-that a manifest records next to the configuration.
+EXPERIMENTS declares them: runner, CLI command, the configuration fields
+the runner needs and the runner keywords that a manifest records next
+to the configuration.
 
 * run_tau_experiment      annealed hitting times tau(n), Laplace transform
                           against exp(-Lambda lambda^kappa), Hill index, KS
@@ -117,8 +118,8 @@ MANIFEST_VERSION = "rwre-manifest-v1"
 @dataclass(frozen=True)
 class ExperimentConfig:
     law: EnvironmentLaw
-    n_values: tuple[int, ...]
-    replicas: int
+    n_values: tuple[int, ...] | None = None  # each runner's Experiment.needs says
+    replicas: int | None = None              # whether it reads these two
     epsilon: float = 0.2
     lambda_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     master_seed: int = 0
@@ -126,13 +127,14 @@ class ExperimentConfig:
     step_cap: int = 10 ** 12
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "lambda_grid", tuple(float(x) for x in self.lambda_grid))
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("n_values must be nonempty positive integers")
-        if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError("n_values must be strictly increasing")
-        if self.replicas < 1:
+        if self.n_values is not None:
+            object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+            if not self.n_values or any(n < 1 for n in self.n_values):
+                raise ValueError("n_values must be nonempty positive integers")
+            if any(b <= a for a, b in zip(self.n_values, self.n_values[1:])):
+                raise ValueError("n_values must be strictly increasing")
+        if self.replicas is not None and self.replicas < 1:
             raise ValueError("replicas must be at least 1")
         if not 0.0 < self.epsilon < 1.0 / 3.0:
             raise ValueError(f"epsilon must lie in (0, 1/3), got {self.epsilon}")
@@ -148,8 +150,9 @@ def _split(cast):
 
 # How a ``key = value`` line reads back a value of each declared type;
 # config fields and runner parameters share it.
-_PARSERS = {EnvironmentLaw: EnvironmentLaw.parse, int: int, float: float,
-            str | None: str, tuple[int, ...]: _split(int), tuple[float, ...]: _split(float)}
+_PARSERS = {EnvironmentLaw: EnvironmentLaw.parse, int: int, int | None: int, float: float,
+            str | None: str, tuple[int, ...] | None: _split(int),
+            tuple[float, ...]: _split(float)}
 
 _CONFIG_TYPES = get_type_hints(ExperimentConfig)
 
@@ -187,23 +190,33 @@ def _parse_kv_lines(text: str) -> dict[str, str]:
     return out
 
 
-def _config_from(mapping: dict[str, str]) -> ExperimentConfig:
+_NEEDS_ALL = ("n_values", "replicas")
+
+
+def _require(config: ExperimentConfig, needs: tuple[str, ...]) -> ExperimentConfig:
+    for key in needs:
+        if getattr(config, key) is None:
+            raise ValueError(f"config needs {key}")
+    return config
+
+
+def _config_from(mapping: dict[str, str], needs: tuple[str, ...]) -> ExperimentConfig:
     values = {}
     for key, raw in mapping.items():
         if key in _CONFIG_TYPES:
             values[key] = _PARSERS[_CONFIG_TYPES[key]](raw)
         elif key not in ("experiment", "versions"):      # manifest lines
             raise ValueError(f"unknown config key {key!r}")
-    for key in ("law", "n_values", "replicas"):
-        if key not in values:
-            raise ValueError(f"config needs {key}")
-    return ExperimentConfig(**values)
+    if "law" not in values:
+        raise ValueError("config needs law")
+    return _require(ExperimentConfig(**values), needs)
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
+def parse_config_text(text: str, needs: tuple[str, ...] = _NEEDS_ALL) -> ExperimentConfig:
     """Build a config from ``key = value`` lines with ``#`` comments; the
-    experiment and versions lines of a manifest are skipped."""
-    return _config_from(_parse_kv_lines(text))
+    experiment and versions lines of a manifest are skipped.  needs names
+    the fields besides law that must be given (an Experiment's needs)."""
+    return _config_from(_parse_kv_lines(text), needs)
 
 
 # ----------------------------------------------------------------- report
@@ -335,9 +348,11 @@ def _limit_params(config: ExperimentConfig, c_k: float | None,
     return kappa, params, (("c_k", params.c_k), ("c_k_source_code", _C_K_SOURCE_CODE[source]))
 
 
-def _as_declared(experiment: str, **values) -> dict:
+def _as_declared(experiment: str, config: ExperimentConfig, **values) -> dict:
     """Runner keywords as a manifest rerun reads them back, each parsed as
-    its declared type; None stays None."""
+    its declared type; None stays None.  Checks first that the config
+    gives the fields the experiment needs."""
+    _require(config, EXPERIMENTS[experiment].needs)
     types = EXPERIMENTS[experiment].params
     return {key: None if value is None else _PARSERS[types[key]](_format(value))
             for key, value in values.items()}
@@ -445,7 +460,7 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
     are counted and excluded; config.step_cap plays no part, since the
     cascade's cost does not grow with tau.  c_k overrides the tail
     constant behind the predicted columns."""
-    run_params = _as_declared("tau", c_k=c_k)
+    run_params = _as_declared("tau", config, c_k=c_k)
     kappa, params, c_k_extras = _limit_params(config, run_params["c_k"])
     rows = []
     for n in config.n_values:
@@ -513,7 +528,7 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
                             c_k: float | None = None) -> ConvergenceReport:
     """X_n at each n, compared along X_n / n^kappa against
     x_scale * S^{-kappa} with S sampled from the stable module."""
-    run_params = _as_declared("position", c_k=c_k)
+    run_params = _as_declared("position", config, c_k=c_k)
     kappa, params, c_k_extras = _limit_params(config, run_params["c_k"])
     if max(config.n_values) > config.step_cap:
         raise ValueError("position experiment needs step_cap >= max(n_values)")
@@ -643,7 +658,7 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     good-environment event frequencies.  The A2 band is self-calibrated
     per environment (its own K_n / n), matching the check's default.
     """
-    run_params = _as_declared("census", delta=delta, c_prime=c_prime, c_dprime=c_dprime)
+    run_params = _as_declared("census", config, delta=delta, c_prime=c_prime, c_dprime=c_dprime)
     delta, c_prime, c_dprime = run_params.values()
     kappa, fallback = _census_kappa(config.law)
     if delta is None:
@@ -754,7 +769,7 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
     the only noise is environment-level; the report carries the bracket
     and the containment margin after widening by 3 combined SE.
     """
-    run_params = _as_declared("reduction", environments=environments)
+    run_params = _as_declared("reduction", config, environments=environments)
     environments = run_params["environments"]
     kappa = kappa_solve(config.law).kappa
     for n in config.n_values:
@@ -838,7 +853,7 @@ def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
     down with bounded steps never accumulating h) yields an empty fit and
     a slope of 0, trivially under the bound.
     """
-    run_params = _as_declared("crossing", h_values=h_values)
+    run_params = _as_declared("crossing", config, h_values=h_values)
     h_values = run_params["h_values"]
     environments = config.replicas
     window = 30_000
@@ -984,11 +999,14 @@ def _emit(report: ConvergenceReport, svg: bool, run_params: dict) -> Convergence
 class Experiment:
     """One experiment: its runner, the CLI command that drives it, and the
     runner's own keyword parameters with their types, which the manifest
-    records.  flags names the parameters the command also takes as flags."""
+    records.  needs names the config fields without a default that the
+    runner reads, which a config for it must give; flags names the
+    parameters the command also takes as flags."""
     runner: Callable[..., ConvergenceReport]
     command: str
     help: str
     params: dict[str, type]
+    needs: tuple[str, ...] = _NEEDS_ALL
     flags: tuple[str, ...] = ()
 
 
@@ -1001,9 +1019,10 @@ EXPERIMENTS = {
                          {"delta": float, "c_prime": float, "c_dprime": float}),
     "reduction": Experiment(verify_reduction, "verify-reduction",
                             "single-valley reduction bracket", {"environments": int},
-                            flags=("environments",)),
+                            needs=("n_values",), flags=("environments",)),
     "crossing": Experiment(verify_crossing_bound, "verify-crossing",
-                           "crossing-time growth bound", {"h_values": tuple[float, ...]}),
+                           "crossing-time growth bound", {"h_values": tuple[float, ...]},
+                           needs=("replicas",)),
 }
 
 
@@ -1020,7 +1039,7 @@ def run_from_manifest(path: str, workers: int = 1,
     experiment = EXPERIMENTS[name]
     params = {key: _PARSERS[kind](mapping.pop(key))
               for key, kind in experiment.params.items() if key in mapping}
-    config = _config_from(mapping)
+    config = _config_from(mapping, experiment.needs)
     if output_dir is not None:
         config = replace(config, output_dir=output_dir)
     return experiment.runner(config, workers=workers, **params)

@@ -56,6 +56,7 @@ __all__ = [
     "load_chain_text",
 ]
 
+_RECURRENCE_CHUNK = 256  # terms between restarts of _log_linear_recurrence's prefix sum
 _HARMONIC_ROUNDINGS = 16   # harmonicity bound in units of eps (1 + M); see _check_harmonic
 _LAM_CAP = 5e18       # poisson mixing saturates here; far beyond any test scale
 
@@ -216,6 +217,24 @@ def _log_suffix_sumexp(a: np.ndarray) -> np.ndarray:
     return np.logaddexp.accumulate(a[::-1])[::-1]
 
 
+def _log_linear_recurrence(first: float, log_add: np.ndarray,
+                           log_mult: np.ndarray) -> np.ndarray:
+    """x[0] = first, x[k] = logaddexp(log_add[k-1], log_mult[k-1] + x[k-1]).
+
+    This is the log of X[k] = A[k-1] + M[k-1] X[k-1], whose solution is
+    X[k] = P[k] (X[0] + sum_{j<=k} A[j-1] / P[j]) with P the prefix
+    products of M; in logs, a prefix sum and one accumulated logaddexp.
+    The prefix restarts every _RECURRENCE_CHUNK terms: log P grows with
+    the length, and each term carries a rounding error of eps |log P|."""
+    x = np.empty(len(log_add) + 1)
+    x[0] = first
+    for s in range(0, len(log_add), _RECURRENCE_CHUNK):
+        shift = np.cumsum(log_mult[s : s + _RECURRENCE_CHUNK])
+        x[s + 1 : s + 1 + len(shift)] = shift + np.logaddexp.accumulate(
+            np.concatenate(([x[s]], log_add[s : s + len(shift)] - shift)))[1:]
+    return x
+
+
 def exit_prob(chain: QuenchedChain, x: int, l: int, r: int) -> float:
     """P^x{hit r before l} = sum_{k=l}^{x-1} e^{V(k)} / sum_{k=l}^{r-1} e^{V(k)}."""
     if not (chain.left <= l <= x <= r <= chain.right):
@@ -350,12 +369,10 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
     w_left = chain._wslice(a + 1, b - 1)
     log_rho_left = np.log1p(-w_left) - np.log(w_left)
     m = b - a                                   # sites a .. b-1
-    lm2L = np.empty(m)
-    lm2L[-1] = 0.0                              # i = b-1
-    for k in range(m - 2, -1, -1):              # i = a + k, uses rho_{i+1}
-        lr = log_rho_left[k]
-        lm2L[k] = np.logaddexp(lr + np.logaddexp(0.0, lr) + lm1L[k + 1],
-                               2.0 * lr + lm2L[k + 1])
+    # runs from i = b-1 (where it is 0) down to a; i = a + k uses rho_{i+1}
+    lr = log_rho_left[::-1]
+    lm2L = _log_linear_recurrence(
+        0.0, lr + np.logaddexp(0.0, lr) + lm1L[:0:-1], 2.0 * lr)[::-1]
     # C_j = sum_{i=a}^{j-1} e^{V(j) - V(i)}
     neg_v = -chain._vslice(a, b - 1)
     log_C = np.full(m, -math.inf)
@@ -375,13 +392,10 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
         log_rho_hat = (np.log1p(-w_hat) - np.log(w_hat)
                        + log_h[: d - b - 2] - log_h[2 : d - b])  # finite for i <= d-2
         r = d - 1 - b                           # sites b+1 .. d-1
-        lm2R = np.empty(r)
-        lm2R[0] = 0.0
-        for k in range(1, r):                   # site i = b+1+k, uses hats at i-1
-            lo_w = log_omega_hat[k - 1]
-            lo_r = log_rho_hat[k - 1]
-            lm2R[k] = np.logaddexp(lm1R[k - 1] - lo_w - 2.0 * lo_r,
-                                   lm2R[k - 1] - 2.0 * lo_r)
+        # site i = b+1+k uses the hats at i-1
+        lo_w, lo_r = log_omega_hat[: r - 1], log_rho_hat[: r - 1]
+        lm2R = _log_linear_recurrence(0.0, lm1R[: r - 1] - lo_w - 2.0 * lo_r,
+                                      -2.0 * lo_r)
         # D_i = sum_{j=i+1}^{d-1} e^{-(V-hat(j-1) - V-hat(i-1))}
         log_D = np.full(r, -math.inf)
         if r > 1:
@@ -439,12 +453,9 @@ def mean_G_exact(chain: QuenchedChain, b: int, d: int) -> float:
     # log rho-bar_i = log rho_i + log g(i-1) - log g(i+1), finite for i >= b+2
     w = chain._wslice(b + 2, d - 1)
     log_rho_bar = np.log1p(-w) - np.log(w) + log_g[1 : d - b - 1] - log_g[3 : d - b + 1]
-    log_t = 0.0                                  # t at b+1 = 1 / omega-bar = 1
-    log_total = 0.0
-    for k in range(d - b - 2):                   # site i = b+2+k
-        log_t = np.logaddexp(-log_omega_bar[k + 1], log_rho_bar[k] + log_t)
-        log_total = np.logaddexp(log_total, log_t)
-    return 1.0 + math.exp(log_total)
+    # log t at sites b+1 .. d-1; t at b+1 = 1 / omega-bar = 1
+    log_t = _log_linear_recurrence(0.0, -log_omega_bar[1:], log_rho_bar)
+    return 1.0 + math.exp(np.logaddexp.reduce(log_t))
 
 
 def linear_solve_oracle(chain: QuenchedChain, functional: str,

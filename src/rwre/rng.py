@@ -17,10 +17,13 @@ GOLDEN``, which is the standard stateless formulation of splitmix64.  It
 passes the usual statistical batteries and is trivially vectorizable with
 uint64 numpy arithmetic (wraparound is the intended semantics).
 
-For draws that need rejection sampling (gamma, poisson) we hand a derived
-key to ``numpy.random.Philox``, which is itself counter-based; those
-streams are consumed as ordinary numpy generators and are reproducible per
-key, though not sliceable by counter.
+For draws that need rejection sampling (gamma, poisson, beta) we hand a
+derived key to ``numpy.random.Philox``, which is itself counter-based;
+those streams are consumed as ordinary numpy generators and are
+reproducible per key, though not sliceable by counter.  Their consumers
+are the samplers of replica blocks, walks, excursions, renewal series
+and stable laws, and the environment site blocks of Beta laws with
+B != 1, which env draws whole, one generator per block.
 """
 
 from __future__ import annotations

@@ -181,6 +181,39 @@ def test_verify_reduction_manifest_keeps_environments(tmp_path, capsys):
         assert a.read() == b.read()
 
 
+def test_verify_reduction_runs_without_replicas(tmp_path, capsys):
+    # the reduction counts environments and never reads replicas
+    out, again = str(tmp_path / "out"), str(tmp_path / "out2")
+    assert main(["verify-reduction", "--law", "beta:1.5,1.0", "--n-values", "300",
+                 "--environments", "12", "--output-dir", out]) == 0
+    with open(os.path.join(out, "reduction.manifest.txt")) as fh:
+        assert "replicas" not in fh.read()
+    assert main(["report", "--manifest", os.path.join(out, "reduction.manifest.txt"),
+                 "--output-dir", again]) == 0
+    with open(os.path.join(out, "reduction.csv")) as a, \
+            open(os.path.join(again, "reduction.csv")) as b:
+        assert a.read() == b.read()
+    assert main(["verify-reduction", "--law", "beta:1.5,1.0", "--environments", "12"]) == 2
+    assert "config needs n_values" in capsys.readouterr().err
+
+
+def test_verify_crossing_runs_without_n_values(capsys):
+    # the crossing check reads replicas as its environment count, no levels
+    argv = ["verify-crossing", "--law", "beta:1.5,1.0", "--replicas", "20"]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    assert "# experiment = crossing" in alone
+    assert main(argv + ["--n-values", "100"]) == 0
+    assert capsys.readouterr().out == alone
+    assert main(["verify-crossing", "--law", "beta:1.5,1.0"]) == 2
+    assert "config needs replicas" in capsys.readouterr().err
+
+
+def test_simulate_tau_still_needs_replicas(capsys):
+    assert main(["simulate-tau", "--law", "beta:1.5,1.0", "--n-values", "100"]) == 2
+    assert "config needs replicas" in capsys.readouterr().err
+
+
 def _documented_commands(name):
     """The rwre command lines of the first code block that has any."""
     with open(os.path.join(DOCS, name)) as fh:

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwre.env import (
+    _SITE_BLOCK,
     EnvironmentLaw,
     _atom_index,
     NoRootError,
@@ -237,6 +239,43 @@ def test_sample_environment_beta_moments():
     # Beta(1.5, 1) has mean 0.6 and second moment 3/7
     assert abs(env.omegas.mean() - 0.6) < 0.005
     assert abs(np.mean(env.omegas**2) - 3.0 / 7.0) < 0.005
+
+
+# Beta laws with beta != 1 draw whole site blocks from keyed generators
+BLOCK_LAWS = [EnvironmentLaw.beta_law(2.0, 1.5), EnvironmentLaw.beta_law(1.8, 1.2),
+              EnvironmentLaw.beta_law(3.0, 2.5)]
+
+
+@pytest.mark.parametrize("law", BLOCK_LAWS, ids=lambda law: law.spec_text())
+def test_block_sampled_environment_has_the_beta_law(law):
+    env = sample_environment(law, (-50_000, 50_000), seed=21)
+    assert env.omegas.size == 100_001
+    assert stats.kstest(env.omegas, stats.beta(law.alpha, law.beta).cdf).pvalue > 1e-3
+    # the mirrored law Beta(B, A) is far off
+    assert stats.kstest(env.omegas, stats.beta(law.beta, law.alpha).cdf).statistic > 0.05
+    assert np.all((env.omegas > 0.0) & (env.omegas < 1.0))
+
+
+@pytest.mark.parametrize("law", BLOCK_LAWS[:1] + [BETA_LAW, TWO_ATOM],
+                         ids=lambda law: law.spec_text())
+def test_windows_ending_next_to_block_edges_agree_site_by_site(law):
+    wide = sample_environment(law, (-3 * _SITE_BLOCK - 5, 3 * _SITE_BLOCK + 5), seed=12)
+    for edge in (-2 * _SITE_BLOCK, -_SITE_BLOCK, 0, _SITE_BLOCK, 2 * _SITE_BLOCK):
+        for shift in (-1, 0, 1):
+            for lo, hi in ((edge + shift, edge + shift + 700),
+                           (edge + shift - 700, edge + shift),
+                           (edge + shift, edge + shift)):
+                narrow = sample_environment(law, (lo, hi), seed=12)
+                np.testing.assert_array_equal(
+                    narrow.omegas, wide.omegas[wide.index(lo) : wide.index(hi) + 1])
+
+
+@pytest.mark.parametrize("law", BLOCK_LAWS, ids=lambda law: law.spec_text())
+def test_block_sampled_environment_is_deterministic_per_seed(law):
+    a = sample_environment(law, (-5000, 5000), seed=3)
+    np.testing.assert_array_equal(a.omegas, sample_environment(law, (-5000, 5000), seed=3).omegas)
+    other = sample_environment(law, (-5000, 5000), seed=4).omegas
+    assert np.mean(a.omegas == other) < 1e-3
 
 
 # ---------------------------------------------------------- rate function

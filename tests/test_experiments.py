@@ -4,6 +4,7 @@ harnesses at desk scale."""
 import inspect
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,6 +212,36 @@ def test_manifest_reruns_runner_parameters(runner, config_kw, params, tmp_path):
     for workers in (1, 3):
         rerun = run_from_manifest(paths["manifest"], workers=workers)
         assert report_csv_text(rerun) == stored
+
+
+def test_block_sampled_reduction_is_worker_and_manifest_invariant(tmp_path):
+    # beta:2,1.5 draws its environments one keyed site block at a time
+    config = ExperimentConfig(law=EnvironmentLaw.beta_law(2.0, 1.5), n_values=(300,),
+                              master_seed=4)
+    report = verify_reduction(config, workers=1, environments=12)
+    stored = report_csv_text(report)
+    assert report_csv_text(verify_reduction(config, workers=3, environments=12)) == stored
+    paths = write_report(report, str(tmp_path))
+    for workers in (1, 3):
+        assert report_csv_text(run_from_manifest(paths["manifest"], workers=workers)) == stored
+
+
+def test_experiments_need_only_the_fields_they_read():
+    law_only = ExperimentConfig(law=BETA_LAW)
+    assert config_text(law_only).splitlines()[0] == "law = beta:1.5,1"
+    assert "replicas" not in config_text(law_only)
+    assert EXPERIMENTS["reduction"].needs == ("n_values",)
+    assert EXPERIMENTS["crossing"].needs == ("replicas",)
+    with pytest.raises(ValueError, match="config needs replicas"):
+        run_tau_experiment(replace(law_only, n_values=(100,)))
+    with pytest.raises(ValueError, match="config needs n_values"):
+        verify_reduction(replace(law_only, replicas=5), environments=10)
+    with pytest.raises(ValueError, match="config needs replicas"):
+        verify_crossing_bound(replace(law_only, n_values=(100,)))
+    text = "law = beta:1.5,1.0\nn_values = 300\n"
+    assert parse_config_text(text, needs=EXPERIMENTS["reduction"].needs).replicas is None
+    with pytest.raises(ValueError, match="config needs replicas"):
+        parse_config_text(text)
 
 
 def test_manifest_without_parameter_lines_reruns_with_the_defaults(tmp_path):

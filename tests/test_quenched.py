@@ -1,5 +1,6 @@
 """Quenched chain formulas against dense linear-system references."""
 
+import itertools
 import math
 import os
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from rwre import quenched
 from rwre.potential import WindowExhausted
 from rwre.quenched import (
     QuenchedChain,
@@ -348,6 +350,30 @@ def test_mean_G_exact_and_bound():
             assert mg == pytest.approx(ref["mean_G"], rel=1e-9)
             mom = attempt_moments(chain, 0, b, L)
             assert mom.mean_G_bound >= mg * (1.0 - 1e-12)
+
+
+def _scalar_recurrence(first, log_add, log_mult):
+    """The recurrence of quenched._log_linear_recurrence, one step a term."""
+    x = [first]
+    for add, mult in zip(log_add, log_mult):
+        x.append(np.logaddexp(add, mult + x[-1]))
+    return np.array(x)
+
+
+@pytest.mark.parametrize("L", [2000, 20_000])
+def test_vectorised_recurrences_match_the_scalar_loop(L, monkeypatch):
+    # the log potential of these chains drifts to about -0.61 L; at L = 2e4
+    # a prefix sum that never restarted loses up to 2e-12 on mean_G here
+    for seed, b in itertools.product((7700, 7701, 7702), (L // 2, L // 5, 4 * L // 5)):
+        chain, _ = random_chain(L, seed)
+        fast = attempt_moments(chain, 0, b, L), mean_G_exact(chain, b, L)
+        with monkeypatch.context() as patch:
+            patch.setattr(quenched, "_log_linear_recurrence", _scalar_recurrence)
+            slow = attempt_moments(chain, 0, b, L), mean_G_exact(chain, b, L)
+        for name in ("p_fail", "mean_F", "second_F", "mean_G_bound", "m1_hat", "m2"):
+            assert getattr(fast[0], name) == pytest.approx(getattr(slow[0], name),
+                                                           rel=1e-12), name
+        assert fast[1] == pytest.approx(slow[1], rel=1e-12)
 
 
 def test_attempt_decomposition_matches_total_hitting_time():
