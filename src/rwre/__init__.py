@@ -6,10 +6,11 @@ The package splits along the objects of the theory:
 * potential  the potential landscape: ladder epochs, excursions, deep and
              star valleys, good-environment events;
 * quenched   fixed-environment chains: exit probabilities, h-transforms,
-             crossing-attempt moments, exact solvers, walk simulation;
+             crossing-attempt moments, exact solvers, hitting-time
+             sampling by the branching cascade;
 * constants  the explicit limit-law constants and their Monte Carlo
              estimators;
-* stable     positive stable sampling and the inverse subordinator;
+* stable     positive stable sampling;
 * experiments  the end-to-end Monte Carlo harness and report emission;
 * rng        keyed counter-based streams behind all of the above.
 
@@ -28,12 +29,10 @@ from .env import (
     lambda_fn,
     mean_log_rho,
     moment_rho_log,
-    rate_function,
     sample_environment,
 )
 from .potential import (
     DeepValley,
-    ExcursionRecord,
     GoodEnvironmentRecord,
     PotentialPath,
     StarValley,
@@ -45,14 +44,12 @@ from .potential import (
     detect_deep_valleys,
     detect_star_valleys,
     excursion_table,
-    excursions,
     ladder_epochs,
 )
 from .quenched import (
     AttemptMoments,
     HTransform,
     QuenchedChain,
-    WalkResult,
     attempt_moments,
     exit_prob,
     failure_prob,
@@ -60,7 +57,6 @@ from .quenched import (
     linear_solve_oracle,
     mean_G_exact,
     sample_hitting_times,
-    simulate_walk,
 )
 from .constants import (
     IglehartEstimate,
@@ -75,8 +71,6 @@ from .constants import (
 from .stable import (
     PredictedCdf,
     StableSpec,
-    SubordinatorPath,
-    inverse_subordinator_path,
     laplace,
     predicted_tau_cdf,
     sample_positive_stable,

@@ -46,11 +46,8 @@ __all__ = [
     "lambda_fn",
     "kappa_solve",
     "moment_rho_log",
-    "rate_function",
-    "RATE_SENTINEL",
 ]
 
-RATE_SENTINEL = 1e308
 _EDGE = 1e-6
 _BISECT_ITERS = 200
 _SITE_BLOCK = 4096  # sites per stream block when sampling environments
@@ -338,48 +335,3 @@ def moment_rho_log(law: EnvironmentLaw, kappa: float) -> float:
         raise RegimeError(f"E[rho^kappa log rho] = {value:.6g} <= 0: kappa is not the root")
     return value
 
-
-def rate_function(law: EnvironmentLaw, x: float) -> tuple[float, bool]:
-    """Large-deviation rate I(x) = sup_t>=0 (t x - Lambda(t)).
-
-    Returns (value, flagged).  flagged=True marks the two conventional
-    cases: x below the mean E[log rho] (I set to 0 by convention) and a
-    degenerate law whose potential can never reach slope x (sentinel
-    RATE_SENTINEL stands in for +inf).
-    """
-    m = mean_log_rho(law)
-    if x < m:
-        return 0.0, True
-    t_max = _lambda_sup(law)
-    if law.kind == "discrete":
-        # slopes beyond the largest atom of log rho are unreachable: I = +inf
-        top = max(math.log(rho(v)) for v in law.values)
-        if x > top:
-            return RATE_SENTINEL, True
-
-    def neg_objective(t: float) -> float:
-        return lambda_fn(law, t) - t * x
-
-    # golden-section minimization of Lambda(t) - t x over [0, t_hi]
-    t_hi = min(t_max - _EDGE, 64.0) if math.isfinite(t_max) else 64.0
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, t_hi
-    c1 = b - gr * (b - a)
-    c2 = a + gr * (b - a)
-    f1, f2 = neg_objective(c1), neg_objective(c2)
-    for _ in range(200):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - gr * (b - a)
-            f1 = neg_objective(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + gr * (b - a)
-            f2 = neg_objective(c2)
-        if b - a < 1e-13 * max(1.0, abs(b)):
-            break
-    t_star = 0.5 * (a + b)
-    value = -(neg_objective(t_star))
-    if value > 1e307:
-        return RATE_SENTINEL, True
-    return max(value, 0.0), False

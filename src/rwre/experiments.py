@@ -70,6 +70,8 @@ from .potential import (
 )
 from .quenched import QuenchedChain, _branching_cascade, linear_solve_oracle
 from .rng import generator, stream_key
+# predicted_tau_cdf is not called here: benchmarks/spans.py wraps it by
+# this module's name, so the import stays until that target goes
 from .stable import StableSpec, predicted_tau_cdf, sample_positive_stable
 
 __all__ = [
@@ -105,6 +107,7 @@ _POS_BLOCK = 512           # replicas per position block
 _POS_EXTEND = 1024         # window growth unit (sites)
 _POS_MAX_WIDTH = 20_000    # hard cap on the per-block environment window
 _TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica is clipped
+_KS_REFERENCE = 10 ** 5    # limit-law draws each KS distance compares against
 _SHORT_LADDER = "the n-th ladder epoch"     # reduction windows grow right to find it
 
 _C_K_SOURCE_CODE = {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}
@@ -409,20 +412,6 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def _ks_to_predicted(scaled: np.ndarray, params: LimitLawParams,
-                     seed: int) -> KsResult:
-    sample = np.sort(scaled)
-    m = sample.size
-    pred = predicted_tau_cdf(params, sample, n_samples=10 ** 5, seed=seed)
-    upper = np.arange(1, m + 1) / m
-    lower = np.arange(0, m) / m
-    dist = float(np.max(np.maximum(np.abs(upper - pred.cdf),
-                                   np.abs(pred.cdf - lower))))
-    eps = pred.epsilon + math.sqrt(math.log(2.0 / 0.05) / (2.0 * m))
-    return KsResult(distance=dist, dkw_epsilon=eps, n_sample=m,
-                    n_reference=pred.n_samples)
-
-
 # ------------------------------------------------------- tau experiment
 
 def _tau_block(law: EnvironmentLaw, n: int, count: int, key: int,
@@ -479,8 +468,14 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
                 lam=lam, value=value, stderr=se,
                 predicted=math.exp(-params.lambda_scale * lam ** kappa)))
         hill = hill_estimate(kept)
-        ks = _ks_to_predicted(scaled, params,
-                              seed=stream_key(config.master_seed, "tau-pred", n))
+        reference = sample_positive_stable(
+            StableSpec(kappa, scale=params.tau_prefactor), _KS_REFERENCE,
+            stream_key(config.master_seed, "tau-pred", n))
+        # 95% DKW half-widths of the two empirical CDFs, summed
+        eps = math.sqrt(math.log(2.0 / 0.05) / (2.0 * _KS_REFERENCE)) \
+            + math.sqrt(math.log(2.0 / 0.05) / (2.0 * scaled.size))
+        ks = KsResult(distance=ks_two_sample(scaled, reference), dkw_epsilon=eps,
+                      n_sample=int(scaled.size), n_reference=_KS_REFERENCE)
         rows.append(ReportRow(
             n=n, replicas_used=int(kept.size), truncated=int(trunc.sum()),
             laplace=tuple(points), hill=hill, ks=ks,
@@ -541,7 +536,7 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
         kept = x[~frozen]
         scaled = kept / float(n) ** kappa
         ref_rng = generator(stream_key(config.master_seed, "pos-pred", n))
-        s_unit = sample_positive_stable(StableSpec(kappa=kappa), 10 ** 5, ref_rng)
+        s_unit = sample_positive_stable(StableSpec(kappa=kappa), _KS_REFERENCE, ref_rng)
         reference = params.x_scale * s_unit ** (-kappa)
         dist = ks_two_sample(scaled, reference)
         eps = math.sqrt(math.log(2.0 / 0.05) / 2.0) \
@@ -730,7 +725,7 @@ def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
     def scan(path):
         epochs = ladder_epochs(path)
         if len(epochs) <= n:
-            raise WindowExhausted("right", 2 * path.last_site, _SHORT_LADDER)
+            raise WindowExhausted("right", _SHORT_LADDER)
         return int(epochs[n]), detect_deep_valleys(path, n, epsilon, kappa)
 
     env, left, found, _ = _widening(

@@ -21,9 +21,9 @@ valleys of V, and everything in this module is about locating them:
 Site indexing is absolute throughout: a path knows the site of its first
 entry (offset), and every returned epoch or valley field is a site index.
 Detection never silently truncates: if a valley needs sites outside the
-realized window, WindowExhausted says which side and roughly how far, and
-the caller is expected to widen the window and retry (environments are
-counter-based, so a widened window agrees with the old one site by site).
+realized window, WindowExhausted says which side, and the caller is
+expected to widen the window and retry (environments are counter-based,
+so a widened window agrees with the old one site by site).
 """
 
 from __future__ import annotations
@@ -38,17 +38,14 @@ from .env import EnvironmentSlice
 
 __all__ = [
     "PotentialPath",
-    "ExcursionRecord",
     "DeepValley",
     "StarValley",
     "GoodEnvironmentRecord",
     "WindowExhausted",
     "build_potential",
     "ladder_epochs",
-    "excursions",
+    "excursion_table",
     "first_ascent",
-    "first_descent",
-    "hit_level",
     "max_increment",
     "min_increment",
     "critical_height",
@@ -56,24 +53,20 @@ __all__ = [
     "detect_deep_valleys",
     "detect_star_valleys",
     "check_good_environment",
-    "save_potential_text",
-    "load_potential_text",
 ]
 
 
 class WindowExhausted(RuntimeError):
     """A scan ran off the realized window; widen and retry.
 
-    Attributes name the side ("left"/"right") and a site hint: the caller
-    should extend the window at least to ``needed_site`` (a guess, not a
-    guarantee; repeated retries may be needed).
+    Attributes name the side ("left"/"right") that ran out and what the
+    scan was locating.
     """
 
-    def __init__(self, side: str, needed_site: int, what: str):
+    def __init__(self, side: str, what: str):
         super().__init__(f"window exhausted on the {side} while locating {what}; "
-                         f"extend to about site {needed_site} and retry")
+                         f"widen the window and retry")
         self.side = side
-        self.needed_site = needed_site
         self.what = what
 
 
@@ -102,14 +95,6 @@ class PotentialPath:
     def slice_values(self, lo: int, hi: int) -> np.ndarray:
         """V over the inclusive site range [lo, hi]."""
         return self.v[self.index(lo) : self.index(hi) + 1]
-
-
-@dataclass(frozen=True)
-class ExcursionRecord:
-    start: int                     # e_i (site)
-    end: int                       # e_{i+1} (site)
-    height: float                  # max over [start, end] of V - V(start)
-    argmax: int                    # first site attaining the max
 
 
 @dataclass(frozen=True)
@@ -193,25 +178,22 @@ def ladder_epochs(path: PotentialPath) -> np.ndarray:
 
 
 class ExcursionTable(NamedTuple):
-    """Columnar view of the complete excursions: sites in path
-    coordinates, one row per consecutive ladder pair.  ``argmax`` is
-    filled on request only; the large scans never need it."""
+    """Columnar view of the complete excursions: one row per consecutive
+    ladder pair, starts and ends as absolute sites, and the height
+    max over [start, end] of V - V(start)."""
 
     starts: np.ndarray
     ends: np.ndarray
     heights: np.ndarray
-    argmax: np.ndarray | None
 
 
-def excursion_table(path: PotentialPath, with_argmax: bool = False) -> ExcursionTable:
+def excursion_table(path: PotentialPath) -> ExcursionTable:
     """Vectorized excursion scan.  Million-site windows hold hundreds of
-    thousands of excursions, so the scans below work on these arrays and
-    ``excursions`` wraps them into records for small windows."""
+    thousands of excursions, so the scans below work on these arrays."""
     eps = ladder_epochs(path)
     if len(eps) < 2:
         empty = np.empty(0, dtype=np.int64)
-        return ExcursionTable(empty, empty, np.empty(0),
-                              empty if with_argmax else None)
+        return ExcursionTable(empty, empty, np.empty(0))
     i0 = _origin_index(path)
     v = path.v
     starts = eps[:-1] + i0
@@ -223,26 +205,8 @@ def excursion_table(path: PotentialPath, with_argmax: bool = False) -> Excursion
     stop = int(ends[-1])
     seg_max = np.maximum.reduceat(v[:stop], starts)
     heights = seg_max - v[starts]
-    argmax = None
-    if with_argmax:
-        lengths = ends - starts
-        per_site_max = np.repeat(seg_max, lengths)
-        pos = np.arange(starts[0], stop)
-        masked = np.where(v[starts[0] : stop] >= per_site_max, pos,
-                          np.iinfo(np.int64).max)
-        argmax = np.minimum.reduceat(masked, starts - starts[0]) - i0
     return ExcursionTable(starts=eps[:-1].astype(np.int64),
-                          ends=eps[1:].astype(np.int64),
-                          heights=heights, argmax=argmax)
-
-
-def excursions(path: PotentialPath) -> list[ExcursionRecord]:
-    """Consecutive ladder pairs with heights and first argmax sites."""
-    table = excursion_table(path, with_argmax=True)
-    return [
-        ExcursionRecord(start=int(s), end=int(e), height=float(h), argmax=int(am))
-        for s, e, h, am in zip(table.starts, table.ends, table.heights, table.argmax)
-    ]
+                          ends=eps[1:].astype(np.int64), heights=heights)
 
 
 def first_ascent(path: PotentialPath, h: float) -> int | None:
@@ -251,22 +215,6 @@ def first_ascent(path: PotentialPath, h: float) -> int | None:
     v = path.v[i0:]
     up = v - np.minimum.accumulate(v)
     hits = np.flatnonzero(up >= h)
-    return int(hits[0]) if hits.size else None
-
-
-def first_descent(path: PotentialPath, h: float) -> int | None:
-    """First site x >= 0 with max drop (running max - V(x)) >= h."""
-    i0 = _origin_index(path)
-    v = path.v[i0:]
-    down = np.maximum.accumulate(v) - v
-    hits = np.flatnonzero(down >= h)
-    return int(hits[0]) if hits.size else None
-
-
-def hit_level(path: PotentialPath, level: float) -> int | None:
-    """First site x >= 0 with V(x) >= level."""
-    i0 = _origin_index(path)
-    hits = np.flatnonzero(path.v[i0:] >= level)
     return int(hits[0]) if hits.size else None
 
 
@@ -299,13 +247,12 @@ def _check_valley_params(n: int, epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 1/3), got {epsilon}")
 
 
-def _backing_site(path: PotentialPath, b: int, reach: int, D_n: float, what: str) -> int:
-    """a: the last site at or before b with V(a) - V(b) >= D_n.  reach is
-    the valley's right end so far and only sizes the retry hint."""
+def _backing_site(path: PotentialPath, b: int, D_n: float, what: str) -> int:
+    """a: the last site at or before b with V(a) - V(b) >= D_n."""
     bi = path.index(b)
     back = np.flatnonzero(path.v[: bi + 1] >= path.v[bi] + D_n)
     if back.size == 0:
-        raise WindowExhausted("left", b - max(2 * (reach - b), 64), what)
+        raise WindowExhausted("left", what)
     return path.offset + int(back[-1])
 
 
@@ -314,25 +261,25 @@ def _summit_site(path: PotentialPath, b: int, d_bar: int) -> int:
     return b + int(np.argmax(path.slice_values(b, d_bar)))
 
 
-def _descent_site(path: PotentialPath, b: int, d_bar: int, D_n: float, what: str) -> int:
+def _descent_site(path: PotentialPath, d_bar: int, D_n: float, what: str) -> int:
     """d: the first site at or after d_bar with V(d) - V(d_bar) <= -D_n."""
     dbi = path.index(d_bar)
     drops = np.flatnonzero(path.v[dbi:] <= path.v[dbi] - D_n)
     if drops.size == 0:
-        raise WindowExhausted("right", path.last_site + max(2 * (d_bar - b), 64), what)
+        raise WindowExhausted("right", what)
     return d_bar + int(drops[0])
 
 
 def _grow_valley(path: PotentialPath, b: int, d_bar: int, h_n: float, D_n: float,
                  height: float) -> DeepValley:
     """Grow (a, t_up, c, d) around a deep excursion [b, d_bar]."""
-    a = _backing_site(path, b, d_bar, D_n, f"valley backing a for b={b}")
+    a = _backing_site(path, b, D_n, f"valley backing a for b={b}")
     # t_up: first site at or after b with V - V(b) >= h_n (inside the
     # excursion because its height reaches h_n)
     seg = path.slice_values(b, d_bar)
     t_up = b + int(np.flatnonzero(seg >= seg[0] + h_n)[0])
     c = _summit_site(path, b, d_bar)
-    d = _descent_site(path, b, d_bar, D_n, f"valley descent d for d_bar={d_bar}")
+    d = _descent_site(path, d_bar, D_n, f"valley descent d for d_bar={d_bar}")
     return DeepValley(a=a, b=b, c=c, d=d, d_bar=d_bar, t_up=t_up,
                       height=height, h_n=h_n, D_n=D_n)
 
@@ -345,8 +292,7 @@ def _first_excursions(path: PotentialPath, n: int,
         table = excursion_table(path)
     realized = table.starts.size
     if realized < n:
-        raise WindowExhausted("right", path.last_site + 2 * max(n - realized, 64),
-                              f"e_n (only {realized} of {n} excursions realized)")
+        raise WindowExhausted("right", f"e_n (only {realized} of {n} excursions realized)")
     return table
 
 
@@ -375,8 +321,8 @@ def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
     D_n = descent_threshold(n, kappa)
     eps_ladder = ladder_epochs(path)
     if len(eps_ladder) < n + 1:
-        raise WindowExhausted("right", path.last_site + 2 * max(n + 1 - len(eps_ladder), 64),
-                              f"e_n (only {len(eps_ladder) - 1} of {n} excursions realized)")
+        raise WindowExhausted(
+            "right", f"e_n (only {len(eps_ladder) - 1} of {n} excursions realized)")
     e_n = int(eps_ladder[n])
     i0 = _origin_index(path)
     v = path.v
@@ -392,7 +338,7 @@ def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
             # whatever the window holds, so stop only if we are past e_n
             if path.last_site >= e_n:
                 break
-            raise WindowExhausted("right", e_n + 2 * len(v), "star-valley gamma")
+            raise WindowExhausted("right", "star-valley gamma")
         gamma = origin + int(descents[0])
         gi = gamma + i0
         # t_star: first k >= gamma with V_up(gamma, k) >= h_n
@@ -402,7 +348,7 @@ def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
         if rises.size == 0:
             if path.last_site >= e_n:
                 break
-            raise WindowExhausted("right", e_n + 2 * len(v), "star-valley t_star")
+            raise WindowExhausted("right", "star-valley t_star")
         t_star = gamma + int(rises[0])
         if t_star > e_n:
             break
@@ -411,14 +357,14 @@ def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
         seg = v[oi : ti + 1]
         vmin = np.min(seg)
         b = origin + int(np.flatnonzero(seg == vmin)[-1])
-        a = _backing_site(path, b, t_star, D_n, "star-valley a")
+        a = _backing_site(path, b, D_n, "star-valley a")
         # d_bar: first k >= t_star with V(k) <= V(b)
         lows = np.flatnonzero(v[ti:] <= v[b + i0])
         if lows.size == 0:
-            raise WindowExhausted("right", path.last_site + 2 * (t_star - b), "star-valley d_bar")
+            raise WindowExhausted("right", "star-valley d_bar")
         d_bar = t_star + int(lows[0])
         c = _summit_site(path, b, d_bar)
-        d = _descent_site(path, b, d_bar, D_n, "star-valley d")
+        d = _descent_site(path, d_bar, D_n, "star-valley d")
         out.append(StarValley(gamma=gamma, a=a, b=b, t_star=t_star, c=c,
                               d_bar=d_bar, d=d))
         origin = d
@@ -477,8 +423,8 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
             if later[0] - sigma[-1] < gap_min:
                 a3 = False
         elif realized - sigma[-1] < gap_min:
-            raise WindowExhausted("right", path.last_site + 4 * int(gap_min),
-                                  "the deep excursion after sigma(K_n) (A3 gap undecidable)")
+            raise WindowExhausted(
+                "right", "the deep excursion after sigma(K_n) (A3 gap undecidable)")
 
     # valleys 1..K_n+1; the last one is the first deep excursion past n
     a4 = True
@@ -488,8 +434,8 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
     if later.size:
         valley_indices.append(int(later[0]))
     elif k_n > 0 or deep_all.size > 0:
-        raise WindowExhausted("right", path.last_site + 2 * len(path.v),
-                              "the first deep valley past e_n (A4 needs K_n + 1 valleys)")
+        raise WindowExhausted(
+            "right", "the first deep valley past e_n (A4 needs K_n + 1 valleys)")
     # if no deep excursion exists anywhere in the window, A4/A5 are vacuous
     width_cap = Cdoubleprime * math.log(n)
     for rank, exc_idx in enumerate(valley_indices):
@@ -512,27 +458,3 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
         joint=bool(a1 and a2 and a3 and a4),
     )
 
-
-def save_potential_text(path: PotentialPath, filename: str) -> None:
-    """One V value per line; the first line holds the offset as a comment."""
-    with open(filename, "w") as fh:
-        fh.write(f"# offset {path.offset}\n")
-        for val in path.v:
-            fh.write(f"{float(val)!r}\n")
-
-
-def load_potential_text(filename: str) -> PotentialPath:
-    offset = 0
-    values = []
-    with open(filename) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                if len(parts) >= 3 and parts[1] == "offset":
-                    offset = int(parts[2])
-                continue
-            values.append(float(line))
-    return PotentialPath(offset=offset, v=np.array(values), env_ref={"fixture": filename})

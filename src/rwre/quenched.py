@@ -13,9 +13,9 @@ of it:
   upper bound for the success time G;
 * a dense linear-solve oracle (absorption probabilities, expected times,
   second moments, Laplace transforms) used to cross-check every formula;
-* direct simulation, step by step or through the branching representation
-  of tau(n), which is exact in distribution and turns one hitting time
-  into O(n) negative binomial draws instead of O(tau) coin flips.
+* hitting-time sampling through the branching representation of tau(n),
+  which is exact in distribution and turns one hitting time into O(n)
+  negative binomial draws instead of O(tau) coin flips.
 
 All probability-weighted sums run in the log domain via logaddexp, so a
 valley of depth 700 is as safe as one of depth 7.  The transformed
@@ -43,17 +43,13 @@ __all__ = [
     "QuenchedChain",
     "HTransform",
     "AttemptMoments",
-    "WalkResult",
     "exit_prob",
     "failure_prob",
     "h_transform",
     "attempt_moments",
     "mean_G_exact",
     "linear_solve_oracle",
-    "simulate_walk",
     "sample_hitting_times",
-    "save_chain_text",
-    "load_chain_text",
 ]
 
 _RECURRENCE_CHUNK = 256  # terms between restarts of _log_linear_recurrence's prefix sum
@@ -198,20 +194,6 @@ class AttemptMoments:
     m2: float
 
 
-@dataclass(frozen=True)
-class WalkResult:
-    final_site: int
-    steps: int
-    stopped_on: str               # "hit" | "steps" | "cap"
-    truncated: bool
-    trace: np.ndarray | None = None
-
-
-def _log_prefix_sumexp(a: np.ndarray) -> np.ndarray:
-    """out[k] = log sum_{j<=k} e^{a[j]}, computed stably in one pass."""
-    return np.logaddexp.accumulate(a)
-
-
 def _log_suffix_sumexp(a: np.ndarray) -> np.ndarray:
     """out[k] = log sum_{j>=k} e^{a[j]}."""
     return np.logaddexp.accumulate(a[::-1])[::-1]
@@ -323,7 +305,7 @@ def h_transform(chain: QuenchedChain, b: int, d: int, kind: str) -> HTransform:
                           v_hat=v_hat, gap=gap, log_scale=log_h)
 
     # success: g(x) = prefix / total of e^{V(k)}, k in [b, d-1]
-    log_prefix = _log_prefix_sumexp(v[:-1])      # position j holds x = b+1+j
+    log_prefix = np.logaddexp.accumulate(v[:-1])  # position j holds x = b+1+j
     log_g = np.empty(width + 2)                  # sites b .. d+1
     log_g[0] = -math.inf
     log_g[1:-1] = log_prefix - log_prefix[-1]    # log g(d) = 0 exactly
@@ -377,7 +359,7 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
     neg_v = -chain._vslice(a, b - 1)
     log_C = np.full(m, -math.inf)
     if m > 1:
-        log_C[1:] = chain._vslice(a + 1, b - 1) + _log_prefix_sumexp(neg_v[:-1])
+        log_C[1:] = chain._vslice(a + 1, b - 1) + np.logaddexp.accumulate(neg_v[:-1])
     log_S2L = logsumexp(lm2L + np.logaddexp(0.0, math.log(2.0) + log_C))
 
     # right of b, under the failure transform
@@ -539,64 +521,6 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def simulate_walk(env, start: int, stop: tuple[str, int], seed,
-                  reflect_at: int | None = None, step_cap: int = 10**10,
-                  trace: bool = False) -> WalkResult:
-    """Step-by-step walk in an environment slice (or chain).
-
-    stop is ("hit", site) or ("steps", count).  The walk must stay inside
-    the realized window; walking off it raises WindowExhausted.  Upward
-    hitting times without a trace come faster and exactly in distribution
-    from sample_hitting_times.
-    """
-    if isinstance(env, QuenchedChain):
-        # omegas exist only on the interior; the endpoints can be stop
-        # sites but the walk cannot step from them (unless reflected)
-        lo, hi = env.left + 1, env.right - 1
-        omega_of = env.omega
-        if reflect_at is None:
-            reflect_at = env.reflect_at
-    else:
-        lo, hi = env.offset, env.offset + len(env.omegas) - 1
-        omega_of = env.site
-    kind, value = stop
-    if kind not in ("hit", "steps"):
-        raise ValueError(f"stop must be ('hit', site) or ('steps', n), got {stop!r}")
-
-    rng = generator(stream_key(seed, "walk") if isinstance(seed, int) else seed)
-    x = start
-    steps = 0
-    path = [x] if trace else None
-    block = np.empty(0)
-    bi = 0
-    stopped_on = None
-    while stopped_on is None:
-        if kind == "hit" and x == value and steps > 0:
-            stopped_on = "hit"
-        elif kind == "steps" and steps >= value:
-            stopped_on = "steps"
-        elif steps >= step_cap:
-            stopped_on = "cap"
-        else:
-            if bi >= len(block):
-                block = rng.random(8192)
-                bi = 0
-            if reflect_at is not None and x == reflect_at:
-                x += 1
-            else:
-                if not lo <= x <= hi:
-                    raise WindowExhausted("left" if x < lo else "right",
-                                          x - 64 if x < lo else x + 64, "walk window")
-                x += 1 if block[bi] < omega_of(x) else -1
-                bi += 1
-            steps += 1
-            if trace:
-                path.append(x)
-    return WalkResult(final_site=x, steps=steps, stopped_on=stopped_on,
-                      truncated=stopped_on == "cap",
-                      trace=np.array(path) if trace else None)
-
-
 def _branching_cascade(rho_at, rng: np.random.Generator, count: int, start: int,
                        target: int, floor: int | None = None,
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -639,7 +563,7 @@ def sample_hitting_times(env, target: int, n_replicas: int, seed,
     FloatingPointError rather than return a clipped draw.
     """
     if isinstance(env, QuenchedChain):
-        lo = env.left
+        lo = env.left + 1                       # a chain has omegas on its interior only
         omega_of = env.omega
         if reflect_at is None:
             reflect_at = env.reflect_at
@@ -655,8 +579,7 @@ def sample_hitting_times(env, target: int, n_replicas: int, seed,
         if i == reflect_at:
             return 0.0
         if i < lo:
-            raise WindowExhausted("left", lo - max(64, 2 * (start - lo)),
-                                  "branching cascade")
+            raise WindowExhausted("left", "branching cascade")
         om = omega_of(i)
         return (1.0 - om) / om
 
@@ -668,35 +591,3 @@ def sample_hitting_times(env, target: int, n_replicas: int, seed,
             f"intensity cap {_LAM_CAP:g} or were cut at the reflecting site")
     return tau
 
-
-def save_chain_text(chain: QuenchedChain, filename: str) -> None:
-    """One 'site omega' pair per line for sites left+1 .. right; the right
-    edge omega is reconstructed from the last potential increment."""
-    edge_rho = math.exp(chain.base_potential[-1] - chain.base_potential[-2])
-    edge_omega = 1.0 / (1.0 + edge_rho)
-    with open(filename, "w") as fh:
-        fh.write(f"# left {chain.left} right {chain.right} "
-                 f"reflect {chain.reflect_at if chain.reflect_at is not None else 'none'}\n")
-        for k, om in enumerate(chain.omegas):
-            fh.write(f"{chain.left + 1 + k} {float(om)!r}\n")
-        fh.write(f"{chain.right} {edge_omega!r}\n")
-
-
-def load_chain_text(filename: str) -> QuenchedChain:
-    left = 0
-    reflect: int | None = None
-    omegas = []
-    with open(filename) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                left = int(parts[parts.index("left") + 1])
-                tok = parts[parts.index("reflect") + 1]
-                reflect = None if tok == "none" else int(tok)
-                continue
-            _, om = line.split()
-            omegas.append(float(om))
-    return QuenchedChain.from_omegas(np.array(omegas), left=left, reflect_at=reflect)

@@ -1,15 +1,12 @@
-"""Positive stable laws and the inverse subordinator.
+"""Positive stable laws.
 
 The limit of tau(n)/n^{1/kappa} is a completely asymmetric positive
-stable law, and the limit of the walk's position involves the inverse of
-the corresponding subordinator.  Neither has a usable closed-form CDF
-(kappa = 1/2 aside), so everything goes through exact sampling:
+stable law, and the limit of the walk's position is a negative power of
+one.  Neither has a usable closed-form CDF (kappa = 1/2 aside), so
+everything goes through exact sampling:
 
 * Kanter's representation turns two uniforms into one positive stable
   draw with Laplace transform exp(-lambda^kappa), no rejection step;
-* the subordinator path is a cumulative sum of stable increments, each
-  scaled by dt^{1/kappa}, and its right-continuous inverse is read off
-  by binary search with ties resolved to the earlier time;
 * predicted CDFs carry a Dvoretzky-Kiefer-Wolfowitz band so downstream
   comparisons know how much of the error is Monte Carlo.
 
@@ -22,7 +19,6 @@ value and the tests catch it.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +28,10 @@ from .rng import generator, stream_key
 
 __all__ = [
     "StableSpec",
-    "SubordinatorPath",
     "PredictedCdf",
     "sample_positive_stable",
     "laplace",
-    "levy_cdf",
     "predicted_tau_cdf",
-    "inverse_subordinator_path",
 ]
 
 LEVY_MEDIAN = 1.09905466915886620
@@ -54,22 +47,6 @@ class StableSpec:
             raise RegimeError(f"positive stable index must lie in (0,1), got {self.kappa}")
         if self.scale <= 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
-
-
-@dataclass(frozen=True)
-class SubordinatorPath:
-    """Inverse-subordinator observations.
-
-    times are the requested t values; z_values holds x_scale * Z(t) where
-    Z(t) = inf{s : Y(s) > t} for the unit subordinator Y; y_values and
-    y_left_values hold Y at and just before the inversion point, so the
-    sandwich Y(Z(t)-) <= t <= Y(Z(t)) is checkable from the result.
-    """
-
-    times: np.ndarray
-    y_values: np.ndarray
-    z_values: np.ndarray
-    y_left_values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -106,15 +83,6 @@ def laplace(spec: StableSpec, lam) -> np.ndarray | float:
     return float(out) if np.isscalar(lam) or lam_arr.ndim == 0 else out
 
 
-def levy_cdf(x) -> np.ndarray | float:
-    """Closed-form CDF of the kappa = 1/2 unit Kanter law:
-    P{S <= x} = erfc(1 / (2 sqrt(x)))."""
-    from scipy.special import erfc
-    x_arr = np.asarray(x, dtype=np.float64)
-    out = np.where(x_arr > 0.0, erfc(1.0 / (2.0 * np.sqrt(np.maximum(x_arr, 1e-300)))), 0.0)
-    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
-
-
 def predicted_tau_cdf(params, grid, n_samples: int = 100_000, seed: int = 0,
                       ) -> PredictedCdf:
     """Empirical CDF of tau_prefactor * S on the given grid, with a 95%
@@ -128,42 +96,3 @@ def predicted_tau_cdf(params, grid, n_samples: int = 100_000, seed: int = 0,
                         band_low=np.maximum(cdf - eps, 0.0),
                         band_high=np.minimum(cdf + eps, 1.0),
                         epsilon=eps, n_samples=n_samples)
-
-
-def inverse_subordinator_path(kappa: float, x_scale: float, times, dt: float,
-                              seed: int = 0) -> SubordinatorPath:
-    """Z(t) = inf{s : Y(s) > t} for a unit kappa-stable subordinator Y,
-    observed at the given times and scaled by x_scale.
-
-    Y is built on the s-grid {0, dt, 2dt, ...} from exact stable
-    increments of scale dt^{1/kappa}; the grid extends until Y clears
-    max(times).  Inversion is right-continuous with ties resolved to the
-    earlier grid point.  A grid too coarse to resolve the requested times
-    triggers a warning rather than silent degradation.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    if np.any(times < 0.0):
-        raise ValueError("times must be nonnegative")
-    t_max = float(times.max()) if times.size else 0.0
-    # Y(s) ~ s^{1/kappa} in scale: s reaching t_max needs about t_max^kappa
-    expected_steps = (t_max ** kappa) / dt if t_max > 0 else 1.0
-    if expected_steps < 100:
-        warnings.warn(
-            f"subordinator grid is coarse: about {expected_steps:.0f} steps to "
-            f"cover the largest time; decrease dt for a usable inverse",
-            RuntimeWarning, stacklevel=2)
-    rng = generator(stream_key(seed, "subordinator"))
-    spec = StableSpec(kappa=kappa, scale=dt ** (1.0 / kappa))
-    chunk = max(1024, int(expected_steps * 1.5) + 16)
-    y = np.zeros(1)
-    while y[-1] <= t_max:
-        inc = sample_positive_stable(spec, chunk, rng)
-        y = np.concatenate([y, y[-1] + np.cumsum(inc)])
-    idx = np.searchsorted(y, times, side="left")   # earliest index with Y >= t
-    z_unit = idx * dt
-    y_at = y[idx]
-    y_left = y[np.maximum(idx - 1, 0)]
-    return SubordinatorPath(times=times, y_values=y_at,
-                            z_values=x_scale * z_unit, y_left_values=y_left)

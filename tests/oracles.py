@@ -2,7 +2,8 @@
 
 Everything in this module is written the naive way on purpose: dense
 banded solves of the first-step equations, plain floating point, no
-log-domain accumulation.  The package's closed forms must reproduce
+log-domain accumulation, stepping walks, and, for the stable laws, the
+kappa = 1/2 closed-form CDF and a gridded inverse subordinator.  The package's closed forms must reproduce
 these numbers on small chains, and the package's own dense solver is
 compared against this one as well, so every identity is checked through
 two independently written routes.
@@ -14,10 +15,16 @@ is then a phantom state whose coupling ``1 - omega_0`` vanishes, so it
 can be carried as an ordinary boundary value that is never entered.
 """
 
+import warnings
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.special import erfc
 
 from rwre.env import draw_log_rho
+from rwre.rng import generator, stream_key
+from rwre.stable import StableSpec, sample_positive_stable
 
 
 def solve_tridiagonal(omega, rhs, boundary):
@@ -209,3 +216,66 @@ def tail_window_read(r, kappa):
 
     shards = [read(np.sort(part)) for part in np.array_split(r, 16)]
     return read(r_sorted), float(np.std(shards, ddof=1) / 4.0)
+
+
+def levy_cdf(x):
+    """Closed-form CDF of the kappa = 1/2 unit Kanter law:
+    P{S <= x} = erfc(1 / (2 sqrt(x)))."""
+    x_arr = np.asarray(x, dtype=np.float64)
+    out = np.where(x_arr > 0.0, erfc(1.0 / (2.0 * np.sqrt(np.maximum(x_arr, 1e-300)))), 0.0)
+    return float(out) if np.isscalar(x) or x_arr.ndim == 0 else out
+
+
+@dataclass(frozen=True)
+class SubordinatorPath:
+    """Inverse-subordinator observations.
+
+    times are the requested t values; z_values holds x_scale * Z(t) where
+    Z(t) = inf{s : Y(s) > t} for the unit subordinator Y; y_values and
+    y_left_values hold Y at and just before the inversion point, so the
+    sandwich Y(Z(t)-) <= t <= Y(Z(t)) is checkable from the result.
+    """
+
+    times: np.ndarray
+    y_values: np.ndarray
+    z_values: np.ndarray
+    y_left_values: np.ndarray
+
+
+def inverse_subordinator_path(kappa, x_scale, times, dt, seed=0):
+    """Z(t) = inf{s : Y(s) > t} for a unit kappa-stable subordinator Y,
+    observed at the given times and scaled by x_scale.
+
+    Y is built on the s-grid {0, dt, 2dt, ...} from exact stable
+    increments of scale dt^{1/kappa}; the grid extends until Y clears
+    max(times).  Inversion is right-continuous with ties resolved to the
+    earlier grid point.  A grid too coarse to resolve the requested times
+    triggers a warning rather than silent degradation.  Z(1) has the law
+    of S^{-kappa}, the law the position experiment samples directly.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    times = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    if np.any(times < 0.0):
+        raise ValueError("times must be nonnegative")
+    t_max = float(times.max()) if times.size else 0.0
+    # Y(s) ~ s^{1/kappa} in scale: s reaching t_max needs about t_max^kappa
+    expected_steps = (t_max ** kappa) / dt if t_max > 0 else 1.0
+    if expected_steps < 100:
+        warnings.warn(
+            f"subordinator grid is coarse: about {expected_steps:.0f} steps to "
+            f"cover the largest time; decrease dt for a usable inverse",
+            RuntimeWarning, stacklevel=2)
+    rng = generator(stream_key(seed, "subordinator"))
+    spec = StableSpec(kappa=kappa, scale=dt ** (1.0 / kappa))
+    chunk = max(1024, int(expected_steps * 1.5) + 16)
+    y = np.zeros(1)
+    while y[-1] <= t_max:
+        inc = sample_positive_stable(spec, chunk, rng)
+        y = np.concatenate([y, y[-1] + np.cumsum(inc)])
+    idx = np.searchsorted(y, times, side="left")   # earliest index with Y >= t
+    z_unit = idx * dt
+    y_at = y[idx]
+    y_left = y[np.maximum(idx - 1, 0)]
+    return SubordinatorPath(times=times, y_values=y_at,
+                            z_values=x_scale * z_unit, y_left_values=y_left)

@@ -1,9 +1,13 @@
 """Acceptance gate: thirteen checks, one test each, run by plain pytest.
 
-Each test prints one `criterion NN: PASS|FAIL (...)` line with the
-measured numbers before asserting, so a red criterion still reports what
-it saw.  Formula-level checks are tight; end-to-end distributional
-checks are banded or trend-based and sized for a desk machine.
+Each test prints one `criterion NN: PASS|FAIL (...) margin=...` line
+with the measured numbers before asserting, so a red criterion still
+reports what it saw.  The margin is the smallest signed distance from a
+reading to its bound over the criterion's numeric clauses, as a fraction
+of the bound (absolute for a bound of 0), positive on the passing side,
+followed by the clause it comes from; a margin near 0 marks a thin pass.
+Formula-level checks are tight; end-to-end distributional checks are
+banded or trend-based and sized for a desk machine.
 """
 
 import math
@@ -61,8 +65,23 @@ def chain_suite():
         yield L, om_full, reflected, plain, b
 
 
-def report(num, ok, detail):
-    print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} ({detail})")
+def clause(name, reading, op, bound):
+    """One numeric clause `reading op bound`, op one of <, <=, >, >=."""
+    return (f"{name} {op} {bound:g}", float(reading), float(bound), op[0] == "<")
+
+
+def relative_margin(c):
+    _, reading, bound, upper = c
+    dist = bound - reading if upper else reading - bound
+    return dist / abs(bound) if bound else dist
+
+
+def report(num, ok, detail, clauses):
+    margin = "n/a (exact check)"
+    if clauses:
+        thinnest = min(clauses, key=relative_margin)
+        margin = f"{relative_margin(thinnest):+.4g} ({thinnest[0]})"
+    print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} ({detail}) margin={margin}")
 
 
 def test_c01_kappa_closed_form_and_bisection(capsys):
@@ -79,7 +98,10 @@ def test_c01_kappa_closed_form_and_bisection(capsys):
     elapsed = time.perf_counter() - t0
     report(1, abs(cli_kappa - 0.5) < 1e-10 and worst < 1e-8 and elapsed < 1.0,
            f"cli={cli_kappa!r}, worst closed-vs-bisection={worst:.2e}, "
-           f"{elapsed:.2f}s")
+           f"{elapsed:.2f}s",
+           [clause("|cli - 0.5|", abs(cli_kappa - 0.5), "<", 1e-10),
+            clause("closed-vs-bisection", worst, "<", 1e-8),
+            clause("seconds", elapsed, "<", 1.0)])
     assert abs(cli_kappa - 0.5) < 1e-10
     assert worst < 1e-8
     assert elapsed < 1.0
@@ -102,7 +124,9 @@ def test_c02_quenched_formulas_match_dense_solves():
             worst = max(worst, abs(ours - theirs) / abs(theirs))
     elapsed = time.perf_counter() - t0
     report(2, worst < 1e-9 and elapsed < 10.0,
-           f"worst relative error={worst:.2e} over 100 chains, {elapsed:.1f}s")
+           f"worst relative error={worst:.2e} over 100 chains, {elapsed:.1f}s",
+           [clause("relative error", worst, "<", 1e-9),
+            clause("seconds", elapsed, "<", 10.0)])
     assert worst < 1e-9
     assert elapsed < 10.0
 
@@ -115,7 +139,8 @@ def test_c03_attempt_decomposition_identity():
             + mean_G_exact(reflected, b, L)
         ref = oracles.hit_time_reflected(om_full, b)
         worst = max(worst, abs(total - ref) / abs(ref))
-    report(3, worst < 1e-9, f"worst relative error={worst:.2e} over 100 chains")
+    report(3, worst < 1e-9, f"worst relative error={worst:.2e} over 100 chains",
+           [clause("relative error", worst, "<", 1e-9)])
     assert worst < 1e-9
 
 
@@ -141,7 +166,8 @@ def test_c04_transform_increment_inequalities_are_exact():
                                        (hs.v_hat[y] - hs.v_hat[x]) - dv)
     report(4, gap_ok and direct_slack < 1e-12,
            f"gap arrays exactly monotone={gap_ok}, "
-           f"worst representation slack={direct_slack:.1e}")
+           f"worst representation slack={direct_slack:.1e}",
+           [clause("representation slack", direct_slack, "<", 1e-12)])
     # the inequality is carried by the gap arrays with no tolerance at all;
     # re-subtracting the stored potentials costs at most a rounding ulp
     assert gap_ok
@@ -151,6 +177,7 @@ def test_c04_transform_increment_inequalities_are_exact():
 def test_c05_stable_sampler_laplace_and_median():
     t0 = time.perf_counter()
     checks = []
+    clauses = []
     for j, kappa in enumerate((0.3, 0.5, 0.8)):
         spec = StableSpec(kappa=kappa, scale=1.0)
         draws = sample_positive_stable(spec, 10 ** 6, seed=100 + j)
@@ -159,6 +186,7 @@ def test_c05_stable_sampler_laplace_and_median():
             se = probe.std(ddof=1) / math.sqrt(probe.size)
             dev = abs(probe.mean() - math.exp(-lam ** kappa))
             checks.append(dev <= 3.0 * se)
+            clauses.append(clause(f"laplace dev k={kappa} lam={lam}", dev, "<=", 3.0 * se))
         if kappa == 0.5:
             med = float(np.median(draws))
             m = LEVY_MEDIAN
@@ -166,10 +194,12 @@ def test_c05_stable_sampler_laplace_and_median():
             med_se = 1.0 / (2.0 * dens * math.sqrt(draws.size))
             med_dev = abs(med - m)
             checks.append(med_dev <= 3.0 * med_se)
+            clauses.append(clause("median dev", med_dev, "<=", 3.0 * med_se))
     elapsed = time.perf_counter() - t0
     report(5, all(checks) and elapsed < 30.0,
            f"{sum(checks)}/{len(checks)} clauses within 3 SE, "
-           f"median dev={med_dev:.2e} (3SE={3 * med_se:.2e}), {elapsed:.1f}s")
+           f"median dev={med_dev:.2e} (3SE={3 * med_se:.2e}), {elapsed:.1f}s",
+           clauses + [clause("seconds", elapsed, "<", 30.0)])
     assert all(checks)
     assert elapsed < 30.0
 
@@ -188,7 +218,15 @@ def test_c06_constants_table_closed_forms():
           and abs(lam_beta - closed_expr) < 1e-9
           and abs(params.x_scale * params.lambda_scale - 1.0) < 1e-12
           and abs(params.lambda_scale - lam_beta) < 1e-12 * lam_beta)
-    report(6, ok, f"C_K={c_k!r}, moment={moment!r}, Lambda={lam_beta!r}")
+    report(6, ok, f"C_K={c_k!r}, moment={moment!r}, Lambda={lam_beta!r}",
+           [clause("|C_K - 1|", abs(c_k - 1.0), "<", 1e-12),
+            clause("moment error", abs(moment - BETA_MOMENT), "<", 1e-10),
+            clause("Lambda vs recomputed", abs(lam_beta - recomputed), "<", 1e-6),
+            clause("Lambda vs closed form", abs(lam_beta - closed_expr), "<", 1e-9),
+            clause("|x_scale Lambda - 1|", abs(params.x_scale * params.lambda_scale - 1.0),
+                   "<", 1e-12),
+            clause("Lambda routes", abs(params.lambda_scale - lam_beta), "<",
+                   1e-12 * lam_beta)])
     assert abs(c_k - 1.0) < 1e-12
     assert abs(moment - BETA_MOMENT) < 1e-10
     assert abs(lam_beta - recomputed) < 1e-6
@@ -207,7 +245,8 @@ def test_c07_iglehart_formula_route_vs_height_census():
     elapsed = time.perf_counter() - t0
     report(7, rel < 0.15 and elapsed < 120.0,
            f"formula C_I={est.c_i:.4f}, census e^(kh) P(H>=h)={census:.4f}, "
-           f"rel diff={rel:.3f}, {elapsed:.0f}s")
+           f"rel diff={rel:.3f}, {elapsed:.0f}s",
+           [clause("rel diff", rel, "<", 0.15), clause("seconds", elapsed, "<", 120.0)])
     assert rel < 0.15
     assert elapsed < 120.0
 
@@ -231,7 +270,11 @@ def test_c08_kesten_tail_constant_and_index():
            f"hill index={est.index_hat:.4f}, C_K hat={est.constant_hat:.5f} "
            f"+/- {est.stderr:.5f} vs closed form {closed:.6g}, z by law "
            + ", ".join(f"beta:{a:g},{b:g} {v:+.2f}" for (a, b), v in z.items())
-           + f", {elapsed:.0f}s")
+           + f", {elapsed:.0f}s",
+           [clause("|hill - 0.5|", abs(est.index_hat - 0.5), "<=", 0.05),
+            clause("|C_K hat - closed|", abs(est.constant_hat - closed), "<=", 0.6),
+            *(clause(f"|z| beta:{a:g},{b:g}", abs(v), "<=", 4.0) for (a, b), v in z.items()),
+            clause("seconds", elapsed, "<", 300.0)])
     assert elapsed < 300.0
     assert hill_ok
     # the series measurement against the closed form
@@ -251,7 +294,12 @@ def test_c09_valley_census_at_scale():
           and st.joint >= 0.9)
     report(9, ok and elapsed < 300.0,
            f"K/(n q)={st.k_over_nq_mean:.3f}, coincidence={st.coincidence:.3f}, "
-           f"joint={st.joint:.2f}, environments={st.environments}, {elapsed:.0f}s")
+           f"joint={st.joint:.2f}, environments={st.environments}, {elapsed:.0f}s",
+           [clause("K/(nq)", st.k_over_nq_mean, ">=", 0.9),
+            clause("K/(nq)", st.k_over_nq_mean, "<=", 1.1),
+            clause("coincidence", st.coincidence, ">=", 0.95),
+            clause("joint", st.joint, ">=", 0.9),
+            clause("seconds", elapsed, "<", 300.0)])
     assert 0.9 <= st.k_over_nq_mean <= 1.1
     assert st.coincidence >= 0.95
     assert st.joint >= 0.9
@@ -283,7 +331,13 @@ def test_c10_end_to_end_tau_tail_and_laplace():
     report(10, hill_ok and trend_ok and band_ok and elapsed < 900.0,
            f"hill(1e4)={hill_mid:.3f}, laplace(1)="
            + ", ".join(f"{v:.4f} (z={zi:+.2f})" for v, zi in zip(lap, z))
-           + f" vs target={target:.4f}, band=({lo:.2e},{hi:.4f}), {elapsed:.0f}s")
+           + f" vs target={target:.4f}, band=({lo:.2e},{hi:.4f}), {elapsed:.0f}s",
+           [clause("hill(1e4)", hill_mid, ">=", 0.35),
+            clause("hill(1e4)", hill_mid, "<=", 0.65),
+            *(clause(f"|z| n={row.n}", abs(zi), "<=", 4.0) for row, zi in zip(rep.rows, z)),
+            clause("laplace(1) at 1e4", lap[1], ">", lo),
+            clause("laplace(1) at 1e4", lap[1], "<", hi),
+            clause("seconds", elapsed, "<", 900.0)])
     assert elapsed < 900.0
     assert hill_ok
     assert trend_ok
@@ -298,7 +352,9 @@ def test_c11_reduction_bracket_contains_the_annealed_value():
     margins = {pt.lam: pt.margin for pt in rep.rows[0].reduction}
     ok = all(m > 0.0 for m in margins.values())
     report(11, ok, "margins " + ", ".join(
-        f"lam={lam}: {m:+.4f}" for lam, m in sorted(margins.items())))
+        f"lam={lam}: {m:+.4f}" for lam, m in sorted(margins.items())),
+        [clause(f"bracket margin lam={lam}", m, ">", 0.0)
+         for lam, m in sorted(margins.items())])
     for lam, m in sorted(margins.items()):
         assert m > 0.0, f"bracket missed at lambda={lam}"
 
@@ -308,7 +364,8 @@ def test_c12_crossing_time_growth_bound():
                               replicas=2000, master_seed=0)
     rep = verify_crossing_bound(config, workers=4)
     slope = rep.extra("slope")
-    report(12, slope <= 1.1, f"fitted slope of log E[tau_h] vs h = {slope:.4f}")
+    report(12, slope <= 1.1, f"fitted slope of log E[tau_h] vs h = {slope:.4f}",
+           [clause("slope", slope, "<=", 1.1)])
     assert slope <= 1.1
 
 
@@ -324,5 +381,5 @@ def test_c13_reports_are_worker_count_invariant(tmp_path):
         rerun = run_from_manifest(paths["manifest"], workers=workers)
         same.append(report_csv_text(rerun) == stored)
     report(13, all(same),
-           f"manifest reruns identical at workers 1/4/8: {same}")
+           f"manifest reruns identical at workers 1/4/8: {same}", [])
     assert all(same)

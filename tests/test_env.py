@@ -1,4 +1,4 @@
-"""Environment laws, kappa, and the large-deviation rate."""
+"""Environment laws, sampling and kappa."""
 
 import math
 
@@ -18,7 +18,6 @@ from rwre.env import (
     lambda_fn,
     mean_log_rho,
     moment_rho_log,
-    rate_function,
     rho,
     sample_environment,
 )
@@ -276,41 +275,6 @@ def test_block_sampled_environment_is_deterministic_per_seed(law):
     np.testing.assert_array_equal(a.omegas, sample_environment(law, (-5000, 5000), seed=3).omegas)
     other = sample_environment(law, (-5000, 5000), seed=4).omegas
     assert np.mean(a.omegas == other) < 1e-3
-
-
-# ---------------------------------------------------------- rate function
-
-def test_rate_function_zero_at_the_drift():
-    m = mean_log_rho(BETA_LAW)
-    value, flagged = rate_function(BETA_LAW, m)
-    assert not flagged
-    assert value < 1e-6
-
-
-def test_rate_function_flags_below_the_drift():
-    m = mean_log_rho(BETA_LAW)
-    value, flagged = rate_function(BETA_LAW, m - 0.5)
-    assert flagged and value == 0.0
-
-
-def test_rate_function_dominates_kappa_x():
-    # I(x) >= kappa x wherever the supremum is attainable
-    for x in np.linspace(mean_log_rho(BETA_LAW), 2.5, 15):
-        value, flagged = rate_function(BETA_LAW, float(x))
-        assert not flagged
-        assert value >= 0.5 * x - 1e-9
-
-
-def test_rate_function_zero_of_the_two_atom_law():
-    value, flagged = rate_function(TWO_ATOM, mean_log_rho(TWO_ATOM))
-    assert not flagged and value < 1e-6
-
-
-def test_rate_function_sentinel_beyond_reachable_slopes():
-    # the steepest possible slope of the two-atom potential is log 3
-    value, flagged = rate_function(TWO_ATOM, math.log(3.0) + 0.5)
-    assert flagged
-    assert value > 1e300
 
 
 @settings(max_examples=25, deadline=None)

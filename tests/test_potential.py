@@ -1,7 +1,6 @@
 """Potential scans, ladder structure, and valley detection."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -17,19 +16,13 @@ from rwre.potential import (
     detect_deep_valleys,
     detect_star_valleys,
     excursion_table,
-    excursions,
     first_ascent,
-    first_descent,
-    hit_level,
     ladder_epochs,
-    load_potential_text,
     max_increment,
     min_increment,
-    save_potential_text,
 )
 
 BETA_LAW = EnvironmentLaw.beta_law(1.5, 1.0)
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 # sawtooth on sites -2..11, V(0) = 0, peaks 3.6 at site 3 and 3.2 at site 8
 SAWTOOTH = PotentialPath(offset=-2, v=np.array(
@@ -89,42 +82,39 @@ def test_ladder_epochs_are_weak_descents():
 
 
 def test_excursions_sawtooth():
-    recs = excursions(SAWTOOTH)
-    assert [(r.start, r.end) for r in recs] == [(0, 5), (5, 10), (10, 11)]
-    assert [r.argmax for r in recs] == [3, 8, 10]
-    heights = [r.height for r in recs]
-    assert math.isclose(heights[0], 3.6)
-    assert math.isclose(heights[1], 3.6)
-    assert heights[2] == 0.0
+    table = excursion_table(SAWTOOTH)
+    assert list(zip(table.starts.tolist(), table.ends.tolist())) == \
+        [(0, 5), (5, 10), (10, 11)]
+    assert math.isclose(table.heights[0], 3.6)
+    assert math.isclose(table.heights[1], 3.6)
+    assert table.heights[2] == 0.0
 
 
 def test_excursion_table_matches_records():
+    # the vectorized scan against one max per consecutive ladder pair
     env = sample_environment(BETA_LAW, (-50, 4000), seed=11)
     path = build_potential(env)
-    recs = excursions(path)
-    table = excursion_table(path, with_argmax=True)
-    assert table.starts.tolist() == [r.start for r in recs]
-    assert table.ends.tolist() == [r.end for r in recs]
-    assert table.argmax.tolist() == [r.argmax for r in recs]
-    np.testing.assert_allclose(table.heights, [r.height for r in recs], rtol=0)
-    assert excursion_table(path).argmax is None
+    epochs = ladder_epochs(path)
+    table = excursion_table(path)
+    assert table.starts.tolist() == epochs[:-1].tolist()
+    assert table.ends.tolist() == epochs[1:].tolist()
+    heights = [float(np.max(path.slice_values(int(s), int(e)))) - path.value(int(s))
+               for s, e in zip(epochs[:-1], epochs[1:])]
+    np.testing.assert_allclose(table.heights, heights, rtol=0)
 
 
 def test_last_excursion_ignores_trailing_rise():
     # the window keeps rising after the last ladder epoch at site 1; that
-    # incomplete stretch must not leak into the height or argmax
+    # incomplete stretch must not leak into the height
     path = PotentialPath(offset=0, v=np.array([0.0, -1.0, 3.0, 4.0, 5.0]))
-    recs = excursions(path)
-    assert [(r.start, r.end) for r in recs] == [(0, 1)]
-    assert recs[0].height == 0.0
-    assert recs[0].argmax == 0
+    table = excursion_table(path)
+    assert list(zip(table.starts.tolist(), table.ends.tolist())) == [(0, 1)]
+    assert table.heights.tolist() == [0.0]
 
 
 def test_scans_sawtooth():
     assert first_ascent(SAWTOOTH, 3.0) == 3
     assert first_ascent(SAWTOOTH, 10.0) is None
-    assert first_descent(SAWTOOTH, 2.0) == 4
-    assert hit_level(SAWTOOTH, 2.4) == 2
     assert math.isclose(max_increment(SAWTOOTH, 0, 11), 3.6)
     assert math.isclose(min_increment(SAWTOOTH, 0, 11), -4.9)
     assert max_increment(SAWTOOTH, 4, 5) == 0.0
@@ -158,7 +148,6 @@ def test_deep_valleys_need_enough_excursions():
     with pytest.raises(WindowExhausted) as err:
         detect_deep_valleys(VALLEY_PATH, n=40, epsilon=0.2, kappa=0.5)
     assert err.value.side == "right"
-    assert err.value.needed_site > VALLEY_PATH.last_site
 
 
 def test_deep_valleys_need_left_backing():
@@ -181,8 +170,8 @@ def test_deep_valleys_on_sampled_environment():
     n = 60
     valleys = detect_deep_valleys(path, n, epsilon=0.2, kappa=0.5)
     h_n = critical_height(n, 0.2, 0.5)
-    recs = excursions(path)[:n]
-    assert len(valleys) == sum(1 for r in recs if r.height >= h_n)
+    heights = excursion_table(path).heights[:n]
+    assert len(valleys) == int(np.sum(heights >= h_n))
     for v in valleys:
         assert v.a < v.b <= v.t_up <= v.c <= v.d_bar <= v.d
         assert v.height >= h_n
@@ -265,22 +254,3 @@ def test_good_environment_delta_validation():
     with pytest.raises(ValueError):
         check_good_environment(SAWTOOTH, n=2, epsilon=0.2, delta=0.3,
                                Cprime=7.0, Cdoubleprime=25.0, kappa=0.5)
-
-
-# ------------------------------------------------------- serialization
-
-def test_potential_round_trip(tmp_path):
-    env = sample_environment(BETA_LAW, (-7, 40), seed=23)
-    path = build_potential(env)
-    fn = str(tmp_path / "potential.txt")
-    save_potential_text(path, fn)
-    back = load_potential_text(fn)
-    assert back.offset == path.offset
-    np.testing.assert_array_equal(back.v, path.v)
-
-
-def test_potential_fixture_is_stable():
-    path = load_potential_text(os.path.join(FIXTURES, "potential_sawtooth.txt"))
-    assert path.offset == -2
-    np.testing.assert_allclose(path.v, SAWTOOTH.v, rtol=0, atol=0)
-    np.testing.assert_array_equal(ladder_epochs(path), [0, 5, 10, 11])

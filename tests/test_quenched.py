@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import os
 
 import numpy as np
 import pytest
@@ -19,14 +18,9 @@ from rwre.quenched import (
     failure_prob,
     h_transform,
     linear_solve_oracle,
-    load_chain_text,
     mean_G_exact,
     sample_hitting_times,
-    save_chain_text,
-    simulate_walk,
 )
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def random_chain(L, seed, reflect=True):
@@ -509,99 +503,59 @@ def test_from_environment_needs_the_chain_inside_the_slice():
 
 
 def test_walk_reflects_on_the_first_step():
+    # from the reflecting site the first step goes right, so tau(0 -> 1) = 1
     chain = flat_chain(0.5, 5, reflect_at=0)
-    res = simulate_walk(chain, 0, ("steps", 1), seed=1)
-    assert res.final_site == 1
-    assert res.steps == 1
-
-
-def test_walk_stop_modes_and_trace():
-    chain = flat_chain(0.5, 60, reflect_at=0)
-    res = simulate_walk(chain, 0, ("steps", 100), seed=2, trace=True)
-    assert res.stopped_on == "steps"
-    assert res.steps == 100
-    assert len(res.trace) == 101
-    assert res.trace[0] == 0
-    jumps = np.diff(res.trace)
-    assert set(np.unique(jumps)) <= {-1, 1}
-
-    hit = simulate_walk(chain, 0, ("hit", 3), seed=2)
-    assert hit.stopped_on == "hit"
-    assert hit.final_site == 3
-
-    # stop sites at the chain edge are fine; stepping past it is not
-    edge = simulate_walk(flat_chain(0.9, 4, reflect_at=0), 0, ("hit", 4), seed=3)
-    assert edge.stopped_on == "hit" and edge.final_site == 4
-    with pytest.raises(WindowExhausted):
-        simulate_walk(flat_chain(0.9, 4, reflect_at=0), 0, ("steps", 500), seed=3)
-
-    capped = simulate_walk(flat_chain(0.4, 30, reflect_at=0), 0, ("hit", 30),
-                           seed=2, step_cap=10)
-    assert capped.stopped_on == "cap"
-    assert capped.truncated
-    assert capped.steps == 10
-
-    with pytest.raises(ValueError):
-        simulate_walk(chain, 0, ("sideways", 3), seed=1)
+    np.testing.assert_array_equal(sample_hitting_times(chain, 1, 200, seed=1), 1.0)
 
 
 def test_walk_is_seed_reproducible():
     chain = flat_chain(0.5, 60, reflect_at=0)
-    a = simulate_walk(chain, 0, ("steps", 200), seed=9, trace=True)
-    b = simulate_walk(chain, 0, ("steps", 200), seed=9, trace=True)
-    np.testing.assert_array_equal(a.trace, b.trace)
-    c = simulate_walk(chain, 0, ("steps", 200), seed=10, trace=True)
-    assert np.any(a.trace != c.trace)
+    a = sample_hitting_times(chain, 60, 200, seed=9)
+    b = sample_hitting_times(chain, 60, 200, seed=9)
+    np.testing.assert_array_equal(a, b)
+    c = sample_hitting_times(chain, 60, 200, seed=10)
+    assert np.any(a != c)
 
 
 def test_walk_raises_when_it_leaves_the_window():
     chain = flat_chain(0.1, 5)
     with pytest.raises(WindowExhausted):
-        simulate_walk(chain, 0, ("hit", 5), seed=1)
+        sample_hitting_times(chain, 5, 20, seed=1)
 
 
 def test_walk_mean_matches_dense_solve():
     chain = flat_chain(0.9, 5, reflect_at=0)
     exact = linear_solve_oracle(chain, "expected_time")[0]
-    steps = np.array([simulate_walk(chain, 0, ("hit", 5), seed=s).steps
-                      for s in range(3000)], dtype=float)
+    steps = sample_hitting_times(chain, 5, 3000, seed=0)
     se = steps.std(ddof=1) / math.sqrt(len(steps))
     assert abs(steps.mean() - exact) < 4.0 * se
 
 
-def test_stepping_walk_agrees_with_reference_walker():
+def test_branching_cascade_agrees_with_reference_walker():
+    # a random reflected Beta(1.5, 1) chain: the cascade against plain
+    # stepping, in law (two-sample KS) and in mean
+    from scipy.stats import ks_2samp
     rng = np.random.default_rng(123)
     om_full = rng.beta(1.5, 1.0, 7)
     om_full[0] = 1.0
     chain = QuenchedChain.from_omegas(om_full[1:], left=0, reflect_at=0)
-    ours = np.array([simulate_walk(chain, 0, ("hit", 6), seed=s).steps
-                     for s in range(2000)], dtype=float)
+    ours = sample_hitting_times(chain, 6, 2000, seed=7)
     ref_rng = np.random.default_rng(99)
     ref = np.array([oracles.walk_tau_reference(om_full, 0, 6, ref_rng,
                                                reflect_at=0)
                     for _ in range(2000)], dtype=float)
+    assert ks_2samp(ours, ref).pvalue > 1e-3
     pooled = math.sqrt(ours.var(ddof=1) / len(ours) + ref.var(ddof=1) / len(ref))
     assert abs(ours.mean() - ref.mean()) < 4.0 * pooled
 
 
-# ---------------------------------------------------------- serialization
-
-def test_chain_round_trip(tmp_path):
-    chain, _ = random_chain(9, 2024)
-    fn = str(tmp_path / "chain.txt")
-    save_chain_text(chain, fn)
-    back = load_chain_text(fn)
-    assert (back.left, back.right, back.reflect_at) == (0, 9, 0)
-    np.testing.assert_array_equal(back.omegas, chain.omegas)
-    np.testing.assert_allclose(back.base_potential, chain.base_potential,
-                               rtol=0, atol=1e-12)
-
-
 def test_chain_fixture_is_stable():
-    chain = load_chain_text(os.path.join(FIXTURES, "chain_beta_seed7.txt"))
+    # the seed-7 Beta(1.5, 1) chain on [-3, 6], reflected at -3; its
+    # potential is frozen
+    omegas = np.random.default_rng(7).beta(1.5, 1.0, 9)
+    chain = QuenchedChain.from_omegas(omegas, left=-3, reflect_at=-3)
     assert (chain.left, chain.right, chain.reflect_at) == (-3, 6, -3)
-    expected = np.random.default_rng(7).beta(1.5, 1.0, 9)
-    np.testing.assert_array_equal(chain.omegas, expected[:-1])
+    np.testing.assert_array_equal(chain.omegas, omegas[:-1])
     frozen_v = [0.0, -0.71995774, 1.30894251, 0.54681342, -0.1339631,
                 0.24937532, 0.11540847, 2.35803944, 2.16447656, 2.2217227]
     np.testing.assert_allclose(chain.base_potential, frozen_v, atol=1e-7)

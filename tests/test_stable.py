@@ -1,5 +1,5 @@
-"""Positive stable sampling, the kappa = 1/2 closed form, and the
-inverse subordinator."""
+"""Positive stable sampling, checked against the kappa = 1/2 closed form
+and the inverse subordinator kept in the oracles."""
 
 import math
 from types import SimpleNamespace
@@ -7,13 +7,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import inverse_subordinator_path, levy_cdf
 from rwre.env import RegimeError
 from rwre.stable import (
     LEVY_MEDIAN,
     StableSpec,
-    inverse_subordinator_path,
     laplace,
-    levy_cdf,
     predicted_tau_cdf,
     sample_positive_stable,
 )
