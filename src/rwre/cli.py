@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -31,8 +32,9 @@ from .experiments import (
     parse_config_text,
     report_csv_text,
     run_from_manifest,
+    write_report,
 )
-from .potential import build_potential, detect_deep_valleys, detect_star_valleys
+from .potential import build_potential, detect_deep_valleys, detect_star_valleys, excursion_table
 from .rng import stream_key
 from .stable import StableSpec, sample_positive_stable
 
@@ -86,17 +88,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float)
         p.add_argument("--lambda-grid", help="comma-separated lambda values")
         p.add_argument("--master-seed", type=int)
-        p.add_argument("--output-dir")
+        p.add_argument("--output-dir", help="write CSV and manifest here, not CSV to stdout")
         p.add_argument("--step-cap", type=int)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--svg", action="store_true")
         for key in experiment.flags:           # absent unless given: the runner's default
             p.add_argument("--" + key.replace("_", "-"), type=experiment.params[key],
                            default=argparse.SUPPRESS)
 
     p = sub.add_parser("report", help="regenerate outputs from a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--output-dir")
+    p.add_argument("--output-dir", help="default: the manifest's own directory")
     p.add_argument("--workers", type=int, default=1)
     return parser
 
@@ -169,8 +170,9 @@ def _cmd_valleys(args) -> int:
     window = 4 * n + 1000
     env = sample_environment(law, (-2000, window), seed=args.seed)
     path = build_potential(env)
-    deep = detect_deep_valleys(path, n, args.epsilon, kappa)
-    star = detect_star_valleys(path, n, args.epsilon, kappa)
+    table = excursion_table(path)
+    deep = detect_deep_valleys(path, n, args.epsilon, kappa, table=table)
+    star = detect_star_valleys(path, n, args.epsilon, kappa, table=table)
     print(f"# deep valleys: {len(deep)}  star valleys: {len(star)}")
     print("a  b  c  d  height")
     for v in deep:
@@ -191,22 +193,23 @@ def _cmd_stable(args) -> int:
 def _cmd_experiment(experiment, args) -> int:
     config = _config_from_args(args)
     return _print_outcome(experiment.runner(
-        config, workers=args.workers, svg=args.svg,
-        **{key: value for key, value in vars(args).items() if key in experiment.flags}))
+        config, workers=args.workers,
+        **{key: value for key, value in vars(args).items() if key in experiment.flags}),
+        args.output_dir)
 
 
 def _cmd_report(args) -> int:
-    return _print_outcome(run_from_manifest(args.manifest, workers=args.workers,
-                                            output_dir=args.output_dir))
+    report = run_from_manifest(args.manifest, workers=args.workers)
+    return _print_outcome(report, args.output_dir or os.path.dirname(args.manifest) or ".")
 
 
-def _print_outcome(report) -> int:
-    """The CSV on stdout, or where it was written when the config names an
-    output directory."""
-    if report.config.output_dir is None:
+def _print_outcome(report, output_dir: str | None) -> int:
+    """Write the CSV and manifest into output_dir and say where, or put the
+    CSV on stdout when no directory is given."""
+    if output_dir is None:
         sys.stdout.write(report_csv_text(report))
     else:
-        print(f"wrote {report.config.output_dir}/{report.experiment}.csv")
+        print(f"wrote {write_report(report, output_dir)['csv']}")
     return 0
 
 

@@ -39,12 +39,14 @@ from .rng import generator, stream_key
 __all__ = [
     "LimitLawParams",
     "TailEstimate",
+    "HillEstimate",
     "IglehartEstimate",
     "sample_excursions",
     "iglehart_constant",
     "feller_from_estimate",
     "kesten_constant_beta",
     "kesten_tail_estimate",
+    "hill_estimate",
     "limit_scale",
     "limit_scale_beta",
 ]
@@ -74,6 +76,14 @@ class TailEstimate:
     stderr: float                 # sample standard error of constant_hat
     n_series: int
     truncated_series: int         # series stopped by the term cap, not by tolerance
+
+
+@dataclass(frozen=True)
+class HillEstimate:
+    index: float
+    ci_low: float
+    ci_high: float
+    k: int
 
 
 @dataclass(frozen=True)
@@ -254,13 +264,28 @@ def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 200_
         g[lo : lo + r.size] = -r ** kappa * np.expm1(kappa * np.log1p(-1.0 / r))
         truncated += trunc
 
-    k_hill = min(max(200, int(n_series ** 0.6)), n_series - 1)
-    out.partition(n_series - k_hill - 1)
-    top = np.sort(out[-(k_hill + 1):])
-    index_hat = 1.0 / float(np.mean(np.log(top[1:] / top[0])))
+    index_hat = hill_estimate(out, k=max(200, int(n_series ** 0.6))).index
     return TailEstimate(constant_hat=float(g.mean()) / scale, index_hat=index_hat,
                         stderr=float(g.std(ddof=1)) / math.sqrt(n_series) / scale,
                         n_series=n_series, truncated_series=truncated)
+
+
+def hill_estimate(sample: np.ndarray, k: int | None = None) -> HillEstimate:
+    """Hill tail-index estimate over the k largest points, k = floor(m^0.6)
+    by default; only the top k + 1 are selected and sorted."""
+    x = np.asarray(sample, dtype=np.float64)
+    m = x.size
+    if m < 10:
+        raise ValueError(f"need at least 10 points for a tail estimate, got {m}")
+    if k is None:
+        k = int(m ** 0.6)
+    k = max(5, min(k, m - 1))
+    top = np.sort(np.partition(x, m - k - 1)[m - k - 1:])[::-1]
+    gamma = float(np.mean(np.log(top[:k]) - np.log(top[k])))
+    index = 1.0 / gamma if gamma > 0 else math.inf
+    se = index / math.sqrt(k)
+    return HillEstimate(index=index, ci_low=index - 1.96 * se,
+                        ci_high=index + 1.96 * se, k=k)
 
 
 def limit_scale(kappa: float, c_k: float, moment: float) -> LimitLawParams:

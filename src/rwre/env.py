@@ -26,7 +26,7 @@ the block, through draw_omegas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln, digamma, logsumexp
@@ -132,7 +132,6 @@ def _spec_number(value: float) -> str:
 class EnvironmentSlice:
     offset: int                    # site index of omegas[0]
     omegas: np.ndarray             # strictly inside (0,1)
-    seed_info: dict = field(default_factory=dict)
 
     def site(self, i: int) -> float:
         return float(self.omegas[self.index(i)])
@@ -231,8 +230,7 @@ def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: i
                 law, rng.generator(key), _SITE_BLOCK)[start:stop]
         pos += stop - start
     omegas = _law_uniform_to_omega(law, out) if by_cdf else out
-    info = {"law": law.spec_text(), "seed": int(seed), "range": (lo, hi)}
-    return EnvironmentSlice(offset=lo, omegas=omegas, seed_info=info)
+    return EnvironmentSlice(offset=lo, omegas=omegas)
 
 
 def _lambda_discrete(law: EnvironmentLaw, t: float) -> float:

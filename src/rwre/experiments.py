@@ -34,14 +34,16 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Callable, get_type_hints
 
 import numpy as np
 
 from . import __version__ as _pkg_version
 from .constants import (
+    HillEstimate,
     LimitLawParams,
+    hill_estimate,
     iglehart_constant,
     kesten_constant_beta,
     kesten_tail_estimate,
@@ -81,7 +83,6 @@ __all__ = [
     "ConvergenceReport",
     "ReportRow",
     "LaplacePoint",
-    "HillEstimate",
     "KsResult",
     "CensusStats",
     "ReductionPoint",
@@ -93,9 +94,7 @@ __all__ = [
     "run_valley_census",
     "verify_reduction",
     "verify_crossing_bound",
-    "hill_estimate",
     "ks_two_sample",
-    "duality_product",
     "write_report",
     "report_csv_text",
     "manifest_text",
@@ -126,7 +125,6 @@ class ExperimentConfig:
     epsilon: float = 0.2
     lambda_grid: tuple[float, ...] = (0.5, 1.0, 2.0)
     master_seed: int = 0
-    output_dir: str | None = None
     step_cap: int = 10 ** 12
 
     def __post_init__(self):
@@ -154,8 +152,7 @@ def _split(cast):
 # How a ``key = value`` line reads back a value of each declared type;
 # config fields and runner parameters share it.
 _PARSERS = {EnvironmentLaw: EnvironmentLaw.parse, int: int, int | None: int, float: float,
-            str | None: str, tuple[int, ...] | None: _split(int),
-            tuple[float, ...]: _split(float)}
+            tuple[int, ...] | None: _split(int), tuple[float, ...]: _split(float)}
 
 _CONFIG_TYPES = get_type_hints(ExperimentConfig)
 
@@ -234,15 +231,6 @@ class LaplacePoint:
     def __post_init__(self):
         if self.stderr < 0.0:
             raise ValueError("stderr must be nonnegative")
-
-
-@dataclass(frozen=True)
-class HillEstimate:
-    index: float
-    ci_low: float
-    ci_high: float
-    k: int
-    sweep: tuple[tuple[int, float], ...]
 
 
 @dataclass(frozen=True)
@@ -379,29 +367,6 @@ def _mean_se(values) -> tuple[float, float]:
     return float(values.mean()), se
 
 
-def hill_estimate(sample: np.ndarray, k: int | None = None) -> HillEstimate:
-    """Hill tail-index estimate with k = floor(m^0.6) order statistics by
-    default and a half/double sensitivity sweep."""
-    x = np.sort(np.asarray(sample, dtype=np.float64))[::-1]
-    m = x.size
-    if m < 10:
-        raise ValueError(f"need at least 10 points for a tail estimate, got {m}")
-    if k is None:
-        k = int(m ** 0.6)
-    k = max(5, min(k, m - 1))
-
-    def at(kk: int) -> float:
-        gamma = float(np.mean(np.log(x[:kk]) - np.log(x[kk])))
-        return 1.0 / gamma if gamma > 0 else math.inf
-
-    index = at(k)
-    se = index / math.sqrt(k)
-    ks = sorted({max(5, k // 2), k, min(2 * k, m - 1)})
-    sweep = tuple((kk, at(kk)) for kk in ks)
-    return HillEstimate(index=index, ci_low=index - 1.96 * se,
-                        ci_high=index + 1.96 * se, k=k, sweep=sweep)
-
-
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     """Two-sample Kolmogorov-Smirnov distance."""
     a = np.sort(np.asarray(a, dtype=np.float64))
@@ -410,6 +375,15 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     fa = np.searchsorted(a, grid, side="right") / a.size
     fb = np.searchsorted(b, grid, side="right") / b.size
     return float(np.max(np.abs(fa - fb)))
+
+
+def _ks_result(sample: np.ndarray, reference: np.ndarray) -> KsResult:
+    """KS distance between a sample and its limit-law reference, with the
+    two one-sample 95% DKW half-widths summed as its noise scale."""
+    half_width = lambda size: math.sqrt(math.log(2.0 / 0.05) / (2.0 * size))
+    return KsResult(distance=ks_two_sample(sample, reference),
+                    dkw_epsilon=half_width(reference.size) + half_width(sample.size),
+                    n_sample=int(sample.size), n_reference=int(reference.size))
 
 
 # ------------------------------------------------------- tau experiment
@@ -441,7 +415,6 @@ def _replica_blocks(replicas: int, block: int, workers: int, task,
 
 
 def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
-                       svg: bool = False,
                        c_k: float | None = None) -> ConvergenceReport:
     """Annealed tau(n) for each n: Laplace transform on the lambda grid
     against exp(-Lambda lambda^kappa), Hill index against kappa, KS
@@ -467,23 +440,17 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
             points.append(LaplacePoint(
                 lam=lam, value=value, stderr=se,
                 predicted=math.exp(-params.lambda_scale * lam ** kappa)))
-        hill = hill_estimate(kept)
         reference = sample_positive_stable(
             StableSpec(kappa, scale=params.tau_prefactor), _KS_REFERENCE,
             stream_key(config.master_seed, "tau-pred", n))
-        # 95% DKW half-widths of the two empirical CDFs, summed
-        eps = math.sqrt(math.log(2.0 / 0.05) / (2.0 * _KS_REFERENCE)) \
-            + math.sqrt(math.log(2.0 / 0.05) / (2.0 * scaled.size))
-        ks = KsResult(distance=ks_two_sample(scaled, reference), dkw_epsilon=eps,
-                      n_sample=int(scaled.size), n_reference=_KS_REFERENCE)
         rows.append(ReportRow(
             n=n, replicas_used=int(kept.size), truncated=int(trunc.sum()),
-            laplace=tuple(points), hill=hill, ks=ks,
+            laplace=tuple(points), hill=hill_estimate(kept), ks=_ks_result(scaled, reference),
             extras=(("median_scaled", float(np.median(scaled))),)))
-    return _emit(ConvergenceReport(
+    return ConvergenceReport(
         experiment="tau", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("lambda_scale", params.lambda_scale), *c_k_extras)),
-        svg, run_params)
+        extras=(("kappa", kappa), ("lambda_scale", params.lambda_scale), *c_k_extras),
+        params=tuple(run_params.items()))
 
 
 # -------------------------------------------------- position experiment
@@ -519,7 +486,6 @@ def _position_block(law: EnvironmentLaw, n: int, count: int, key: int,
 
 
 def run_position_experiment(config: ExperimentConfig, workers: int = 1,
-                            svg: bool = False,
                             c_k: float | None = None) -> ConvergenceReport:
     """X_n at each n, compared along X_n / n^kappa against
     x_scale * S^{-kappa} with S sampled from the stable module."""
@@ -538,39 +504,15 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
         ref_rng = generator(stream_key(config.master_seed, "pos-pred", n))
         s_unit = sample_positive_stable(StableSpec(kappa=kappa), _KS_REFERENCE, ref_rng)
         reference = params.x_scale * s_unit ** (-kappa)
-        dist = ks_two_sample(scaled, reference)
-        eps = math.sqrt(math.log(2.0 / 0.05) / 2.0) \
-            * math.sqrt(1.0 / scaled.size + 1.0 / reference.size)
         rows.append(ReportRow(
             n=n, replicas_used=int(kept.size), truncated=int(frozen.sum()),
-            ks=KsResult(distance=dist, dkw_epsilon=eps,
-                        n_sample=int(scaled.size), n_reference=int(reference.size)),
+            ks=_ks_result(scaled, reference),
             extras=(("median_scaled", float(np.median(scaled))),
                     ("median_x", float(np.median(kept))))))
-    return _emit(ConvergenceReport(
+    return ConvergenceReport(
         experiment="position", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("x_scale", params.x_scale), *c_k_extras)),
-        svg, run_params)
-
-
-def duality_product(tau_report: ConvergenceReport,
-                    position_report: ConvergenceReport) -> float:
-    """Product of the fitted tau scale to the kappa and the fitted X
-    scale; the limit forms predict exactly 1."""
-    kappa = tau_report.extra("kappa")
-    shared = sorted(set(r.n for r in tau_report.rows)
-                    & set(r.n for r in position_report.rows))
-    if not shared:
-        raise ValueError("reports share no n value")
-    n = shared[-1]
-    tau_med = next(dict(r.extras)["median_scaled"] for r in tau_report.rows if r.n == n)
-    x_med = next(dict(r.extras)["median_scaled"] for r in position_report.rows if r.n == n)
-    s = sample_positive_stable(StableSpec(kappa=kappa), 200_000,
-                               seed=stream_key(0xD0A1, "duality"))
-    med_s = float(np.median(s))
-    lambda_hat = (tau_med / med_s) ** kappa
-    x_scale_hat = x_med * med_s ** kappa
-    return lambda_hat * x_scale_hat
+        extras=(("kappa", kappa), ("x_scale", params.x_scale), *c_k_extras),
+        params=tuple(run_params.items()))
 
 
 # --------------------------------------------------------- valley census
@@ -616,7 +558,7 @@ def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
     def scan(path):
         table = excursion_table(path)
         return (table, detect_deep_valleys(path, n, epsilon, kappa, table=table),
-                detect_star_valleys(path, n, epsilon, kappa),
+                detect_star_valleys(path, n, epsilon, kappa, table=table),
                 check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
                                        kappa, table=table))
 
@@ -642,8 +584,7 @@ def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
 
 
 def run_valley_census(config: ExperimentConfig, workers: int = 1,
-                      svg: bool = False, delta: float | None = None,
-                      c_prime: float | None = None,
+                      delta: float | None = None, c_prime: float | None = None,
                       c_dprime: float = 25.0) -> ConvergenceReport:
     """Deep-valley census over config.replicas environments per n.
 
@@ -709,12 +650,13 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
         rows.append(ReportRow(n=n, replicas_used=len(used), truncated=exhausted,
                               census=stats,
                               extras=(("h_n", h_n), ("d_n", d_n))))
-    return _emit(ConvergenceReport(
+    return ConvergenceReport(
         experiment="census", config=config, rows=tuple(rows),
         extras=(("kappa", kappa), ("c_i_hat", c_i_hat),
                 ("c_prime", c_prime), ("c_dprime", c_dprime),
                 ("delta", delta), ("retries", float(total_retries)),
-                ("kappa_fallback", 1.0 if fallback else 0.0))), svg, run_params)
+                ("kappa_fallback", 1.0 if fallback else 0.0)),
+        params=tuple(run_params.items()))
 
 
 # ----------------------------------------------------- reduction check
@@ -755,8 +697,7 @@ def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
 
 
 def verify_reduction(config: ExperimentConfig, workers: int = 1,
-                     svg: bool = False, environments: int = 200,
-                     ) -> ConvergenceReport:
+                     environments: int = 200) -> ConvergenceReport:
     """Annealed E[e^{-lam_n tau(e_n)}] against the first-valley factor
     raised to the band powers floor(n q (1 +/- n^{-eps/4})).
 
@@ -810,10 +751,10 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
                               truncated=environments - len(parts),
                               reduction=tuple(points),
                               extras=(("q_n", q_n),)))
-    return _emit(ConvergenceReport(
+    return ConvergenceReport(
         experiment="reduction", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("c_i_hat", ig.c_i),
-                ("environments", float(environments)))), svg, run_params)
+        extras=(("kappa", kappa), ("c_i_hat", ig.c_i), ("environments", float(environments))),
+        params=tuple(run_params.items()))
 
 
 # ------------------------------------------------------- crossing bound
@@ -836,7 +777,6 @@ def _crossing_env(law: EnvironmentLaw, h_values: tuple[float, ...], key: int,
 
 
 def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
-                          svg: bool = False,
                           h_values: tuple[float, ...] = (3.0, 4.0, 5.0, 6.0, 7.0),
                           ) -> ConvergenceReport:
     """Expected time, reflected at the origin, to reach the site before
@@ -870,10 +810,10 @@ def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
         slope = float(np.polyfit(hs, logs, 1)[0])
     else:
         slope = 0.0
-    return _emit(ConvergenceReport(
-        experiment="crossing", config=config, rows=(),
-        crossing=tuple(points),
-        extras=(("slope", slope), ("environments", float(environments)))), svg, run_params)
+    return ConvergenceReport(
+        experiment="crossing", config=config, rows=(), crossing=tuple(points),
+        extras=(("slope", slope), ("environments", float(environments))),
+        params=tuple(run_params.items()))
 
 
 # ------------------------------------------------------ emission layer
@@ -933,61 +873,17 @@ def manifest_text(report: ConvergenceReport) -> str:
             f"versions = {versions}\n")
 
 
-def _svg_text(report: ConvergenceReport) -> str:
-    """A single small plot: the leading per-row scalar against its index."""
-    if report.crossing:
-        series = [(p.h, math.log(max(p.mean_tau, 1e-300))) for p in report.crossing]
-        label = "log mean crossing time vs h"
-    elif report.rows and report.rows[0].laplace:
-        series = [(math.log10(r.n), r.laplace[0].value) for r in report.rows]
-        label = f"laplace at lambda={report.rows[0].laplace[0].lam:g} vs log10 n"
-    elif report.rows and report.rows[0].ks is not None:
-        series = [(math.log10(r.n), r.ks.distance) for r in report.rows]
-        label = "ks distance vs log10 n"
-    else:
-        series = [(float(i), float(r.n)) for i, r in enumerate(report.rows)]
-        label = "rows"
-    if len(series) < 2:
-        series = series * 2 if series else [(0.0, 0.0), (1.0, 0.0)]
-    xs = [s[0] for s in series]
-    ys = [s[1] for s in series]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    dx = (x1 - x0) or 1.0
-    dy = (y1 - y0) or 1.0
-    w, hgt, pad = 640, 400, 40
-    pts = " ".join(
-        f"{pad + (x - x0) / dx * (w - 2 * pad):.1f},"
-        f"{hgt - pad - (y - y0) / dy * (hgt - 2 * pad):.1f}"
-        for x, y in series)
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{hgt}">'
-            f'<rect width="{w}" height="{hgt}" fill="white"/>'
-            f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>'
-            f'<text x="{pad}" y="{pad - 16}" font-size="13">{label}</text>'
-            f'</svg>\n')
-
-
-def write_report(report: ConvergenceReport, output_dir: str,
-                 svg: bool = False) -> dict[str, str]:
+def write_report(report: ConvergenceReport, output_dir: str) -> dict[str, str]:
+    """Write <experiment>.csv and <experiment>.manifest.txt into output_dir;
+    returns their paths by kind."""
     os.makedirs(output_dir, exist_ok=True)
     outputs = {"csv": (".csv", report_csv_text), "manifest": (".manifest.txt", manifest_text)}
-    if svg:
-        outputs["svg"] = (".svg", _svg_text)
     paths = {}
     for kind, (suffix, text) in outputs.items():
         paths[kind] = os.path.join(output_dir, report.experiment + suffix)
         with open(paths[kind], "w") as f:
             f.write(text(report))
     return paths
-
-
-def _emit(report: ConvergenceReport, svg: bool, run_params: dict) -> ConvergenceReport:
-    """Attach the runner keywords and write the outputs when the config
-    names an output directory."""
-    report = replace(report, params=tuple(run_params.items()))
-    if report.config.output_dir is not None:
-        write_report(report, report.config.output_dir, svg=svg)
-    return report
 
 
 @dataclass(frozen=True)
@@ -1021,8 +917,7 @@ EXPERIMENTS = {
 }
 
 
-def run_from_manifest(path: str, workers: int = 1,
-                      output_dir: str | None = None) -> ConvergenceReport:
+def run_from_manifest(path: str, workers: int = 1) -> ConvergenceReport:
     """Re-run the experiment a manifest describes, with its config and
     runner keywords; a keyword the manifest lacks takes the runner's
     default.  The regenerated CSV is byte-identical for any worker count."""
@@ -1034,7 +929,4 @@ def run_from_manifest(path: str, workers: int = 1,
     experiment = EXPERIMENTS[name]
     params = {key: _PARSERS[kind](mapping.pop(key))
               for key, kind in experiment.params.items() if key in mapping}
-    config = _config_from(mapping, experiment.needs)
-    if output_dir is not None:
-        config = replace(config, output_dir=output_dir)
-    return experiment.runner(config, workers=workers, **params)
+    return experiment.runner(_config_from(mapping, experiment.needs), workers=workers, **params)

@@ -29,7 +29,7 @@ so a widened window agrees with the old one site by site).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +74,6 @@ class WindowExhausted(RuntimeError):
 class PotentialPath:
     offset: int                    # site index of v[0]
     v: np.ndarray                  # v[k] = V(offset + k)
-    env_ref: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.v)
@@ -152,7 +151,7 @@ def build_potential(env: EnvironmentSlice) -> PotentialPath:
     anchor = -offset  # index of site 0
     if 0 <= anchor < len(v):
         v = v - v[anchor]
-    return PotentialPath(offset=offset, v=v, env_ref=dict(env.seed_info))
+    return PotentialPath(offset=offset, v=v)
 
 
 def _origin_index(path: PotentialPath) -> int:
@@ -313,17 +312,14 @@ def detect_deep_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
 
 
 def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: float,
-                        ) -> list[StarValley]:
+                        table: ExcursionTable | None = None) -> list[StarValley]:
     """First-passage valley scan, iterated by shifting the origin to the
-    previous valley's d; keeps valleys with t_star <= e_n."""
+    previous valley's d; keeps valleys with t_star <= e_n.  ``table``
+    reuses an excursion scan already done on this path."""
     _check_valley_params(n, epsilon)
     h_n = critical_height(n, epsilon, kappa)
     D_n = descent_threshold(n, kappa)
-    eps_ladder = ladder_epochs(path)
-    if len(eps_ladder) < n + 1:
-        raise WindowExhausted(
-            "right", f"e_n (only {len(eps_ladder) - 1} of {n} excursions realized)")
-    e_n = int(eps_ladder[n])
+    e_n = int(_first_excursions(path, n, table).ends[n - 1])
     i0 = _origin_index(path)
     v = path.v
     out: list[StarValley] = []

@@ -7,7 +7,8 @@ import shlex
 import pytest
 
 from rwre.cli import _build_parser, _config_from_args, main
-from rwre.experiments import EXPERIMENTS
+from rwre.env import EnvironmentLaw
+from rwre.experiments import EXPERIMENTS, ExperimentConfig, verify_crossing_bound, write_report
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -120,6 +121,19 @@ def test_simulate_tau_writes_and_report_regenerates(tmp_path, capsys):
         assert fh.read() == first
 
 
+def test_report_rewrites_next_to_a_written_manifest(tmp_path, capsys):
+    # without --output-dir, report writes into the manifest's own directory
+    config = ExperimentConfig(law=EnvironmentLaw.beta_law(1.5, 1.0), replicas=12, master_seed=3)
+    paths = write_report(verify_crossing_bound(config), str(tmp_path))
+    with open(paths["csv"]) as fh:
+        first = fh.read()
+    os.remove(paths["csv"])
+    assert main(["report", "--manifest", paths["manifest"]]) == 0
+    assert capsys.readouterr().out == f"wrote {paths['csv']}\n"
+    with open(paths["csv"]) as fh:
+        assert fh.read() == first
+
+
 def test_report_missing_manifest_exits_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.manifest.txt")
     assert main(["report", "--manifest", missing]) == 2
@@ -157,7 +171,7 @@ def test_experiment_smoke_commands(capsys, tmp_path):
 
 CONFIG_FLAGS = {"--config", "--law", "--n-values", "--replicas", "--epsilon",
                 "--lambda-grid", "--master-seed", "--output-dir", "--step-cap",
-                "--workers", "--svg", "--help"}
+                "--workers", "--help"}
 
 
 @pytest.mark.parametrize("command,extra", [

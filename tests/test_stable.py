@@ -9,6 +9,7 @@ import pytest
 
 from oracles import inverse_subordinator_path, levy_cdf
 from rwre.env import RegimeError
+from rwre.experiments import ks_two_sample
 from rwre.stable import (
     LEVY_MEDIAN,
     StableSpec,
@@ -16,14 +17,6 @@ from rwre.stable import (
     predicted_tau_cdf,
     sample_positive_stable,
 )
-
-
-def ks_statistic(a, b):
-    a, b = np.sort(a), np.sort(b)
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / len(a)
-    fb = np.searchsorted(b, grid, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
 
 
 # ----------------------------------------------------------------- spec
@@ -151,7 +144,7 @@ def test_inverse_at_one_matches_the_negative_power_law():
                   for s in range(1000)])
     s_draws = sample_positive_stable(StableSpec(kappa=kappa, scale=1.0),
                                      1000, seed=4242)
-    assert ks_statistic(z, s_draws ** -kappa) < 1.628 * math.sqrt(2.0 / 1000)
+    assert ks_two_sample(z, s_draws ** -kappa) < 1.628 * math.sqrt(2.0 / 1000)
 
 
 def test_inverse_self_similarity():
@@ -163,7 +156,7 @@ def test_inverse_self_similarity():
     z1 = np.array([inverse_subordinator_path(kappa, 1.0, [1.0], dt=1e-3,
                                              seed=2000 + s).z_values[0]
                    for s in range(800)])
-    assert ks_statistic(z2, 2.0 ** kappa * z1) < 1.628 * math.sqrt(2.0 / 800)
+    assert ks_two_sample(z2, 2.0 ** kappa * z1) < 1.628 * math.sqrt(2.0 / 800)
 
 
 def test_inverse_path_validation_and_coarse_grid():
