@@ -18,6 +18,12 @@ valleys of V, and everything in this module is about locating them:
   count, the spacing, the widths, and the fluctuations inside the first
   valley.
 
+The valley scans find a, d, gamma, t_star and d_bar by first-passage
+searches that gallop: each scans chunks of 1024, 2048, 4096, ... sites
+outward from its start and stops at the first chunk holding the hit, so
+growing a valley costs time in proportion to the valley, not to the rest
+of the window.
+
 Site indexing is absolute throughout: a path knows the site of its first
 entry (offset), and every returned epoch or valley field is a site index.
 Detection never silently truncates: if a valley needs sites outside the
@@ -246,13 +252,58 @@ def _check_valley_params(n: int, epsilon: float) -> None:
         raise ValueError(f"epsilon must lie in (0, 1/3), got {epsilon}")
 
 
+_CHUNK = 1024                      # sites in a gallop's first chunk
+
+
+def _gallop(start: int, stop: int):
+    """Slice bounds (lo, hi) of chunks doubling in size outward from index
+    start toward index stop, stop excluded: rightward when stop > start,
+    leftward (the nearest chunk first) when stop < start."""
+    size = _CHUNK
+    if stop > start:
+        while start < stop:
+            yield start, min(start + size, stop)
+            start, size = start + size, 2 * size
+    else:
+        hi = start + 1
+        while hi > stop + 1:
+            lo = max(hi - size, stop + 1)
+            yield lo, hi
+            hi, size = lo, 2 * size
+
+
+def _first_at_most(v: np.ndarray, start: int, level: float) -> int | None:
+    """First index k >= start with v[k] <= level, else None."""
+    for lo, hi in _gallop(start, len(v)):
+        hits = np.flatnonzero(v[lo:hi] <= level)
+        if hits.size:
+            return lo + int(hits[0])
+    return None
+
+
+def _first_rise(v: np.ndarray, start: int, h: float) -> int | None:
+    """First index k >= start with v[k] - min(v[start..k]) >= h, else None.
+    The running minimum carries from one chunk into the next."""
+    low = v[start]
+    for lo, hi in _gallop(start, len(v)):
+        seg = v[lo:hi]
+        runmin = np.minimum(np.minimum.accumulate(seg), low)
+        hits = np.flatnonzero(seg - runmin >= h)
+        if hits.size:
+            return lo + int(hits[0])
+        low = runmin[-1]
+    return None
+
+
 def _backing_site(path: PotentialPath, b: int, D_n: float, what: str) -> int:
     """a: the last site at or before b with V(a) - V(b) >= D_n."""
     bi = path.index(b)
-    back = np.flatnonzero(path.v[: bi + 1] >= path.v[bi] + D_n)
-    if back.size == 0:
-        raise WindowExhausted("left", what)
-    return path.offset + int(back[-1])
+    level = path.v[bi] + D_n
+    for lo, hi in _gallop(bi, -1):
+        back = np.flatnonzero(path.v[lo:hi] >= level)
+        if back.size:
+            return path.offset + lo + int(back[-1])
+    raise WindowExhausted("left", what)
 
 
 def _summit_site(path: PotentialPath, b: int, d_bar: int) -> int:
@@ -263,10 +314,10 @@ def _summit_site(path: PotentialPath, b: int, d_bar: int) -> int:
 def _descent_site(path: PotentialPath, d_bar: int, D_n: float, what: str) -> int:
     """d: the first site at or after d_bar with V(d) - V(d_bar) <= -D_n."""
     dbi = path.index(d_bar)
-    drops = np.flatnonzero(path.v[dbi:] <= path.v[dbi] - D_n)
-    if drops.size == 0:
+    d = _first_at_most(path.v, dbi, path.v[dbi] - D_n)
+    if d is None:
         raise WindowExhausted("right", what)
-    return d_bar + int(drops[0])
+    return path.offset + d
 
 
 def _grow_valley(path: PotentialPath, b: int, d_bar: int, h_n: float, D_n: float,
@@ -327,38 +378,34 @@ def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
     while True:
         oi = origin + i0
         # gamma: first k >= origin with V(k) - V(origin) <= -D_n
-        descents = np.flatnonzero(v[oi:] <= v[oi] - D_n)
-        if descents.size == 0:
+        gi = _first_at_most(v, oi, v[oi] - D_n)
+        if gi is None:
             # no further D_n-descent in the window; the construction would
             # need more path, but any remaining valley has t_star beyond
             # whatever the window holds, so stop only if we are past e_n
             if path.last_site >= e_n:
                 break
             raise WindowExhausted("right", "star-valley gamma")
-        gamma = origin + int(descents[0])
-        gi = gamma + i0
+        gamma = gi - i0
         # t_star: first k >= gamma with V_up(gamma, k) >= h_n
-        tail = v[gi:]
-        up = tail - np.minimum.accumulate(tail)
-        rises = np.flatnonzero(up >= h_n)
-        if rises.size == 0:
+        ti = _first_rise(v, gi, h_n)
+        if ti is None:
             if path.last_site >= e_n:
                 break
             raise WindowExhausted("right", "star-valley t_star")
-        t_star = gamma + int(rises[0])
+        t_star = ti - i0
         if t_star > e_n:
             break
-        ti = t_star + i0
         # b: LAST argmin of V over [origin, t_star]
         seg = v[oi : ti + 1]
         vmin = np.min(seg)
         b = origin + int(np.flatnonzero(seg == vmin)[-1])
         a = _backing_site(path, b, D_n, "star-valley a")
         # d_bar: first k >= t_star with V(k) <= V(b)
-        lows = np.flatnonzero(v[ti:] <= v[b + i0])
-        if lows.size == 0:
+        di = _first_at_most(v, ti, v[b + i0])
+        if di is None:
             raise WindowExhausted("right", "star-valley d_bar")
-        d_bar = t_star + int(lows[0])
+        d_bar = di - i0
         c = _summit_site(path, b, d_bar)
         d = _descent_site(path, d_bar, D_n, "star-valley d")
         out.append(StarValley(gamma=gamma, a=a, b=b, t_star=t_star, c=c,

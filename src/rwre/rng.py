@@ -30,9 +30,12 @@ from __future__ import annotations
 
 import numpy as np
 
-GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-MIX_2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX_1 = 0xBF58476D1CE4E5B9
+_MIX_2 = 0x94D049BB133111EB
+GOLDEN = np.uint64(_GOLDEN)
+MIX_1 = np.uint64(_MIX_1)
+MIX_2 = np.uint64(_MIX_2)
 
 _U64_MASK = (1 << 64) - 1
 
@@ -48,15 +51,23 @@ def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     return z if z.shape else np.uint64(z)
 
 
+def _mix64_int(x: int) -> int:
+    """mix64 of one uint64 in Python ints, without numpy's scalar cost."""
+    z = (x + _GOLDEN) & _U64_MASK
+    z = ((z ^ (z >> 30)) * _MIX_1) & _U64_MASK
+    z = ((z ^ (z >> 27)) * _MIX_2) & _U64_MASK
+    return z ^ (z >> 31)
+
+
 def _fold_part(acc: int, part: int | str | bytes) -> int:
     if isinstance(part, str):
         part = part.encode("utf8")
     if isinstance(part, bytes):
         for i in range(0, len(part), 8):
             chunk = int.from_bytes(part[i : i + 8], "little")
-            acc = int(mix64((acc ^ chunk) & _U64_MASK))
+            acc = _mix64_int(acc ^ chunk)
         return acc
-    return int(mix64((acc ^ (int(part) & _U64_MASK)) & _U64_MASK))
+    return _mix64_int(acc ^ (int(part) & _U64_MASK))
 
 
 def stream_key(*parts: int | str | bytes) -> int:

@@ -23,6 +23,14 @@ from scipy.linalg import solve_banded
 from scipy.special import erfc
 
 from rwre.env import draw_log_rho
+from rwre.potential import (
+    DeepValley,
+    StarValley,
+    WindowExhausted,
+    critical_height,
+    descent_threshold,
+    excursion_table,
+)
 from rwre.rng import generator, stream_key
 from rwre.stable import StableSpec, sample_positive_stable
 
@@ -279,3 +287,101 @@ def inverse_subordinator_path(kappa, x_scale, times, dt, seed=0):
     y_left = y[np.maximum(idx - 1, 0)]
     return SubordinatorPath(times=times, y_values=y_at,
                             z_values=x_scale * z_unit, y_left_values=y_left)
+
+
+def ks_pooled_grid(a, b):
+    """Two-sample KS distance: both empirical CDFs compared at every point
+    of the pooled sample."""
+    a = np.sort(np.asarray(a, dtype=np.float64))
+    b = np.sort(np.asarray(b, dtype=np.float64))
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+# Full-window first-passage searches: each scans everything from its start
+# to the window's end, the plain way the galloping searches of
+# rwre.potential must reproduce site for site.
+
+def first_at_most_full(v, start, level):
+    """First index k >= start with v[k] <= level, else None."""
+    hits = np.flatnonzero(v[start:] <= level)
+    return start + int(hits[0]) if hits.size else None
+
+
+def last_at_least_full(v, stop, level):
+    """Last index k <= stop with v[k] >= level, else None."""
+    hits = np.flatnonzero(v[: stop + 1] >= level)
+    return int(hits[-1]) if hits.size else None
+
+
+def first_rise_full(v, start, h):
+    """First index k >= start with v[k] - min(v[start..k]) >= h, else None."""
+    tail = v[start:]
+    hits = np.flatnonzero(tail - np.minimum.accumulate(tail) >= h)
+    return start + int(hits[0]) if hits.size else None
+
+
+def _site_or_raise(path, idx, side, what):
+    if idx is None:
+        raise WindowExhausted(side, what)
+    return path.offset + idx
+
+
+def grow_valley_full(path, b, d_bar, h_n, D_n, height):
+    """(a, t_up, c, d) around the deep excursion [b, d_bar]."""
+    v = path.v
+    bi, dbi = path.index(b), path.index(d_bar)
+    a = _site_or_raise(path, last_at_least_full(v, bi, v[bi] + D_n), "left",
+                       f"valley backing a for b={b}")
+    seg = path.slice_values(b, d_bar)
+    t_up = b + int(np.flatnonzero(seg >= seg[0] + h_n)[0])
+    c = b + int(np.argmax(seg))
+    d = _site_or_raise(path, first_at_most_full(v, dbi, v[dbi] - D_n), "right",
+                       f"valley descent d for d_bar={d_bar}")
+    return DeepValley(a=a, b=b, c=c, d=d, d_bar=d_bar, t_up=t_up,
+                      height=height, h_n=h_n, D_n=D_n)
+
+
+def star_valleys_full(path, n, epsilon, kappa, table=None):
+    """The first-passage valley scan, every search over the whole rest of
+    the window; e_n is read from ``table`` when given."""
+    h_n = critical_height(n, epsilon, kappa)
+    D_n = descent_threshold(n, kappa)
+    if table is None:
+        table = excursion_table(path)
+    if table.starts.size < n:
+        raise WindowExhausted("right", f"e_n (only {table.starts.size} of {n} excursions realized)")
+    e_n = int(table.ends[n - 1])
+    v, i0 = path.v, -path.offset
+    out = []
+    origin = 0
+    while True:
+        oi = origin + i0
+        gi = first_at_most_full(v, oi, v[oi] - D_n)
+        if gi is None:
+            if path.last_site >= e_n:
+                break
+            raise WindowExhausted("right", "star-valley gamma")
+        ti = first_rise_full(v, gi, h_n)
+        if ti is None:
+            if path.last_site >= e_n:
+                break
+            raise WindowExhausted("right", "star-valley t_star")
+        if ti - i0 > e_n:
+            break
+        seg = v[oi : ti + 1]
+        b = origin + int(np.flatnonzero(seg == np.min(seg))[-1])
+        a = _site_or_raise(path, last_at_least_full(v, b + i0, v[b + i0] + D_n),
+                           "left", "star-valley a")
+        d_bar = _site_or_raise(path, first_at_most_full(v, ti, v[b + i0]), "right",
+                               "star-valley d_bar")
+        c = b + int(np.argmax(path.slice_values(b, d_bar)))
+        dbi = d_bar + i0
+        d = _site_or_raise(path, first_at_most_full(v, dbi, v[dbi] - D_n), "right",
+                           "star-valley d")
+        out.append(StarValley(gamma=gi - i0, a=a, b=b, t_star=ti - i0, c=c,
+                              d_bar=d_bar, d=d))
+        origin = d
+    return out

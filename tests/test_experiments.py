@@ -7,7 +7,10 @@ import os
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwre.constants import hill_estimate
 from rwre.env import EnvironmentLaw
@@ -97,6 +100,19 @@ def test_ks_two_sample_extremes():
     a = np.arange(100, dtype=float)
     assert ks_two_sample(a, a.copy()) == 0.0
     assert ks_two_sample(a, a + 1000.0) == pytest.approx(1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=40),
+       st.lists(st.integers(-4, 4), min_size=1, max_size=90),
+       st.floats(0.1, 10.0))
+def test_ks_two_sample_equals_the_pooled_grid(a, b, scale):
+    # few distinct values, so both samples are full of ties, shared or not
+    a = np.array(a) * scale
+    b = np.array(b) * scale
+    expected = oracles.ks_pooled_grid(a, b)
+    assert ks_two_sample(a, b) == expected
+    assert ks_two_sample(b, a) == expected
 
 
 # ------------------------------------------------------ tau experiment

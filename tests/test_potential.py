@@ -3,12 +3,21 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rwre.env import EnvironmentLaw, sample_environment
 from rwre.potential import (
+    _CHUNK,
     PotentialPath,
     WindowExhausted,
+    _backing_site,
+    _descent_site,
+    _first_at_most,
+    _first_rise,
+    _grow_valley,
     build_potential,
     check_good_environment,
     critical_height,
@@ -216,6 +225,129 @@ def test_star_valleys_ordered_and_disjoint():
         assert path.value(v.a) - path.value(v.b) >= d_n
     for prev, nxt in zip(star, star[1:]):
         assert nxt.gamma >= prev.d
+
+
+# -------------------------------------------------- galloping searches
+
+def _outcome(scan, *args):
+    """What a scan returns, or the side and subject of its WindowExhausted."""
+    try:
+        return scan(*args)
+    except WindowExhausted as exhausted:
+        return ("exhausted", exhausted.side, exhausted.what)
+
+
+def _full_backing(path, b, D_n):
+    idx = oracles.last_at_least_full(path.v, path.index(b), path.value(b) + D_n)
+    return ("exhausted", "left", "a") if idx is None else path.offset + idx
+
+
+def _full_descent(path, d_bar, D_n):
+    idx = oracles.first_at_most_full(path.v, path.index(d_bar), path.value(d_bar) - D_n)
+    return ("exhausted", "right", "d") if idx is None else path.offset + idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), length=st.integers(1, 12_000),
+       drift=st.floats(-0.05, 0.05), data=st.data())
+def test_gallop_searches_match_full_window_on_random_paths(seed, length, drift, data):
+    v = np.cumsum(np.random.default_rng(seed).standard_normal(length) + drift)
+    start = data.draw(st.integers(0, length - 1))
+    gap = data.draw(st.floats(0.0, 40.0))
+    assert _first_at_most(v, start, v[start] - gap) == \
+        oracles.first_at_most_full(v, start, v[start] - gap)
+    assert _first_rise(v, start, gap) == oracles.first_rise_full(v, start, gap)
+    path = PotentialPath(offset=-start - 3, v=v)
+    site = path.offset + start
+    assert _outcome(_backing_site, path, site, gap, "a") == _full_backing(path, site, gap)
+    assert _outcome(_descent_site, path, site, gap, "d") == _full_descent(path, site, gap)
+
+
+@pytest.mark.parametrize("offset", [0, _CHUNK - 1, _CHUNK, 3 * _CHUNK - 1, 3 * _CHUNK, None],
+                         ids=["0", "1023", "1024", "3071", "3072", "last-site"])
+def test_gallop_searches_find_hits_at_chunk_edges(offset):
+    length, start = 8000, 7
+    # rightward: the hit sits offset sites past start (None: the last site)
+    k = length - 1 if offset is None else start + offset
+    v = np.zeros(length)
+    v[start - 1] = -9.0                  # before the start: never a hit
+    v[k] = -2.0
+    assert _first_at_most(v, start, -1.0) == k == oracles.first_at_most_full(v, start, -1.0)
+    # a steady descent keeps the rise at 0 until the jump at k; a rise
+    # needs a lower point before it, so none sits at the start itself
+    ramp = -1e-3 * np.arange(length)
+    ramp[k] += 4.0
+    expected = k if k > start else None
+    assert _first_rise(ramp, start, 3.0) == expected == oracles.first_rise_full(ramp, start, 3.0)
+    # leftward: the hit sits offset sites before b (None: the first site)
+    bi = length - 8
+    k = 0 if offset is None else bi - offset
+    v = np.zeros(length)
+    v[bi + 1] = 9.0                      # past b: never a hit
+    v[k] = 5.0
+    path = PotentialPath(offset=-20, v=v)
+    b = path.offset + bi
+    # b itself is never D_n above itself
+    expected = path.offset + k if k < bi else ("exhausted", "left", "a")
+    assert _outcome(_backing_site, path, b, 3.0, "a") == expected == _full_backing(path, b, 3.0)
+
+
+def test_first_rise_carries_the_running_minimum_across_chunks():
+    v = np.zeros(5 * _CHUNK)
+    v[100] = -1.0                        # the low, in the first chunk
+    v[4000] = 2.0                        # a rise of 3 from it, in the third
+    assert _first_rise(v, 0, 3.0) == 4000 == oracles.first_rise_full(v, 0, 3.0)
+
+
+def test_gallop_searches_without_a_hit_exhaust_their_side():
+    v = np.zeros(5000)
+    assert _first_at_most(v, 10, -1.0) is None
+    assert _first_rise(v, 10, 1.0) is None
+    path = PotentialPath(offset=-30, v=v)
+    with pytest.raises(WindowExhausted) as left:
+        _backing_site(path, 4000, 1.0, "a")
+    with pytest.raises(WindowExhausted) as right:
+        _descent_site(path, 5, 1.0, "d")
+    assert (left.value.side, right.value.side) == ("left", "right")
+
+
+@pytest.mark.parametrize("seed,n", [(9, 60), (94, 60), (5, 600), (4, 2000)])
+def test_star_and_grown_valleys_match_full_window_scans(seed, n):
+    full = build_potential(sample_environment(BETA_LAW, (-600, 12 * n + 5000), seed=seed))
+    h_n = critical_height(n, 0.2, 0.5)
+    d_n = descent_threshold(n, 0.5)
+    sides = set()
+    # the whole window, then windows that end just short of a valley's
+    # gamma, t_star, d_bar or d, or start just inside its a; the whole
+    # window's table keeps e_n past the cut, so each search runs off it
+    table = excursion_table(full)
+    star = detect_star_valleys(full, n, 0.2, 0.5)
+    assert star == oracles.star_valleys_full(full, n, 0.2, 0.5)
+    cuts = [(0, full.index(site)) for v in star for site in (v.gamma, v.t_star, v.d_bar, v.d)]
+    cuts += [(full.index(v.a) + 1, len(full)) for v in star if v.a < 0]
+    whats = set()
+    for lo, hi in cuts:
+        path = PotentialPath(offset=full.offset + lo, v=full.v[lo:hi])
+        cut = _outcome(detect_star_valleys, path, n, 0.2, 0.5, table)
+        assert cut == _outcome(oracles.star_valleys_full, path, n, 0.2, 0.5, table)
+        sides.add(cut[1])
+        whats.add(cut[2])
+    assert whats == {f"star-valley {x}" for x in ("gamma", "t_star", "d_bar", "d")}
+    # each deep valley grown on the whole window, then on windows that end
+    # just inside its a (left) or just short of its d (right)
+    deep = np.flatnonzero(table.heights >= h_n)
+    assert deep.size
+    for i in deep[:6]:
+        b, d_bar = int(table.starts[i]), int(table.ends[i])
+        grown = _grow_valley(full, b, d_bar, h_n, d_n, float(table.heights[i]))
+        assert grown == oracles.grow_valley_full(full, b, d_bar, h_n, d_n, grown.height)
+        for lo, hi in [(full.index(grown.a) + 1, len(full)), (0, full.index(grown.d))]:
+            path = PotentialPath(offset=full.offset + lo, v=full.v[lo:hi])
+            args = (path, b, d_bar, h_n, d_n, grown.height)
+            cut = _outcome(_grow_valley, *args)
+            assert cut == _outcome(oracles.grow_valley_full, *args)
+            sides.add(cut[1])
+    assert sides == {"left", "right"}
 
 
 # -------------------------------------------------- good environments

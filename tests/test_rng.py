@@ -1,10 +1,11 @@
 """Keyed-stream plumbing: determinism, separation, and basic uniformity."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre.rng import counter_bits, counter_uniforms, generator, mix64, stream_key
+from rwre.rng import _mix64_int, counter_bits, counter_uniforms, generator, mix64, stream_key
 
 
 def test_mix64_scalar_and_array_agree():
@@ -19,6 +20,24 @@ def test_mix64_changes_many_bits():
     b = int(mix64(2))
     assert a != b
     assert bin(a ^ b).count("1") >= 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1))
+def test_python_int_finalizer_equals_mix64(x):
+    assert _mix64_int(x) == int(mix64(x))
+
+
+@pytest.mark.parametrize("parts,key", [
+    ((0, "env", 5), 0x846C7640C43D6D6E),
+    ((11, "env", -3), 0x7245BBA7DDD52BF2),
+    ((2 ** 70, "census", 10 ** 5, 7), 0xB94C0D4CD8CCE109),
+    ((3, "census", b"blk", -9), 0xC6D1871087E9219A),
+    (("tau", bytes(range(9)), "xyz", 2 ** 64 - 1), 0x6B3FF3675570F92E),
+])
+def test_stream_key_golden_values(parts, key):
+    # keys name every random stream: a change here changes every report
+    assert stream_key(*parts) == key
 
 
 def test_stream_key_deterministic():
