@@ -48,9 +48,11 @@ from .constants import (
     kesten_constant_beta,
     kesten_tail_estimate,
     limit_scale,
+    sample_excursions,
 )
 from .env import (
     EnvironmentLaw,
+    EnvironmentSlice,
     NoRootError,
     draw_omegas,
     kappa_solve,
@@ -108,6 +110,11 @@ _POS_MAX_WIDTH = 20_000    # hard cap on the per-block environment window
 _TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica is clipped
 _KS_REFERENCE = 10 ** 5    # limit-law draws each KS distance compares against
 _SHORT_LADDER = "the n-th ladder epoch"     # reduction windows grow right to find it
+_CENSUS_FIRST = 1.5        # first census window: this many times E[len] n sites ...
+_CENSUS_MARGIN = 2000      # ... plus these
+_CENSUS_GROWTH = 1.3       # factor a census window grows by when too short
+_CENSUS_RETRIES = 10       # growths before an environment counts as exhausted
+_FALLBACK_EXCURSIONS = 200_000     # E[len] sample when the law has no kappa
 
 _C_K_SOURCE_CODE = {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}
 
@@ -544,50 +551,81 @@ def _left_pad(d_n: float, drift: float) -> int:
     return int(math.ceil((d_n + 10.0) / max(drift, 0.05) * 4.0)) + 256
 
 
-def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, widen):
-    """Sample sites [left, right] of the environment at key and run scan on
-    its potential.  A scan that runs off the window raises WindowExhausted;
-    the window then becomes widen(exhausted, left, right) and is sampled
-    again, at most three times.  Returns (env, left, scan result, retries),
-    with env None when the fourth window was still too small."""
-    for retries in range(4):
-        env = sample_environment(law, (left, right), seed=key)
-        path = build_potential(env)
+def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, widen,
+              max_retries: int, keep_env: bool = False):
+    """Sample sites [left, right] of the environment at key and run
+    scan(path, table) on its potential and excursion table.  A scan that
+    runs off the window raises WindowExhausted; the window then becomes
+    widen(exhausted, left, right), at most max_retries times.
+
+    A wider window that keeps the left edge grows in place: only the new
+    sites are sampled, the potential continues its running sum and the
+    table its last complete excursion, so every site reads as in a build
+    over the whole window.  A new left edge resamples the whole window.
+    Returns (scan result, retries, env): the result is None when the last
+    window was still too small, and env, the last window's environment,
+    is kept only when asked for."""
+    env = sample_environment(law, (left, right), seed=key)
+    path = build_potential(env)
+    env = env if keep_env else None
+    table = excursion_table(path)
+    retries = 0
+    while True:
         try:
-            return env, left, scan(path), retries
+            return scan(path, table), retries, env
         except WindowExhausted as exhausted:
-            left, right = widen(exhausted, left, right)
-    return None, left, None, 4
+            if retries == max_retries:
+                return None, retries, None
+            retries += 1
+            grown = widen(exhausted, left, right)
+            if grown[0] == left:
+                piece = sample_environment(law, (right + 1, grown[1]), seed=key)
+                path = path.joined(build_potential(piece, prior=path))
+                table = excursion_table(path, prior=table)
+                if keep_env:
+                    env = EnvironmentSlice(left, np.concatenate([env.omegas, piece.omegas]))
+            else:
+                piece = sample_environment(law, grown, seed=key)
+                path = build_potential(piece)
+                table = excursion_table(path)
+                env = piece if keep_env else None
+            del piece                   # no omegas but env's live through the next scan
+            left, right = grown
 
 
 def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                 delta: float, c_prime: float, c_dprime: float, key: int,
-                left_pad: int, h_grid: tuple[float, ...],
+                left_pad: int, right: int, h_grid: tuple[float, ...],
                 ) -> dict:
-    def scan(path):
-        table = excursion_table(path)
-        return (table, detect_deep_valleys(path, n, epsilon, kappa, table=table),
+    flat = law.kind == "discrete" and min(law.values) >= 0.5
+
+    def scan(path, table):
+        return (detect_deep_valleys(path, n, epsilon, kappa, table=table),
                 detect_star_valleys(path, n, epsilon, kappa, table=table),
                 check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
-                                       kappa, table=table))
+                                       kappa, table=table, flat=flat), table)
 
-    env, _, found, retries = _widening(
-        law, key, -left_pad, int(math.ceil(c_prime * n)) + 2000, scan,
+    found, retries, _ = _widening(
+        law, key, -left_pad, right, scan,
         lambda exhausted, left, right: (4 * left, right) if exhausted.side == "left"
-        else (left, int(right * 1.6)))
-    if env is None:
+        else (left, int(right * _CENSUS_GROWTH)), _CENSUS_RETRIES)
+    if found is None:
         return {"ok": False, "retries": retries}
-    table, deep, star, record = found
+    return dict(_census_fields(*found, n, h_grid), ok=True, retries=retries)
+
+
+def _census_fields(deep: list, star: list, record, table, n: int,
+                   h_grid: tuple[float, ...]) -> dict:
+    """What the census keeps of one environment's scans."""
     heights = table.heights[:n]
-    tail_counts = tuple(int(np.sum(heights >= h)) for h in h_grid)
     deep_set = {(v.b, v.d_bar) for v in deep}
     star_set = {(v.b, v.d_bar) for v in star}
     return {
-        "ok": True, "retries": retries,
         "k_n": len(deep),
         "matched": len(deep_set & star_set),
         "denom": max(len(deep_set), len(star_set)),
-        "n_exc": int(heights.size), "tail_counts": tail_counts,
+        "n_exc": int(heights.size),
+        "tail_counts": tuple(int(np.sum(heights >= h)) for h in h_grid),
         "record": record,
     }
 
@@ -602,6 +640,13 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     rate, the tail-flatness table h -> e^{kappa h} P{H >= h}, and the
     good-environment event frequencies.  The A2 band is self-calibrated
     per environment (its own K_n / n), matching the check's default.
+
+    Each environment's window starts at _CENSUS_FIRST E[len] n +
+    _CENSUS_MARGIN sites right of the origin, E[len] being the mean
+    excursion length of the excursion sample, so it usually holds e_n and
+    the first deep valley past it.  A window too short grows in place by
+    _CENSUS_GROWTH, and the retries field counts these growths (and the
+    rare left-edge resamples).  c_prime is only A1's constant.
     """
     run_params = _as_declared("census", config, delta=delta, c_prime=c_prime, c_dprime=c_dprime)
     delta, c_prime, c_dprime = run_params.values()
@@ -611,10 +656,14 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     if not fallback:
         ig = iglehart_constant(config.law, kappa,
                                seed=stream_key(config.master_seed, "census-ci"))
+        e_len = ig.e_len
         if c_prime is None:
             c_prime = 2.0 * (ig.e_len + 1.0)
         c_i_hat = ig.c_i
     else:
+        _, lengths, _, _ = sample_excursions(
+            config.law, _FALLBACK_EXCURSIONS, stream_key(config.master_seed, "census-ci"))
+        e_len = float(lengths.mean())
         c_prime = c_prime if c_prime is not None else 4.0
         c_i_hat = 0.0
     drift = abs(mean_log_rho(config.law))
@@ -624,11 +673,12 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
         h_n = critical_height(n, config.epsilon, kappa)
         d_n = descent_threshold(n, kappa)
         left_pad = _left_pad(d_n, drift)
+        right = int(math.ceil(_CENSUS_FIRST * e_len * n)) + _CENSUS_MARGIN
         h_grid = tuple(float(h) for h in (2.0, 4.0, 6.0, 8.0))
         q_hat = c_i_hat * math.exp(-kappa * h_n)
         parts = _run_blocks(
             lambda _, key: _census_env(config.law, n, config.epsilon, kappa, delta,
-                                       c_prime, c_dprime, key, left_pad, h_grid),
+                                       c_prime, c_dprime, key, left_pad, right, h_grid),
             config.replicas, workers, config.master_seed, "census", n)
         used = [p for p in parts if p["ok"]]
         exhausted = len(parts) - len(used)
@@ -673,19 +723,20 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
 def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                    lam_values: tuple[float, ...], key: int, left_pad: int,
                    ) -> dict:
-    def scan(path):
+    def scan(path, table):
         epochs = ladder_epochs(path)
         if len(epochs) <= n:
             raise WindowExhausted("right", _SHORT_LADDER)
-        return int(epochs[n]), detect_deep_valleys(path, n, epsilon, kappa)
+        return int(epochs[n]), detect_deep_valleys(path, n, epsilon, kappa, table=table)
 
-    env, left, found, _ = _widening(
+    found, _, env = _widening(
         law, key, -left_pad, 4 * n + 1000, scan,
         lambda exhausted, left, right: (left, 2 * right) if exhausted.what == _SHORT_LADDER
-        else (4 * left, int(right * 1.5)))
-    if env is None:
+        else (4 * left, int(right * 1.5)), 3, keep_env=True)
+    if found is None:
         return {"ok": False}
     e_n, deep = found
+    left = env.offset
     scale = float(n) ** (1.0 / kappa)
     chain = QuenchedChain.from_environment(env, left, e_n, reflect_at=left)
     lefts = []

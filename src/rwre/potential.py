@@ -28,8 +28,12 @@ Site indexing is absolute throughout: a path knows the site of its first
 entry (offset), and every returned epoch or valley field is a site index.
 Detection never silently truncates: if a valley needs sites outside the
 realized window, WindowExhausted says which side, and the caller is
-expected to widen the window and retry (environments are counter-based,
-so a widened window agrees with the old one site by site).
+expected to widen the window and retry.  Environments are keyed by site
+block, so a widened window agrees with the old one site by site, and a
+window grows in place on the right: build_potential continues a path's
+running sum over the new sites only and excursion_table continues a
+table from its last complete excursion, and both agree bit for bit with
+a build over the whole window.
 """
 
 from __future__ import annotations
@@ -80,6 +84,8 @@ class WindowExhausted(RuntimeError):
 class PotentialPath:
     offset: int                    # site index of v[0]
     v: np.ndarray                  # v[k] = V(offset + k)
+    shift: float = 0.0             # running log-rho sum at site 0, taken off every value
+    running_sum: float | None = None   # running sum at last_site before the shift
 
     def __len__(self) -> int:
         return len(self.v)
@@ -100,6 +106,15 @@ class PotentialPath:
     def slice_values(self, lo: int, hi: int) -> np.ndarray:
         """V over the inclusive site range [lo, hi]."""
         return self.v[self.index(lo) : self.index(hi) + 1]
+
+    def joined(self, piece: "PotentialPath") -> "PotentialPath":
+        """This path followed by a continuation that build_potential made
+        from it (piece.v[0] is this path's last value)."""
+        if piece.offset != self.last_site:
+            raise ValueError(f"piece starts at site {piece.offset}, "
+                             f"not at this path's last site {self.last_site}")
+        return PotentialPath(offset=self.offset, v=np.concatenate([self.v, piece.v[1:]]),
+                             shift=self.shift, running_sum=piece.running_sum)
 
 
 @dataclass(frozen=True)
@@ -140,24 +155,47 @@ class GoodEnvironmentRecord:
     joint: bool                    # A1 & A2 & A3 & A4 (A5 reported separately)
 
 
-def build_potential(env: EnvironmentSlice) -> PotentialPath:
+def build_potential(env: EnvironmentSlice,
+                    prior: PotentialPath | None = None) -> PotentialPath:
     """Potential of an environment slice.
 
     The slice provides omegas on sites [lo, hi]; the potential lives on
     [lo-1, hi] with V(x) - V(x-1) = log rho_x, anchored at V(0) = 0
     whenever site 0 lies in the window (otherwise the left edge is the
     anchor).
+
+    ``prior``, a path this function built that ends at site lo - 1, is
+    continued instead: the running sum picks up where prior's stopped and
+    prior's anchor value is taken off, so prior.joined(result) equals the
+    potential of the union of the two slices bit for bit.  The result
+    holds only the new sites (and prior's last value in front).
     """
     omegas = np.asarray(env.omegas, dtype=np.float64)
     if omegas.size == 0:
         raise ValueError("empty environment slice")
-    log_rho = np.log1p(-omegas) - np.log(omegas)
-    v = np.concatenate([[0.0], np.cumsum(log_rho)])
     offset = env.offset - 1
-    anchor = -offset  # index of site 0
-    if 0 <= anchor < len(v):
-        v = v - v[anchor]
-    return PotentialPath(offset=offset, v=v)
+    v = np.empty(omegas.size + 1)
+    np.negative(omegas, out=v[1:])
+    np.log1p(v[1:], out=v[1:])
+    v[1:] -= np.log(omegas)                 # log rho
+    if prior is not None:
+        if prior.running_sum is None or prior.last_site != offset:
+            raise ValueError(f"prior must be a built path ending at site {offset}")
+        if prior.last_site < 0 <= offset + omegas.size:
+            raise ValueError("continuing across site 0 would move the anchor")
+        v[1] += prior.running_sum
+    np.cumsum(v[1:], out=v[1:])
+    running_sum = float(v[-1])
+    if prior is not None:
+        shift = prior.shift
+        v[1:] -= shift
+        v[0] = prior.v[-1]
+    else:
+        v[0] = 0.0
+        anchor = -offset                    # index of site 0
+        shift = float(v[anchor]) if 0 <= anchor < len(v) else 0.0
+        v -= shift
+    return PotentialPath(offset=offset, v=v, shift=shift, running_sum=running_sum)
 
 
 def _origin_index(path: PotentialPath) -> int:
@@ -170,16 +208,22 @@ def _origin_index(path: PotentialPath) -> int:
 def ladder_epochs(path: PotentialPath) -> np.ndarray:
     """Weak descending ladder epochs e_0 = 0, e_i = inf{k > e_{i-1}:
     V(k) <= V(e_{i-1})}, as absolute sites, truncated at the window end."""
-    i0 = _origin_index(path)
-    v = path.v[i0:]
+    return _ladder_from(path, 0)
+
+
+def _ladder_from(path: PotentialPath, epoch: int) -> np.ndarray:
+    """The ladder epochs from a known epoch on, that epoch first.  V at an
+    epoch is the running minimum of the whole path so far, so the later
+    epochs need only the sites from it on."""
+    v = path.v[_origin_index(path) + epoch:]
     if len(v) == 1:
-        return np.array([0], dtype=np.int64)
-    runmin = np.minimum.accumulate(v)
+        return np.array([epoch], dtype=np.int64)
     # k >= 1 is a ladder epoch iff V(k) <= min over [0, k-1]
-    is_ladder = v[1:] <= runmin[:-1]
-    # indices into v[i0:] are already absolute sites (v[i0] sits at site 0)
-    epochs = np.concatenate([[0], 1 + np.flatnonzero(is_ladder)])
-    return epochs.astype(np.int64)
+    later = np.flatnonzero(v[1:] <= np.minimum.accumulate(v)[:-1])
+    epochs = np.empty(later.size + 1, dtype=np.int64)
+    epochs[0] = epoch
+    np.add(later, epoch + 1, out=epochs[1:])
+    return epochs
 
 
 class ExcursionTable(NamedTuple):
@@ -192,26 +236,30 @@ class ExcursionTable(NamedTuple):
     heights: np.ndarray
 
 
-def excursion_table(path: PotentialPath) -> ExcursionTable:
+def excursion_table(path: PotentialPath,
+                    prior: ExcursionTable | None = None) -> ExcursionTable:
     """Vectorized excursion scan.  Million-site windows hold hundreds of
-    thousands of excursions, so the scans below work on these arrays."""
-    eps = ladder_epochs(path)
-    if len(eps) < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return ExcursionTable(empty, empty, np.empty(0))
+    thousands of excursions, so the scans below work on these arrays.
+
+    ``prior``, the table of a path that this one extends to the right,
+    is continued: only the sites from its last complete excursion's end
+    on are scanned, and the result is its rows followed by the new ones,
+    equal to a scan of the whole path."""
+    start = int(prior.ends[-1]) if prior is not None and prior.ends.size else 0
+    eps = _ladder_from(path, start)
     i0 = _origin_index(path)
     v = path.v
     starts = eps[:-1] + i0
-    ends = eps[1:] + i0
     # max over [start, end); the endpoint cannot exceed it since
     # V(end) <= V(start) <= the segment max.  The scan stops at the last
     # ladder epoch: sites past it belong to an incomplete excursion and
     # must not leak into the last height.
-    stop = int(ends[-1])
-    seg_max = np.maximum.reduceat(v[:stop], starts)
-    heights = seg_max - v[starts]
-    return ExcursionTable(starts=eps[:-1].astype(np.int64),
-                          ends=eps[1:].astype(np.int64), heights=heights)
+    heights = np.maximum.reduceat(v[:eps[-1] + i0], starts) if starts.size else np.empty(0)
+    heights -= v[starts]
+    table = ExcursionTable(starts=eps[:-1], ends=eps[1:], heights=heights)
+    if prior is None or not prior.ends.size:
+        return table
+    return ExcursionTable(*(np.concatenate(pair) for pair in zip(prior, table)))
 
 
 def first_ascent(path: PotentialPath, h: float) -> int | None:
@@ -417,7 +465,8 @@ def detect_star_valleys(path: PotentialPath, n: int, epsilon: float, kappa: floa
 def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: float,
                            Cprime: float, Cdoubleprime: float, kappa: float,
                            q_hat: float | None = None,
-                           table: ExcursionTable | None = None) -> GoodEnvironmentRecord:
+                           table: ExcursionTable | None = None,
+                           flat: bool = False) -> GoodEnvironmentRecord:
     """Evaluate the good-environment events literally.
 
     A1: e_n < Cprime * n.
@@ -431,8 +480,13 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
     A4: every valley among j = 1..K_n+1 has width d_j - a_j <= Cdoubleprime
         * log n (the K_n+1-st is the first deep valley past e_n).
     A5: on the first deep valley, max(V_up(a,b), -V_down(b,c), V_up(c,d))
-        <= delta log n.  Vacuously true when no deep valley exists in the
-        window.
+        <= delta log n.
+
+    A4 and A5 need the first deep valley past e_n, and a window that holds
+    none raises WindowExhausted on the right, so no record depends on how
+    far the window reaches.  The one exception is ``flat``: the law puts
+    no mass on omega < 1/2, V never rises, no excursion is deep, and A4
+    and A5 hold vacuously.
 
     The joint field is A1 & A2 & A3 & A4; A5 is reported separately.
     """
@@ -476,10 +530,9 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
     later = deep_all[deep_all > n]
     if later.size:
         valley_indices.append(int(later[0]))
-    elif k_n > 0 or deep_all.size > 0:
+    elif not flat:
         raise WindowExhausted(
             "right", "the first deep valley past e_n (A4 needs K_n + 1 valleys)")
-    # if no deep excursion exists anywhere in the window, A4/A5 are vacuous
     width_cap = Cdoubleprime * math.log(n)
     for rank, exc_idx in enumerate(valley_indices):
         i = exc_idx - 1

@@ -15,6 +15,7 @@ is then a phantom state whose coupling ``1 - omega_0`` vanishes, so it
 can be carried as an ordinary boundary value that is never entered.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,13 +23,18 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import erfc
 
-from rwre.env import draw_log_rho
+from rwre.env import draw_log_rho, sample_environment
+from rwre.experiments import _census_fields
 from rwre.potential import (
     DeepValley,
     StarValley,
     WindowExhausted,
+    build_potential,
+    check_good_environment,
     critical_height,
     descent_threshold,
+    detect_deep_valleys,
+    detect_star_valleys,
     excursion_table,
 )
 from rwre.rng import generator, stream_key
@@ -385,3 +391,29 @@ def star_valleys_full(path, n, epsilon, kappa, table=None):
                               d_bar=d_bar, d=d))
         origin = d
     return out
+
+
+def census_env_resampled(law, n, epsilon, kappa, delta, c_prime, c_dprime, key,
+                         left_pad, h_grid):
+    """One census environment by the route that samples every window
+    whole: sites [-left_pad, c_prime n + 2000] first, and on
+    WindowExhausted the whole window again with 4x the left pad or 1.6x
+    the right edge, four windows at most.  Returns the fields of
+    experiments._census_env; retries counts the resamples."""
+    flat = law.kind == "discrete" and min(law.values) >= 0.5
+    left, right = -left_pad, int(math.ceil(c_prime * n)) + 2000
+    for retries in range(4):
+        path = build_potential(sample_environment(law, (left, right), seed=key))
+        table = excursion_table(path)
+        try:
+            found = (detect_deep_valleys(path, n, epsilon, kappa, table=table),
+                     detect_star_valleys(path, n, epsilon, kappa, table=table),
+                     check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
+                                            kappa, table=table, flat=flat),
+                     table)
+        except WindowExhausted as exhausted:
+            left, right = ((4 * left, right) if exhausted.side == "left"
+                           else (left, int(right * 1.6)))
+            continue
+        return dict(_census_fields(*found, n, h_grid), ok=True, retries=retries)
+    return {"ok": False, "retries": 4}

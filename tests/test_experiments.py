@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rwre import experiments
 from rwre.constants import hill_estimate
 from rwre.env import EnvironmentLaw
 from rwre.experiments import (
@@ -327,6 +328,41 @@ def test_valley_census_flat_law_fallback():
     assert st.k_mean == 0.0
     assert st.coincidence == 1.0
     assert st.k_over_nq_mean == 0.0
+
+
+@pytest.mark.parametrize("law", ["beta:1.5,1", "beta:2,1.5", "discrete:0.8@0.5;0.3@0.5"])
+def test_census_windows_grown_in_place_match_the_resampling_route(law, monkeypatch):
+    # every environment of a census runs through both routes: the one that
+    # grows a window from 1.5 E[len] n in place, and the one that samples
+    # c_prime n + 2000 sites and resamples the window whole on a retry
+    grown_route = experiments._census_env
+    pairs = []
+
+    def both(law, n, epsilon, kappa, delta, c_prime, c_dprime, key, left_pad, right,
+             h_grid):
+        grown = grown_route(law, n, epsilon, kappa, delta, c_prime, c_dprime, key,
+                            left_pad, right, h_grid)
+        whole = oracles.census_env_resampled(law, n, epsilon, kappa, delta, c_prime,
+                                             c_dprime, key, left_pad, h_grid)
+        pairs.append((grown, whole, right, int(math.ceil(c_prime * n)) + 2000))
+        return grown
+
+    monkeypatch.setattr(experiments, "_census_env", both)
+    run_valley_census(ExperimentConfig(law=EnvironmentLaw.parse(law), n_values=(20_000,),
+                                       replicas=40))
+    assert len(pairs) == 40
+    growths = []
+    for grown, whole, first, old_first in pairs:
+        growths.append(grown.pop("retries"))
+        whole.pop("retries")
+        assert grown == whole
+        # the last grown window reaches past the resampling route's fourth
+        for _ in range(experiments._CENSUS_RETRIES):
+            first = int(first * experiments._CENSUS_GROWTH)
+        for _ in range(3):
+            old_first = int(old_first * 1.6)
+        assert first >= old_first
+    assert any(growths)
 
 
 # --------------------------------------------------------- reduction

@@ -59,6 +59,57 @@ def test_build_potential_anchors_at_the_origin():
                             math.log(rho), rel_tol=1e-12, abs_tol=1e-12)
 
 
+GROWTH_LAWS = [EnvironmentLaw.parse(text) for text in
+               ("beta:1.5,1", "beta:2,1.5", "discrete:0.8@0.5;0.3@0.5")]
+BLOCK_EDGES = [s + d for s in (4096, 8192, 12288) for d in (-1, 0, 1)]
+
+
+def _grown(law, seed, left, cuts):
+    """Potential and excursion table over [left, cuts[-1]], built on
+    [left, cuts[0]] and grown in place to each later cut."""
+    path = build_potential(sample_environment(law, (left, cuts[0]), seed=seed))
+    table = excursion_table(path)
+    for lo, hi in zip(cuts, cuts[1:]):
+        piece = build_potential(sample_environment(law, (lo + 1, hi), seed=seed), prior=path)
+        assert len(piece) - 1 == hi - lo
+        path = path.joined(piece)
+        table = excursion_table(path, prior=table)
+    return path, table
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(GROWTH_LAWS), seed=st.integers(0, 2 ** 32 - 1),
+       left=st.one_of(st.integers(-6000, 0), st.sampled_from([-4097, -4096, -4095])),
+       cuts=st.lists(st.one_of(st.integers(1, 14_000), st.sampled_from(BLOCK_EDGES)),
+                     min_size=1, max_size=5, unique=True))
+def test_grown_potential_and_table_equal_a_whole_window_build(law, seed, left, cuts):
+    cuts = sorted(cuts)
+    path, table = _grown(law, seed, left, cuts)
+    whole = build_potential(sample_environment(law, (left, cuts[-1]), seed=seed))
+    assert (path.offset, path.shift, path.running_sum) == \
+        (whole.offset, whole.shift, whole.running_sum)
+    assert path.v.tobytes() == whole.v.tobytes()
+    for grown, built in zip(table, excursion_table(whole)):
+        assert grown.dtype == built.dtype
+        assert grown.tobytes() == built.tobytes()
+
+
+def test_build_potential_continues_only_a_built_path_that_it_abuts():
+    path = build_potential(sample_environment(BETA_LAW, (-50, 100), seed=3))
+    with pytest.raises(ValueError):
+        build_potential(sample_environment(BETA_LAW, (102, 200), seed=3), prior=path)
+    with pytest.raises(ValueError):
+        build_potential(sample_environment(BETA_LAW, (101, 200), seed=3),
+                        prior=PotentialPath(offset=path.offset, v=path.v))
+    with pytest.raises(ValueError):
+        path.joined(PotentialPath(offset=path.last_site + 1, v=np.zeros(3)))
+    # a window left of the origin is anchored at its own left edge, so
+    # reaching site 0 would move every value already built
+    left_only = build_potential(sample_environment(BETA_LAW, (-50, -10), seed=3))
+    with pytest.raises(ValueError):
+        build_potential(sample_environment(BETA_LAW, (-9, 5), seed=3), prior=left_only)
+
+
 def test_path_indexing_and_bounds():
     assert SAWTOOTH.value(-2) == 1.0
     assert SAWTOOTH.value(3) == 3.6
@@ -386,3 +437,30 @@ def test_good_environment_delta_validation():
     with pytest.raises(ValueError):
         check_good_environment(SAWTOOTH, n=2, epsilon=0.2, delta=0.3,
                                Cprime=7.0, Cdoubleprime=25.0, kappa=0.5)
+
+
+# n = 2, epsilon = 0.2, kappa = 0.5 as for VALLEY_PATH; e_n = 4, and the
+# first deep excursion, [6, 10], starts past it: K_n = 0.  Its valley is
+# a = -3, c = 8, d = 14, and the bump to -1.0 at site 12 rises 0.8 above
+# -1.8, more than delta log 2 = 0.485, so A5 fails on it.
+LATE_VALLEY_PATH = PotentialPath(offset=-6, v=np.array(
+    [3.0, 2.5, 2.2, 1.6, 1.0, 0.4, 0.0, 0.3, -0.1, 0.1, -0.3, -0.6, -0.9,
+     0.5, 1.5, 0.2, -1.0, -1.8, -1.0, -2.5, -3.2]))
+
+
+def test_a4_a5_read_the_first_deep_valley_past_e_n_whatever_the_window():
+    args = dict(n=2, epsilon=0.2, delta=0.7, Cprime=7.0, Cdoubleprime=25.0, kappa=0.5)
+    rec = check_good_environment(LATE_VALLEY_PATH, **args)
+    assert (rec.k_n, rec.e_n, rec.a4, rec.a5) == (0, 4, True, False)
+    # a window cut before the deep excursion holds none at all; it used to
+    # read A4 and A5 as vacuously true, and now it asks for more sites
+    short = PotentialPath(offset=-6, v=LATE_VALLEY_PATH.v[:13])
+    with pytest.raises(WindowExhausted) as exhausted:
+        check_good_environment(short, **args)
+    assert exhausted.value.side == "right"
+    # only a law whose potential never rises makes them vacuous
+    flat = PotentialPath(offset=-1, v=-np.arange(30, dtype=float))
+    rec = check_good_environment(flat, **args, flat=True)
+    assert (rec.k_n, rec.a4, rec.a5) == (0, True, True)
+    with pytest.raises(WindowExhausted):
+        check_good_environment(flat, **args)
