@@ -594,16 +594,15 @@ def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, widen,
 
 
 def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
-                delta: float, c_prime: float, c_dprime: float, key: int,
-                left_pad: int, right: int, h_grid: tuple[float, ...],
+                fallback: bool, delta: float, c_prime: float, c_dprime: float,
+                key: int, left_pad: int, right: int, h_grid: tuple[float, ...],
                 ) -> dict:
-    flat = law.kind == "discrete" and min(law.values) >= 0.5
-
     def scan(path, table):
         return (detect_deep_valleys(path, n, epsilon, kappa, table=table),
                 detect_star_valleys(path, n, epsilon, kappa, table=table),
                 check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
-                                       kappa, table=table, flat=flat), table)
+                                       kappa, table=table, kappa_fallback=fallback),
+                table)
 
     found, retries, _ = _widening(
         law, key, -left_pad, right, scan,
@@ -646,7 +645,10 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     excursion length of the excursion sample, so it usually holds e_n and
     the first deep valley past it.  A window too short grows in place by
     _CENSUS_GROWTH, and the retries field counts these growths (and the
-    rare left-edge resamples).  c_prime is only A1's constant.
+    rare left-edge resamples).  c_prime is only A1's constant.  A law with
+    no kappa in (0,1) is counted at the unit height scale kappa = 1, and
+    its A4/A5 read only the valleys among the first n excursions (see
+    check_good_environment's kappa_fallback).
     """
     run_params = _as_declared("census", config, delta=delta, c_prime=c_prime, c_dprime=c_dprime)
     delta, c_prime, c_dprime = run_params.values()
@@ -677,8 +679,9 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
         h_grid = tuple(float(h) for h in (2.0, 4.0, 6.0, 8.0))
         q_hat = c_i_hat * math.exp(-kappa * h_n)
         parts = _run_blocks(
-            lambda _, key: _census_env(config.law, n, config.epsilon, kappa, delta,
-                                       c_prime, c_dprime, key, left_pad, right, h_grid),
+            lambda _, key: _census_env(config.law, n, config.epsilon, kappa, fallback,
+                                       delta, c_prime, c_dprime, key, left_pad, right,
+                                       h_grid),
             config.replicas, workers, config.master_seed, "census", n)
         used = [p for p in parts if p["ok"]]
         exhausted = len(parts) - len(used)

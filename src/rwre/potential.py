@@ -466,7 +466,7 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
                            Cprime: float, Cdoubleprime: float, kappa: float,
                            q_hat: float | None = None,
                            table: ExcursionTable | None = None,
-                           flat: bool = False) -> GoodEnvironmentRecord:
+                           kappa_fallback: bool = False) -> GoodEnvironmentRecord:
     """Evaluate the good-environment events literally.
 
     A1: e_n < Cprime * n.
@@ -484,9 +484,12 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
 
     A4 and A5 need the first deep valley past e_n, and a window that holds
     none raises WindowExhausted on the right, so no record depends on how
-    far the window reaches.  The one exception is ``flat``: the law puts
-    no mass on omega < 1/2, V never rises, no excursion is deep, and A4
-    and A5 hold vacuously.
+    far the window reaches.  With ``kappa_fallback`` the law has no kappa
+    in (0,1) and kappa is only a unit height scale: V never rises, or the
+    walk is ballistic and P{H >= h_n} falls like n^{-0.8 kappa_true}, so
+    no window of a few E[len] n holds a deep valley past e_n.  A4 and A5
+    then range over the K_n valleys among the first n excursions only,
+    and hold vacuously when K_n = 0.
 
     The joint field is A1 & A2 & A3 & A4; A5 is reported separately.
     """
@@ -523,16 +526,17 @@ def check_good_environment(path: PotentialPath, n: int, epsilon: float, delta: f
             raise WindowExhausted(
                 "right", "the deep excursion after sigma(K_n) (A3 gap undecidable)")
 
-    # valleys 1..K_n+1; the last one is the first deep excursion past n
+    # valleys 1..K_n+1, the last one the first deep excursion past n (1..K_n
+    # with kappa_fallback)
     a4 = True
     a5 = True
     valley_indices = list(deep_first_n)
-    later = deep_all[deep_all > n]
-    if later.size:
+    if not kappa_fallback:
+        later = deep_all[deep_all > n]
+        if not later.size:
+            raise WindowExhausted(
+                "right", "the first deep valley past e_n (A4 needs K_n + 1 valleys)")
         valley_indices.append(int(later[0]))
-    elif not flat:
-        raise WindowExhausted(
-            "right", "the first deep valley past e_n (A4 needs K_n + 1 valleys)")
     width_cap = Cdoubleprime * math.log(n)
     for rank, exc_idx in enumerate(valley_indices):
         i = exc_idx - 1

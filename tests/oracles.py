@@ -393,14 +393,13 @@ def star_valleys_full(path, n, epsilon, kappa, table=None):
     return out
 
 
-def census_env_resampled(law, n, epsilon, kappa, delta, c_prime, c_dprime, key,
-                         left_pad, h_grid):
+def census_env_resampled(law, n, epsilon, kappa, fallback, delta, c_prime, c_dprime,
+                         key, left_pad, h_grid):
     """One census environment by the route that samples every window
     whole: sites [-left_pad, c_prime n + 2000] first, and on
     WindowExhausted the whole window again with 4x the left pad or 1.6x
     the right edge, four windows at most.  Returns the fields of
     experiments._census_env; retries counts the resamples."""
-    flat = law.kind == "discrete" and min(law.values) >= 0.5
     left, right = -left_pad, int(math.ceil(c_prime * n)) + 2000
     for retries in range(4):
         path = build_potential(sample_environment(law, (left, right), seed=key))
@@ -409,7 +408,7 @@ def census_env_resampled(law, n, epsilon, kappa, delta, c_prime, c_dprime, key,
             found = (detect_deep_valleys(path, n, epsilon, kappa, table=table),
                      detect_star_valleys(path, n, epsilon, kappa, table=table),
                      check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
-                                            kappa, table=table, flat=flat),
+                                            kappa, table=table, kappa_fallback=fallback),
                      table)
         except WindowExhausted as exhausted:
             left, right = ((4 * left, right) if exhausted.side == "left"

@@ -330,6 +330,21 @@ def test_valley_census_flat_law_fallback():
     assert st.k_over_nq_mean == 0.0
 
 
+@pytest.mark.parametrize("law", ["discrete:0.9@0.7;0.4@0.3", "beta:3,1"])
+def test_valley_census_ballistic_law_fallback(law):
+    # kappa is 3 and 2, outside (0,1): the census counts valleys at kappa = 1,
+    # and a deep valley past e_n is about n^{-0.8 kappa} rare, so A4/A5 read
+    # only the valleys among the first n excursions instead of growing every
+    # window to its cap
+    report = run_valley_census(ExperimentConfig(law=EnvironmentLaw.parse(law),
+                                                n_values=(2000,), replicas=8))
+    assert report.extra("kappa_fallback") == 1.0
+    st = report.rows[0].census
+    assert (st.environments, st.exhausted, st.retries) == (8, 0, 0)
+    assert st.k_mean == 0.0
+    assert (st.a4, st.a5) == (1.0, 1.0)
+
+
 @pytest.mark.parametrize("law", ["beta:1.5,1", "beta:2,1.5", "discrete:0.8@0.5;0.3@0.5"])
 def test_census_windows_grown_in_place_match_the_resampling_route(law, monkeypatch):
     # every environment of a census runs through both routes: the one that
@@ -338,12 +353,12 @@ def test_census_windows_grown_in_place_match_the_resampling_route(law, monkeypat
     grown_route = experiments._census_env
     pairs = []
 
-    def both(law, n, epsilon, kappa, delta, c_prime, c_dprime, key, left_pad, right,
-             h_grid):
-        grown = grown_route(law, n, epsilon, kappa, delta, c_prime, c_dprime, key,
-                            left_pad, right, h_grid)
-        whole = oracles.census_env_resampled(law, n, epsilon, kappa, delta, c_prime,
-                                             c_dprime, key, left_pad, h_grid)
+    def both(law, n, epsilon, kappa, fallback, delta, c_prime, c_dprime, key, left_pad,
+             right, h_grid):
+        grown = grown_route(law, n, epsilon, kappa, fallback, delta, c_prime, c_dprime,
+                            key, left_pad, right, h_grid)
+        whole = oracles.census_env_resampled(law, n, epsilon, kappa, fallback, delta,
+                                             c_prime, c_dprime, key, left_pad, h_grid)
         pairs.append((grown, whole, right, int(math.ceil(c_prime * n)) + 2000))
         return grown
 

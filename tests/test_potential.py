@@ -458,9 +458,14 @@ def test_a4_a5_read_the_first_deep_valley_past_e_n_whatever_the_window():
     with pytest.raises(WindowExhausted) as exhausted:
         check_good_environment(short, **args)
     assert exhausted.value.side == "right"
-    # only a law whose potential never rises makes them vacuous
+    # only a law with no kappa in (0,1) skips the valley past e_n: A4 and A5
+    # then read the K_n = 0 valleys among the first n, vacuously true
+    rec = check_good_environment(short, **args, kappa_fallback=True)
+    assert (rec.k_n, rec.a4, rec.a5) == (0, True, True)
+    rec = check_good_environment(LATE_VALLEY_PATH, **args, kappa_fallback=True)
+    assert (rec.k_n, rec.a4, rec.a5) == (0, True, True)
     flat = PotentialPath(offset=-1, v=-np.arange(30, dtype=float))
-    rec = check_good_environment(flat, **args, flat=True)
+    rec = check_good_environment(flat, **args, kappa_fallback=True)
     assert (rec.k_n, rec.a4, rec.a5) == (0, True, True)
     with pytest.raises(WindowExhausted):
         check_good_environment(flat, **args)
