@@ -10,7 +10,7 @@ The package splits along the objects of the theory:
              sampling by the branching cascade;
 * constants  the explicit limit-law constants and their Monte Carlo
              estimators;
-* stable     positive stable sampling;
+* stable     positive stable sampling and the exact CDF;
 * experiments  the end-to-end Monte Carlo harness and report emission;
 * rng        keyed counter-based streams behind all of the above.
 
@@ -74,6 +74,7 @@ from .stable import (
     laplace,
     predicted_tau_cdf,
     sample_positive_stable,
+    stable_cdf,
 )
 from .experiments import (
     ConvergenceReport,

@@ -489,16 +489,9 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
 
     out = np.zeros(R - L + 1)
     if functional in ("hit_prob", "laplace_hit"):
-        bl = 1.0 if target == L else 0.0
-        br = 1.0 if target == R else 0.0
-        f = solve(boundary(bl, br, np.zeros(n)))
+        f = solve(boundary(float(target == L), float(target == R), np.zeros(n)))
         out[x0 - L : x1 - L + 1] = f
-        out[0] = f[0] if x0 == L else bl
-        out[-1] = br
-        if functional == "hit_prob":
-            out[target - L] = 1.0
-        else:
-            out[target - L] = 1.0     # tau(target) = 0 from target itself
+        out[target - L] = 1.0         # absorbed at once: 1 at target, 0 at the other end
         return out
 
     if functional == "expected_time":

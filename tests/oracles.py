@@ -295,17 +295,6 @@ def inverse_subordinator_path(kappa, x_scale, times, dt, seed=0):
                             z_values=x_scale * z_unit, y_left_values=y_left)
 
 
-def ks_pooled_grid(a, b):
-    """Two-sample KS distance: both empirical CDFs compared at every point
-    of the pooled sample."""
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    grid = np.concatenate([a, b])
-    fa = np.searchsorted(a, grid, side="right") / a.size
-    fb = np.searchsorted(b, grid, side="right") / b.size
-    return float(np.max(np.abs(fa - fb)))
-
-
 # Full-window first-passage searches: each scans everything from its start
 # to the window's end, the plain way the galloping searches of
 # rwre.potential must reproduce site for site.

@@ -11,6 +11,8 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import erf, erfc
 
 from rwre import experiments
 from rwre.constants import hill_estimate
@@ -19,7 +21,6 @@ from rwre.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     config_text,
-    ks_two_sample,
     manifest_text,
     parse_config_text,
     report_csv_text,
@@ -97,23 +98,45 @@ def test_hill_estimate_on_an_exact_pareto_tail():
     assert fixed.k == 500
 
 
-def test_ks_two_sample_extremes():
-    a = np.arange(100, dtype=float)
-    assert ks_two_sample(a, a.copy()) == 0.0
-    assert ks_two_sample(a, a + 1000.0) == pytest.approx(1.0)
-
-
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(-4, 4), min_size=1, max_size=40),
-       st.lists(st.integers(-4, 4), min_size=1, max_size=90),
-       st.floats(0.1, 10.0))
-def test_ks_two_sample_equals_the_pooled_grid(a, b, scale):
-    # few distinct values, so both samples are full of ties, shared or not
-    a = np.array(a) * scale
-    b = np.array(b) * scale
-    expected = oracles.ks_pooled_grid(a, b)
-    assert ks_two_sample(a, b) == expected
-    assert ks_two_sample(b, a) == expected
+@given(st.lists(st.integers(-4, 12), min_size=1, max_size=90), st.floats(0.1, 10.0))
+def test_ks_distance_is_the_kstest_statistic(values, scale):
+    # few distinct values with zeros and negatives, like scaled positions,
+    # against a CDF that is 0 on y <= 0
+    sample = np.array(values) * scale / 4.0
+    cdf = lambda y: np.where(y > 0.0, -np.expm1(-y), 0.0)
+    ks = experiments._ks_result(sample, cdf)
+    assert ks.distance == stats.kstest(sample, cdf).statistic
+    assert ks.dkw_epsilon == math.sqrt(math.log(2.0 / 0.05) / (2.0 * sample.size))
+
+
+@pytest.fixture
+def ks_calls(monkeypatch):
+    """The (sample, cdf) pairs the runners hand to _ks_result."""
+    calls = []
+    real = experiments._ks_result
+    monkeypatch.setattr(experiments, "_ks_result",
+                        lambda sample, cdf: calls.append((sample, cdf)) or real(sample, cdf))
+    return calls
+
+
+def test_tau_and_position_read_their_limit_laws(ks_calls):
+    # at kappa = 1/2, S is Levy: tau / n^2 has CDF erfc(Lambda / (2 sqrt(y)))
+    # (scale Lambda^2), and X_n / n^{1/2}, as x_scale S^{-1/2}, the
+    # half-normal CDF erf(y / (2 x_scale)) on y > 0
+    tau = run_tau_experiment(beta_config(n_values=(200,), replicas=200))
+    pos = run_position_experiment(beta_config(n_values=(64,), replicas=64))
+    lam, x_scale = tau.extra("lambda_scale"), pos.extra("x_scale")
+    y = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 30.0, 1e4])
+    laws = (erfc(lam / (2.0 * np.sqrt(y))), erf(y / (2.0 * x_scale)))
+    assert len(ks_calls) == 2
+    for (sample, cdf), law, report in zip(ks_calls, laws, (tau, pos)):
+        np.testing.assert_allclose(cdf(y), law, rtol=0.0, atol=1e-6)
+        np.testing.assert_array_equal(cdf(np.array([-1.0, 0.0])), 0.0)
+        ks = report.rows[0].ks
+        assert ks.distance == stats.kstest(sample, cdf).statistic
+        assert ks.dkw_epsilon == math.sqrt(math.log(2.0 / 0.05)
+                                           / (2.0 * report.rows[0].replicas_used))
 
 
 # ------------------------------------------------------ tau experiment

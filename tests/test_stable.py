@@ -1,22 +1,27 @@
-"""Positive stable sampling, checked against the kappa = 1/2 closed form
-and the inverse subordinator kept in the oracles."""
+"""Positive stable sampling and the exact CDF, checked against the
+kappa = 1/2 closed form, scipy's levy_stable and the inverse subordinator
+kept in the oracles."""
 
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import erfc
 
 from oracles import inverse_subordinator_path, levy_cdf
 from rwre.env import RegimeError
-from rwre.experiments import ks_two_sample
 from rwre.stable import (
     LEVY_MEDIAN,
     StableSpec,
     laplace,
     predicted_tau_cdf,
     sample_positive_stable,
+    stable_cdf,
 )
+
+FOUR_KAPPAS = [0.3, 0.5, 0.7, 0.9]
 
 
 # ----------------------------------------------------------------- spec
@@ -92,6 +97,50 @@ def test_kanter_sampler_matches_levy_cdf():
     assert np.max(np.abs(emp - levy_cdf(grid))) < 0.006
 
 
+# ----------------------------------------------------------- exact cdf
+
+def test_stable_cdf_matches_the_levy_closed_form():
+    # within the 1e-6 absolute error the docstring states
+    x = np.logspace(-2.0, 6.0, 4001)
+    got = stable_cdf(StableSpec(kappa=0.5), x)
+    assert np.max(np.abs(got - erfc(1.0 / (2.0 * np.sqrt(x))))) <= 1e-6
+
+
+@pytest.mark.parametrize("kappa", FOUR_KAPPAS)
+def test_stable_cdf_matches_scipy_levy_stable(kappa):
+    # levy_stable's S1 form with beta = 1 and this scale has Laplace
+    # transform exp(-lambda^kappa).  The oracle is the weaker side: at
+    # kappa >= 0.7 its tail past x of about 1e3 is off by up to 1e-4, so the
+    # grid stops there, and at kappa = 0.9 it has been seen off by about
+    # 7e-6 against a 512-node integral, hence the wider tolerance there.
+    x = np.logspace(-1.5, 3.0, 25)
+    oracle = stats.levy_stable.cdf(x, kappa, 1.0, loc=0.0,
+                                   scale=math.cos(math.pi * kappa / 2.0) ** (1.0 / kappa))
+    tol = 1e-5 if kappa == 0.9 else 1e-6
+    assert np.max(np.abs(stable_cdf(StableSpec(kappa=kappa), x) - oracle)) <= tol
+
+
+@pytest.mark.parametrize("kappa", FOUR_KAPPAS)
+def test_kanter_draws_pass_a_ks_test_against_the_cdf(kappa):
+    spec = StableSpec(kappa=kappa)
+    draws = sample_positive_stable(spec, 100_000, seed=31)
+    assert stats.kstest(draws, lambda x: stable_cdf(spec, x)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("kappa", FOUR_KAPPAS)
+def test_stable_cdf_scale_law_and_limits(kappa):
+    x = np.logspace(-3.0, 8.0, 200)
+    scaled = stable_cdf(StableSpec(kappa=kappa, scale=3.0), x)
+    np.testing.assert_allclose(scaled, stable_cdf(StableSpec(kappa=kappa), x / 3.0),
+                               rtol=1e-14, atol=0.0)
+    assert np.all(np.diff(scaled) >= 0.0)
+    spec = StableSpec(kappa=kappa)
+    np.testing.assert_array_equal(stable_cdf(spec, [-5.0, 0.0, 1e-300]), 0.0)
+    assert stable_cdf(spec, np.inf) == pytest.approx(1.0, abs=1e-12)
+    assert stable_cdf(spec, 1e300) == pytest.approx(1.0, abs=1e-12)
+    assert stable_cdf(spec, [[1.0, 2.0]]).shape == (1, 2)
+
+
 # ------------------------------------------------------- predicted cdf
 
 def test_predicted_tau_cdf_bands():
@@ -144,7 +193,7 @@ def test_inverse_at_one_matches_the_negative_power_law():
                   for s in range(1000)])
     s_draws = sample_positive_stable(StableSpec(kappa=kappa, scale=1.0),
                                      1000, seed=4242)
-    assert ks_two_sample(z, s_draws ** -kappa) < 1.628 * math.sqrt(2.0 / 1000)
+    assert stats.ks_2samp(z, s_draws ** -kappa).statistic < 1.628 * math.sqrt(2.0 / 1000)
 
 
 def test_inverse_self_similarity():
@@ -156,7 +205,7 @@ def test_inverse_self_similarity():
     z1 = np.array([inverse_subordinator_path(kappa, 1.0, [1.0], dt=1e-3,
                                              seed=2000 + s).z_values[0]
                    for s in range(800)])
-    assert ks_two_sample(z2, 2.0 ** kappa * z1) < 1.628 * math.sqrt(2.0 / 800)
+    assert stats.ks_2samp(z2, 2.0 ** kappa * z1).statistic < 1.628 * math.sqrt(2.0 / 800)
 
 
 def test_inverse_path_validation_and_coarse_grid():
