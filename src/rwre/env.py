@@ -21,6 +21,12 @@ rng).  Beta laws with B = 1 and discrete laws invert their CDF on counter
 uniforms, drawn for just the sites a window covers; other Beta laws draw
 each touched block of _SITE_BLOCK sites whole from a generator keyed by
 the block, through draw_omegas.
+
+Samplers that draw a fresh environment per replica use draw_omegas,
+draw_rho and draw_log_rho, which dispatch on the same rule: Beta(A, 1)
+and discrete laws invert the CDF on generator uniforms, other Beta laws
+use the generator's beta sampler.  draw_rho skips omega where it can:
+rho = V^(-1/A) - 1 for Beta(A, 1), a per-atom table for discrete laws.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "NoRootError",
     "sample_environment",
     "draw_omegas",
+    "draw_rho",
     "draw_log_rho",
     "rho",
     "lambda_fn",
@@ -52,6 +59,7 @@ _EDGE = 1e-6
 _BISECT_ITERS = 200
 _SITE_BLOCK = 4096  # sites per stream block when sampling environments
 _OMEGA_CLIP = (1e-300, 1.0 - 1e-16)  # keeps generator draws off 0 and 1
+_RHO_CLIP = tuple((1.0 - om) / om for om in reversed(_OMEGA_CLIP))  # rho over _OMEGA_CLIP
 
 
 class RegimeError(ValueError):
@@ -171,8 +179,14 @@ def _atom_index(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _by_cdf(law: EnvironmentLaw) -> bool:
+    """Whether the law's omegas come from a closed-form inverse CDF:
+    discrete laws, and Beta(a,1), whose CDF is x^a."""
+    return law.kind == "discrete" or law.beta == 1.0
+
+
 def _law_uniform_to_omega(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of a discrete law or of Beta(a,1), whose CDF is x^a."""
+    """Inverse CDF of a law that _by_cdf admits."""
     if law.kind == "beta":
         return u ** (1.0 / law.alpha)
     return np.asarray(law.values)[_atom_index(law, u)]
@@ -181,14 +195,41 @@ def _law_uniform_to_omega(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
 def draw_omegas(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
     """size i.i.d. omegas from a generator, for samplers that draw a fresh
     environment per replica, and for the site blocks of sample_environment
-    on Beta laws with B != 1.  Beta laws use the generator's own beta
-    sampler; discrete laws invert the same CDF as sample_environment.
-    Draws are clipped into _OMEGA_CLIP."""
-    if law.kind == "beta":
-        om = rng.beta(law.alpha, law.beta, size)
-    else:
+    on Beta laws with B != 1.  Laws that _by_cdf admits invert generator
+    uniforms by the same CDF as sample_environment; other Beta laws use
+    the generator's own beta sampler.  Draws are clipped into _OMEGA_CLIP."""
+    if _by_cdf(law):
         om = _law_uniform_to_omega(law, rng.random(size))
+    else:
+        om = rng.beta(law.alpha, law.beta, size)
     return np.clip(om, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
+
+
+def _clipped_atoms(law: EnvironmentLaw) -> np.ndarray:
+    return np.clip(law.values, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
+
+
+def draw_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+    """size i.i.d. draws of rho = (1-omega)/omega, dispatched as draw_omegas.
+
+    Beta(a,1): omega = V^(1/a) for V uniform, so rho = V^(-1/a) - 1, with
+    V = 1 - rng.random() in [2^-53, 1] so that rho stays finite; it is
+    clipped into the range _OMEGA_CLIP gives.  The law is that of
+    draw_omegas, not the values.  Discrete laws read a per-atom table,
+    value for value those of draw_omegas; other Beta laws take
+    (1-omega)/omega of draw_omegas.
+    """
+    if not _by_cdf(law):
+        om = draw_omegas(law, rng, size)
+        return (1.0 - om) / om
+    if law.kind == "discrete":
+        atoms = _clipped_atoms(law)
+        return ((1.0 - atoms) / atoms)[_atom_index(law, rng.random(size))]
+    rho = rng.random(size)
+    np.subtract(1.0, rho, out=rho)
+    np.power(rho, -1.0 / law.alpha, out=rho)
+    rho -= 1.0
+    return np.clip(rho, _RHO_CLIP[0], _RHO_CLIP[1], out=rho)
 
 
 def draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -197,7 +238,7 @@ def draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np
     if law.kind == "beta":
         om = draw_omegas(law, rng, size)
         return np.log1p(-om) - np.log(om)
-    atoms = np.clip(law.values, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
+    atoms = _clipped_atoms(law)
     return (np.log1p(-atoms) - np.log(atoms))[_atom_index(law, rng.random(size))]
 
 
@@ -214,7 +255,7 @@ def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: i
     lo, hi = int(site_range[0]), int(site_range[1])
     if lo > hi:
         raise ValueError(f"empty site range [{lo}, {hi}]")
-    by_cdf = law.kind == "discrete" or law.beta == 1.0     # closed-form inverse CDF
+    by_cdf = _by_cdf(law)
     out = np.empty(hi - lo + 1, dtype=np.float64)
     # the range is contiguous, so each block contributes one slice;
     # floor division keeps the block map right for negative sites

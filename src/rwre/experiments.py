@@ -55,6 +55,7 @@ from .env import (
     EnvironmentSlice,
     NoRootError,
     draw_omegas,
+    draw_rho,
     kappa_solve,
     mean_log_rho,
     moment_rho_log,
@@ -388,12 +389,8 @@ def _tau_block(law: EnvironmentLaw, n: int, count: int, key: int,
     Returns (tau, clipped); callers must not let clipped values into
     estimators."""
     rng = generator(key)
-
-    def rho_at(_site: int) -> np.ndarray:
-        om = draw_omegas(law, rng, count)
-        return (1.0 - om) / om
-
-    return _branching_cascade(rho_at, rng, count, 0, n, floor=-_TAU_DEPTH - 1)
+    return _branching_cascade(lambda _site, size: draw_rho(law, rng, size),
+                              rng, count, 0, n, floor=-_TAU_DEPTH - 1)
 
 
 def _replica_blocks(replicas: int, block: int, workers: int, task,

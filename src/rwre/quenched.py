@@ -522,26 +522,44 @@ def _branching_cascade(rho_at, rng: np.random.Generator, count: int, start: int,
 
     Scanning right to left, U_i given U_{i+1} is negative binomial (failures
     before U_{i+1} + 1 successes at rate omega_i for sites >= start, before
-    U_{i+1} successes below start), drawn as Poisson(Gamma(.) rho_at(i)).
-    rho_at(i) is a scalar in a fixed environment or a vector of count fresh
-    values, one environment per replica; it is called before the site's
-    gamma draw.  Below start the scan runs until every count is zero, but
-    visits no site below floor.  Returns (tau, clipped): clipped marks the
-    replicas whose intensity passed _LAM_CAP or that were alive below floor.
+    U_{i+1} successes below start), drawn as Poisson(Gamma(.) rho_at(i, size)).
+    rho_at(i, size) is a scalar in a fixed environment or a vector of size
+    fresh values, one environment per lane; it is called before the site's
+    gamma draw.  Every lane is drawn at sites >= start.  Below start only
+    the lanes with U_{i+1} > 0 are drawn (size counts them), and the scan
+    runs until none is left, but visits no site below min(floor, start).
+    A gamma or Poisson draw of shape 0 consumes no bits, so in a fixed
+    environment the draws are those of scanning every lane.  Returns (tau,
+    clipped): clipped marks the replicas whose intensity passed _LAM_CAP
+    or that were alive below floor.
     """
-    u = np.zeros(count, dtype=np.float64)
-    total = np.zeros(count, dtype=np.float64)
+    u = np.zeros(count, dtype=np.int64)
+    total = np.zeros(count, dtype=np.float64)   # a sum of counts can pass int64's range
     clipped = np.zeros(count, dtype=bool)
-    i = target - 1
-    while i >= start or np.any(u > 0.0):
-        if floor is not None and i < min(floor, start):
-            clipped |= u > 0.0
-            break
-        rho = rho_at(i)
-        lam = rng.standard_gamma(u + 1.0 if i >= start else u) * rho
-        clipped |= lam > _LAM_CAP
-        u = rng.poisson(np.minimum(lam, _LAM_CAP)).astype(np.float64)
+
+    def crossings(i: int, shape: np.ndarray, lanes) -> np.ndarray:
+        rho = rho_at(i, shape.size)
+        lam = rng.standard_gamma(shape)
+        lam *= rho
+        if lam.max(initial=0.0) > _LAM_CAP:     # rare: clip and count
+            clipped[lanes] |= lam > _LAM_CAP
+            np.minimum(lam, _LAM_CAP, out=lam)
+        return rng.poisson(lam)
+
+    for i in range(target - 1, start - 1, -1):
+        u = crossings(i, u + 1.0, slice(None))
         total += u
+    live = np.flatnonzero(u)
+    u = u[live]
+    i = start - 1
+    while live.size:
+        if floor is not None and i < min(floor, start):
+            clipped[live] = True
+            break
+        u = crossings(i, u, live)
+        total[live] += u
+        keep = np.flatnonzero(u)
+        live, u = live[keep], u[keep]
         i -= 1
     return (target - start) + 2.0 * total, clipped
 
@@ -568,7 +586,7 @@ def sample_hitting_times(env, target: int, n_replicas: int, seed,
     rng = seed if isinstance(seed, np.random.Generator) else \
         generator(stream_key(seed, "branch"))
 
-    def rho_at(i: int) -> float:
+    def rho_at(i: int, _size: int) -> float:
         if i == reflect_at:
             return 0.0
         if i < lo:

@@ -184,6 +184,43 @@ def walk_tau_reference(omega_full, start, target, rng, reflect_at=None):
     return steps
 
 
+def branching_cascade_reference(rho_at, rng, count, start, target, floor=None,
+                                lam_cap=5e18):
+    """The branching cascade scanning every lane at every site: tau(start
+    -> target) = (target - start) + 2 sum_i U_i, U_i given U_{i+1} drawn as
+    Poisson(Gamma(U_{i+1} + 1) rho_at(i)) at sites >= start and as
+    Poisson(Gamma(U_{i+1}) rho_at(i)) below, until every lane is zero or
+    the scan passes below min(floor, start).  rho_at(i) gives a scalar or
+    count values.  Returns (tau, clipped), clipped marking lanes whose
+    intensity passed lam_cap or that were alive below floor."""
+    u = np.zeros(count, dtype=np.float64)
+    total = np.zeros(count, dtype=np.float64)
+    clipped = np.zeros(count, dtype=bool)
+    i = target - 1
+    while i >= start or np.any(u > 0.0):
+        if floor is not None and i < min(floor, start):
+            clipped |= u > 0.0
+            break
+        rho = rho_at(i)
+        lam = rng.standard_gamma(u + 1.0 if i >= start else u) * rho
+        clipped |= lam > lam_cap
+        u = rng.poisson(np.minimum(lam, lam_cap)).astype(np.float64)
+        total += u
+        i -= 1
+    return (target - start) + 2.0 * total, clipped
+
+
+def rho_reference(law, rng, size):
+    """size draws of rho = (1-omega)/omega, omega from the generator's beta
+    sampler or a choice among the atoms, clipped as the package clips."""
+    if law.kind == "beta":
+        om = rng.beta(law.alpha, law.beta, size)
+    else:
+        om = rng.choice(np.asarray(law.values), size=size, p=np.asarray(law.probs))
+    om = np.clip(om, 1e-300, 1.0 - 1e-16)
+    return (1.0 - om) / om
+
+
 def series_block_reference(law, rng, size, truncation, rel_tol=1e-12, chunk=64):
     """R = sum_{k>=0} e^{V(k)} for ``size`` series, whole chunks at a time.
 

@@ -14,6 +14,9 @@ from rwre.env import (
     _atom_index,
     NoRootError,
     RegimeError,
+    draw_log_rho,
+    draw_omegas,
+    draw_rho,
     kappa_solve,
     lambda_fn,
     mean_log_rho,
@@ -21,6 +24,7 @@ from rwre.env import (
     rho,
     sample_environment,
 )
+from rwre.rng import generator
 
 BETA_LAW = EnvironmentLaw.beta_law(1.5, 1.0)
 # two-atom law with rho values 1/4 and 3; its root solves
@@ -275,6 +279,46 @@ def test_block_sampled_environment_is_deterministic_per_seed(law):
     np.testing.assert_array_equal(a.omegas, sample_environment(law, (-5000, 5000), seed=3).omegas)
     other = sample_environment(law, (-5000, 5000), seed=4).omegas
     assert np.mean(a.omegas == other) < 1e-3
+
+
+# ------------------------------------------------- per-replica draws
+
+@pytest.mark.parametrize("law", [BETA_LAW, EnvironmentLaw.beta_law(1.2, 1.0)] + BLOCK_LAWS,
+                         ids=lambda law: law.spec_text())
+def test_draw_rho_has_the_exact_rho_law(law):
+    # rho = (1-omega)/omega of Beta(A, B) is beta prime(B, A); for B = 1
+    # its CDF is 1 - (1+x)^-A
+    sample = draw_rho(law, generator(41), 200_000)
+    if law.beta == 1.0:
+        cdf = lambda x: -np.expm1(-law.alpha * np.log1p(x))
+    else:
+        cdf = stats.betaprime(law.beta, law.alpha).cdf
+    assert stats.kstest(sample, cdf).pvalue > 1e-3
+    assert np.all(np.isfinite(sample)) and sample.min() > 0.0
+
+
+def test_draw_rho_reads_the_atoms_at_their_frequencies():
+    sample = draw_rho(TWO_ATOM, generator(42), 200_000)
+    atoms = {0.25: 0.6, 3.0: 0.4}                      # rho of 0.8 and 0.25
+    assert set(np.unique(sample).round(12)) == set(atoms)
+    for value, p in atoms.items():
+        freq = np.mean(np.isclose(sample, value))
+        assert abs(freq - p) < 5.0 * math.sqrt(p * (1.0 - p) / sample.size)
+    # the same atoms, value for value, as (1 - omega)/omega of draw_omegas
+    om = draw_omegas(TWO_ATOM, generator(43), 1000)
+    np.testing.assert_array_equal(draw_rho(TWO_ATOM, generator(43), 1000), (1.0 - om) / om)
+
+
+@pytest.mark.parametrize("law", [BETA_LAW, TWO_ATOM], ids=lambda law: law.spec_text())
+def test_draw_omegas_inverts_generator_uniforms(law):
+    # one inverse-CDF rule with sample_environment for Beta(A, 1) and discrete laws
+    u = generator(44).random(5000)
+    expected = np.clip(u ** (1.0 / law.alpha) if law.kind == "beta"
+                       else np.asarray(law.values)[_atom_index(law, u)], 1e-300, 1.0 - 1e-16)
+    om = draw_omegas(law, generator(44), 5000)
+    np.testing.assert_array_equal(om, expected)
+    np.testing.assert_array_equal(draw_log_rho(law, generator(44), 5000),
+                                  np.log1p(-om) - np.log(om))
 
 
 @settings(max_examples=25, deadline=None)

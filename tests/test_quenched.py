@@ -492,6 +492,77 @@ def test_branching_cascade_callers_agree_on_a_constant_environment():
     assert ks_2samp(annealed, quenched).pvalue > 1e-3
 
 
+def test_sample_hitting_times_draws_the_reference_cascade_bit_for_bit():
+    # in a fixed environment gamma(0) and poisson(0) consume no bits, so
+    # drawing only the live lanes below start leaves every draw in place:
+    # a reflected Beta(1.5, 1) chain, then an unreflected two-atom window
+    # (rho 1/4 and 7/3) where the cascade runs below start
+    from rwre.env import EnvironmentLaw, sample_environment
+    from rwre.rng import generator, stream_key
+    chain, _ = random_chain(400, seed=1)
+    env = sample_environment(EnvironmentLaw.parse("discrete:0.8@0.5;0.3@0.5"),
+                             (-5000, 300), seed=3)
+    rho_env = lambda i: (1.0 - env.site(i)) / env.site(i)
+    cases = [(chain, 0, 400, 1500, 4, lambda i: 0.0 if i == 0 else
+              (1.0 - chain.omega(i)) / chain.omega(i), 0),
+             (env, 0, 300, 1500, 5, rho_env, None),
+             (env, 100, 300, 1000, 6, rho_env, None)]
+    for where, start, target, count, seed, rho_at, floor in cases:
+        ours = sample_hitting_times(where, target, count, seed=seed, start=start)
+        ref, clipped = oracles.branching_cascade_reference(
+            rho_at, generator(stream_key(seed, "branch")), count, start, target, floor)
+        assert not clipped.any()
+        np.testing.assert_array_equal(ours, ref)
+
+
+ANNEALED_LAWS = ("beta:1.5,1", "beta:2,1.5", "discrete:0.8@0.5;0.3@0.5")
+
+
+@pytest.mark.parametrize("spec", ANNEALED_LAWS)
+def test_annealed_tau_block_follows_the_reference_cascade(spec):
+    # _tau_block draws rho by its own route and only the live lanes below
+    # the origin; the reference scans every lane with rho from
+    # Generator.beta or Generator.choice
+    from scipy.stats import ks_2samp
+    from rwre.env import EnvironmentLaw
+    from rwre.experiments import _TAU_DEPTH, _tau_block
+    from rwre.rng import generator, stream_key
+    law, n, count = EnvironmentLaw.parse(spec), 100, 3000
+    ours, clipped = _tau_block(law, n, count, stream_key(21, "tau"))
+    rng = generator(stream_key(22, "tau-ref"))
+    ref, ref_clipped = oracles.branching_cascade_reference(
+        lambda _i: oracles.rho_reference(law, rng, count), rng, count, 0, n,
+        floor=-_TAU_DEPTH - 1)
+    assert not clipped.any() and not ref_clipped.any()
+    assert ks_2samp(ours, ref).pvalue > 1e-3
+
+
+def test_cascade_clips_the_lanes_alive_below_the_floor():
+    # discrete:0.3@1 has rho = 7/3, so the cascade grows below the origin
+    from rwre.env import EnvironmentLaw, draw_rho
+    from rwre.quenched import _branching_cascade
+    from rwre.rng import generator
+    law = EnvironmentLaw.parse("discrete:0.3@1")
+    rng = generator(31)
+    draw = lambda _i, size: draw_rho(law, rng, size)
+    # floor = start: no site below start is visited, so a lane is clipped
+    # exactly when it crossed the edge (start, start + 1) leftward
+    tau, clipped = _branching_cascade(draw, rng, 4000, 0, 1, floor=0)
+    np.testing.assert_array_equal(clipped, tau > 1.0)
+    assert 0.5 < clipped.mean() < 0.9                 # P{U_0 > 0} = 0.7
+    # a floor three sites down: the live-lane scan against the reference
+    # that scans every lane, in the same fixed environment
+    rho = 7.0 / 3.0
+    ours = _branching_cascade(lambda _i, _size: rho, generator(32), 4000, 0, 5, floor=-3)
+    ref = oracles.branching_cascade_reference(lambda _i: rho, generator(32), 4000, 0, 5,
+                                              floor=-3)
+    np.testing.assert_array_equal(ours[0], ref[0])
+    np.testing.assert_array_equal(ours[1], ref[1])
+    assert 0.5 < ours[1].mean() < 1.0
+    _, annealed_clipped = _branching_cascade(draw, rng, 4000, 0, 5, floor=-3)
+    assert abs(annealed_clipped.mean() - ours[1].mean()) < 0.05
+
+
 def test_from_environment_needs_the_chain_inside_the_slice():
     from rwre.env import EnvironmentLaw, sample_environment
     env = sample_environment(EnvironmentLaw.beta_law(1.5, 1.0), (0, 9), seed=1)
