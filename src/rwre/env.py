@@ -16,17 +16,15 @@ Two law families are supported, matching the text grammar used by the CLI:
                     {p_k}; all moments are exact finite sums.
 
 Environment sampling is keyed by site block: site i of law+seed always
-receives the same omega regardless of which window is materialized (see
-rng).  Beta laws with B = 1 and discrete laws invert their CDF on counter
-uniforms, drawn for just the sites a window covers; other Beta laws draw
-each touched block of _SITE_BLOCK sites whole from a generator keyed by
-the block, through draw_omegas.
+receives the same omega regardless of which window is materialized.
+Every law draws each touched block of _SITE_BLOCK sites whole through
+draw_omegas, on a generator keyed by the block (see rng).
 
-Samplers that draw a fresh environment per replica use draw_omegas,
-draw_rho and draw_log_rho, which dispatch on the same rule: Beta(A, 1)
-and discrete laws invert the CDF on generator uniforms, other Beta laws
-use the generator's beta sampler.  draw_rho skips omega where it can:
-rho = V^(-1/A) - 1 for Beta(A, 1), a per-atom table for discrete laws.
+draw_omegas, and the per-replica samplers draw_rho and draw_log_rho,
+dispatch on one rule: Beta(A, 1) and discrete laws invert the CDF on
+generator uniforms, other Beta laws use the generator's beta sampler.
+draw_rho skips omega where it can: rho = V^(-1/A) - 1 for Beta(A, 1), a
+per-atom table for discrete laws.
 """
 
 from __future__ import annotations
@@ -193,11 +191,11 @@ def _law_uniform_to_omega(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
 
 
 def draw_omegas(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """size i.i.d. omegas from a generator, for samplers that draw a fresh
-    environment per replica, and for the site blocks of sample_environment
-    on Beta laws with B != 1.  Laws that _by_cdf admits invert generator
-    uniforms by the same CDF as sample_environment; other Beta laws use
-    the generator's own beta sampler.  Draws are clipped into _OMEGA_CLIP."""
+    """size i.i.d. omegas from a generator, for the site blocks of
+    sample_environment and for samplers that draw a fresh environment per
+    replica.  Laws that _by_cdf admits invert generator uniforms; other
+    Beta laws use the generator's own beta sampler.  Draws are clipped
+    into _OMEGA_CLIP."""
     if _by_cdf(law):
         om = _law_uniform_to_omega(law, rng.random(size))
     else:
@@ -246,31 +244,24 @@ def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: i
     """i.i.d. omegas on the inclusive site range [lo, hi].
 
     Site i belongs to block i // _SITE_BLOCK, whose stream is (seed,
-    "env", block).  Laws that invert by CDF read counter i mod block of
-    that stream; other Beta laws draw the whole block from a generator on
-    it and keep the slice the range covers.  Either way identical (law,
-    range, seed) gives bit-identical output and overlapping ranges agree
-    site by site.
+    "env", block).  Each touched block is drawn whole by draw_omegas on a
+    generator keyed by that stream, and the slice the range covers is
+    kept, so identical (law, range, seed) gives bit-identical output and
+    overlapping ranges agree site by site.
     """
     lo, hi = int(site_range[0]), int(site_range[1])
     if lo > hi:
         raise ValueError(f"empty site range [{lo}, {hi}]")
-    by_cdf = _by_cdf(law)
-    out = np.empty(hi - lo + 1, dtype=np.float64)
+    omegas = np.empty(hi - lo + 1, dtype=np.float64)
     # the range is contiguous, so each block contributes one slice;
     # floor division keeps the block map right for negative sites
     pos = 0
     for blk in range(lo // _SITE_BLOCK, hi // _SITE_BLOCK + 1):
         base = blk * _SITE_BLOCK
         start, stop = max(lo, base) - base, min(hi, base + _SITE_BLOCK - 1) - base + 1
-        key = rng.stream_key(seed, "env", blk)
-        if by_cdf:
-            out[pos : pos + stop - start] = rng.counter_uniforms(key, start, stop - start)
-        else:
-            out[pos : pos + stop - start] = draw_omegas(
-                law, rng.generator(key), _SITE_BLOCK)[start:stop]
+        block = draw_omegas(law, rng.generator(rng.stream_key(seed, "env", blk)), _SITE_BLOCK)
+        omegas[pos : pos + stop - start] = block[start:stop]
         pos += stop - start
-    omegas = _law_uniform_to_omega(law, out) if by_cdf else out
     return EnvironmentSlice(offset=lo, omegas=omegas)
 
 

@@ -1,29 +1,26 @@
-"""Counter-based random number streams.
+"""Keyed random streams.
 
 Every stochastic object in this package is drawn from a named stream.  A
 stream is identified by a 64-bit key derived from a tuple of parts (the
 master seed plus whatever identifies the consumer: a side of the origin, a
-site block, an experiment name, a replica block index).  Values within a
-stream are indexed by a counter, so any slice of the stream can be produced
-independently of any other slice.  Two consequences we rely on throughout:
+site block, an experiment name, a replica block index).  The key seeds a
+numpy Generator on the Philox engine, which is itself counter-based; its
+draws are reproducible per key, whatever the draw method.  Two
+consequences we rely on throughout:
 
 * sampling is reproducible bit-for-bit regardless of how work is split
-  across workers, because the (key, counter) -> value map is pure;
-* environment windows can be grown lazily: site i always receives the same
-  omega no matter how many times the window around it is re-materialized.
+  across workers, because each unit of work (a replica block, a walk, an
+  environment site block) reads its own stream;
+* environment windows can be grown lazily: env draws each site block whole
+  on the block's own stream, so site i always receives the same omega no
+  matter how many times the window around it is re-materialized.
 
-The generator is the splitmix64 finalizer applied to ``key + (counter+1) *
-GOLDEN``, which is the standard stateless formulation of splitmix64.  It
-passes the usual statistical batteries and is trivially vectorizable with
-uint64 numpy arithmetic (wraparound is the intended semantics).
+Keys are folded from the parts by the splitmix64 finalizer, in Python ints.
 
-For draws that need rejection sampling (gamma, poisson, beta) we hand a
-derived key to ``numpy.random.Philox``, which is itself counter-based;
-those streams are consumed as ordinary numpy generators and are
-reproducible per key, though not sliceable by counter.  Their consumers
-are the samplers of replica blocks, walks, excursions, renewal series
-and stable laws, and the environment site blocks of Beta laws with
-B != 1, which env draws whole, one generator per block.
+``counter_uniforms`` is the stateless splitmix64 stream, ``mix64(key +
+(counter+1) * GOLDEN)``, sliceable by counter.  No sampler of the package
+reads it any more; it stays, with ``counter_bits`` and the uint64 ``mix64``,
+while benchmarks/spans.py names it as a span target.
 """
 
 from __future__ import annotations

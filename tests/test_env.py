@@ -24,7 +24,7 @@ from rwre.env import (
     rho,
     sample_environment,
 )
-from rwre.rng import generator
+from rwre.rng import generator, stream_key
 
 BETA_LAW = EnvironmentLaw.beta_law(1.5, 1.0)
 # two-atom law with rho values 1/4 and 3; its root solves
@@ -244,12 +244,23 @@ def test_sample_environment_beta_moments():
     assert abs(np.mean(env.omegas**2) - 3.0 / 7.0) < 0.005
 
 
-# Beta laws with beta != 1 draw whole site blocks from keyed generators
+# Beta laws with beta != 1, which draw_omegas samples by the generator's beta sampler
 BLOCK_LAWS = [EnvironmentLaw.beta_law(2.0, 1.5), EnvironmentLaw.beta_law(1.8, 1.2),
               EnvironmentLaw.beta_law(3.0, 2.5)]
 
 
-@pytest.mark.parametrize("law", BLOCK_LAWS, ids=lambda law: law.spec_text())
+@pytest.mark.parametrize("law", [BETA_LAW, TWO_ATOM, BLOCK_LAWS[0]],
+                         ids=lambda law: law.spec_text())
+def test_every_law_draws_whole_blocks_from_keyed_generators(law):
+    env = sample_environment(law, (-_SITE_BLOCK - 100, 2 * _SITE_BLOCK - 1), seed=17)
+    for blk in (-2, -1, 0, 1):
+        block = draw_omegas(law, generator(stream_key(17, "env", blk)), _SITE_BLOCK)
+        lo, hi = max(blk * _SITE_BLOCK, env.offset), (blk + 1) * _SITE_BLOCK - 1
+        np.testing.assert_array_equal(env.omegas[env.index(lo) : env.index(hi) + 1],
+                                      block[lo - blk * _SITE_BLOCK :])
+
+
+@pytest.mark.parametrize("law", BLOCK_LAWS + [BETA_LAW], ids=lambda law: law.spec_text())
 def test_block_sampled_environment_has_the_beta_law(law):
     env = sample_environment(law, (-50_000, 50_000), seed=21)
     assert env.omegas.size == 100_001

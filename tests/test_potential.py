@@ -240,8 +240,9 @@ def test_deep_valleys_on_sampled_environment():
 # -------------------------------------------------------- star valleys
 
 def test_star_valleys_coincide_when_deep_valleys_are_disjoint():
-    # seed chosen so the two deep windows [a, d] do not overlap
-    env = sample_environment(BETA_LAW, (-600, 12000), seed=94)
+    # seed chosen so the two deep windows [a, d] do not overlap; both lie
+    # past the first D_n-descent from the origin, where the star scan starts
+    env = sample_environment(BETA_LAW, (-600, 12000), seed=47)
     path = build_potential(env)
     n = 60
     deep = detect_deep_valleys(path, n, epsilon=0.2, kappa=0.5)
@@ -252,20 +253,21 @@ def test_star_valleys_coincide_when_deep_valleys_are_disjoint():
 
 
 def test_star_valleys_are_a_subset_of_deep_ones():
-    # overlapping deep valleys get merged by the star scan, never invented
-    env = sample_environment(BETA_LAW, (-600, 12000), seed=9)
+    # overlapping deep valleys get merged by the star scan, never invented;
+    # seed chosen so the third deep window starts inside the second
+    env = sample_environment(BETA_LAW, (-600, 12000), seed=7)
     path = build_potential(env)
     deep = detect_deep_valleys(path, 60, epsilon=0.2, kappa=0.5)
     star = detect_star_valleys(path, 60, epsilon=0.2, kappa=0.5)
     assert len(deep) == 3
     deep_pairs = {(v.b, v.d_bar) for v in deep}
     star_pairs = [(v.b, v.d_bar) for v in star]
-    assert star_pairs == [(13, 59), (121, 140)]
+    assert star_pairs == [(39, 60), (88, 111)]
     assert set(star_pairs) <= deep_pairs
 
 
 def test_star_valleys_ordered_and_disjoint():
-    env = sample_environment(BETA_LAW, (-600, 12000), seed=9)
+    env = sample_environment(BETA_LAW, (-600, 12000), seed=7)
     path = build_potential(env)
     star = detect_star_valleys(path, 60, epsilon=0.2, kappa=0.5)
     d_n = descent_threshold(60, 0.5)
@@ -362,7 +364,8 @@ def test_gallop_searches_without_a_hit_exhaust_their_side():
     assert (left.value.side, right.value.side) == ("left", "right")
 
 
-@pytest.mark.parametrize("seed,n", [(9, 60), (94, 60), (5, 600), (4, 2000)])
+# seeds chosen so the cuts reach all four star-valley searches and both sides
+@pytest.mark.parametrize("seed,n", [(0, 60), (94, 60), (1, 600), (4, 2000)])
 def test_star_and_grown_valleys_match_full_window_scans(seed, n):
     full = build_potential(sample_environment(BETA_LAW, (-600, 12 * n + 5000), seed=seed))
     h_n = critical_height(n, 0.2, 0.5)

@@ -417,6 +417,18 @@ def test_oracle_laplace_matches_hit_prob_at_zero():
     assert np.all(damped <= hp + 1e-15)
 
 
+def test_oracle_hit_probabilities_stay_in_the_unit_interval():
+    # reflected at 0, the walk reaches L surely.  Unclipped, the banded
+    # solve's rounding on 2200 sites reads up to 1 + 2e-10 at seeds 0-3;
+    # of seeds 0-399 the worst are 13 (1 + 1.3e-5) and 216 (1 - 2.0e-5)
+    for seed in (0, 1, 2, 3, 13, 216):
+        chain, _ = random_chain(2200, seed)
+        for functional in ("hit_prob", "laplace_hit"):
+            out = linear_solve_oracle(chain, functional, target=2200)
+            assert np.all(out <= 1.0)
+            np.testing.assert_allclose(out, 1.0, rtol=0, atol=2.5e-5)
+
+
 def test_oracle_laplace_against_dense_reference():
     for seed in range(25):
         L = 3 + seed % 10

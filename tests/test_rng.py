@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre.rng import _mix64_int, counter_bits, counter_uniforms, generator, mix64, stream_key
+from rwre.rng import _GOLDEN, _mix64_int, counter_bits, counter_uniforms, generator, mix64, stream_key
 
 
 def test_mix64_scalar_and_array_agree():
@@ -26,6 +26,14 @@ def test_mix64_changes_many_bits():
 @given(st.integers(0, 2 ** 64 - 1))
 def test_python_int_finalizer_equals_mix64(x):
     assert _mix64_int(x) == int(mix64(x))
+
+
+def test_finalizer_matches_published_splitmix64():
+    # the first three outputs of splitmix64 seeded with 0, as published; its
+    # output k (from 0) finalizes (k + 1) GOLDEN, and _mix64_int adds one GOLDEN
+    published = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+    for k, value in enumerate(published):
+        assert _mix64_int(k * _GOLDEN & (2**64 - 1)) == value
 
 
 @pytest.mark.parametrize("parts,key", [
