@@ -12,7 +12,7 @@ The package splits along the objects of the theory:
              estimators;
 * stable     positive stable sampling and the exact CDF;
 * experiments  the end-to-end Monte Carlo harness and report emission;
-* rng        stream keys and keyed Philox generators behind all of the above.
+* rng        stream keys and keyed PCG64 generators behind all of the above.
 
 Special functions (digamma, log-beta, logsumexp) come from scipy.special.
 """

@@ -4,9 +4,10 @@ Every stochastic object in this package is drawn from a named stream.  A
 stream is identified by a 64-bit key derived from a tuple of parts (the
 master seed plus whatever identifies the consumer: a side of the origin, a
 site block, an experiment name, a replica block index).  The key seeds a
-numpy Generator on the Philox engine, which is itself counter-based; its
-draws are reproducible per key, whatever the draw method.  Two
-consequences we rely on throughout:
+numpy Generator on the PCG64 engine; its draws are reproducible per key,
+whatever the draw method.  No stream is skipped ahead or split: each one
+is read from its start by one consumer.  Two consequences we rely on
+throughout:
 
 * sampling is reproducible bit-for-bit regardless of how work is split
   across workers, because each unit of work (a replica block, a walk, an
@@ -94,5 +95,9 @@ def counter_uniforms(key: int, start: int, count: int) -> np.ndarray:
 
 
 def generator(key: int) -> np.random.Generator:
-    """A numpy Generator on the counter-based Philox engine, keyed."""
-    return np.random.Generator(np.random.Philox(key=key & _U64_MASK))
+    """A numpy Generator on the PCG64 engine, seeded with the 64-bit key.
+
+    PCG64 hashes its seed through numpy's SeedSequence, so keys that differ
+    in any one bit start unrelated streams.
+    """
+    return np.random.Generator(np.random.PCG64(key & _U64_MASK))

@@ -11,8 +11,10 @@ banded or trend-based and sized for a desk machine.
 """
 
 import math
+import operator
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -65,15 +67,34 @@ def chain_suite():
         yield L, om_full, reflected, plain, b
 
 
+OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def clause(name, reading, op, bound):
     """One numeric clause `reading op bound`, op one of <, <=, >, >=."""
-    return (f"{name} {op} {bound:g}", float(reading), float(bound), op[0] == "<")
+    return (f"{name} {op} {bound:g}", float(reading), float(bound), op)
+
+
+def holds(c):
+    _, reading, bound, op = c
+    return OPS[op](reading, bound)
 
 
 def relative_margin(c):
-    _, reading, bound, upper = c
-    dist = bound - reading if upper else reading - bound
+    _, reading, bound, op = c
+    dist = bound - reading if op[0] == "<" else reading - bound
     return dist / abs(bound) if bound else dist
+
+
+class Reading(NamedTuple):
+    """A criterion's printed detail and its numeric clauses, all of which
+    must hold."""
+    detail: str
+    clauses: list
+
+    @property
+    def ok(self):
+        return all(holds(c) for c in self.clauses)
 
 
 def report(num, ok, detail, clauses):
@@ -283,33 +304,29 @@ def test_c08_kesten_tail_constant_and_index():
     assert goldie_ok
 
 
-def test_c09_valley_census_at_scale():
+def c09_census(master_seed):
+    """c09's valley census of 100 environments at n = 1e6."""
     t0 = time.perf_counter()
     config = ExperimentConfig(law=BETA_LAW, n_values=(10 ** 6,),
-                              replicas=100, epsilon=0.2, master_seed=0)
+                              replicas=100, epsilon=0.2, master_seed=master_seed)
     rep = run_valley_census(config, workers=4)
     st = rep.rows[0].census
     elapsed = time.perf_counter() - t0
-    ok = (0.9 <= st.k_over_nq_mean <= 1.1 and st.coincidence >= 0.95
-          and st.joint >= 0.9)
-    report(9, ok and elapsed < 300.0,
-           f"K/(n q)={st.k_over_nq_mean:.3f}, coincidence={st.coincidence:.3f}, "
-           f"joint={st.joint:.2f}, environments={st.environments}, {elapsed:.0f}s",
-           [clause("K/(nq)", st.k_over_nq_mean, ">=", 0.9),
-            clause("K/(nq)", st.k_over_nq_mean, "<=", 1.1),
-            clause("coincidence", st.coincidence, ">=", 0.95),
-            clause("joint", st.joint, ">=", 0.9),
-            clause("seconds", elapsed, "<", 300.0)])
-    assert 0.9 <= st.k_over_nq_mean <= 1.1
-    assert st.coincidence >= 0.95
-    assert st.joint >= 0.9
-    assert elapsed < 300.0
+    return Reading(
+        f"K/(n q)={st.k_over_nq_mean:.3f}, coincidence={st.coincidence:.3f}, "
+        f"joint={st.joint:.2f}, environments={st.environments}, {elapsed:.0f}s",
+        [clause("K/(nq)", st.k_over_nq_mean, ">=", 0.9),
+         clause("K/(nq)", st.k_over_nq_mean, "<=", 1.1),
+         clause("coincidence", st.coincidence, ">=", 0.95),
+         clause("joint", st.joint, ">=", 0.9),
+         clause("seconds", elapsed, "<", 300.0)])
 
 
-def test_c10_end_to_end_tau_tail_and_laplace():
+def c10_tau(master_seed):
+    """c10's annealed tau(n) at n = 1e3, 1e4, 1e5, 1e4 replicas each."""
     t0 = time.perf_counter()
     config = ExperimentConfig(law=BETA_LAW, n_values=(10 ** 3, 10 ** 4, 10 ** 5),
-                              replicas=10 ** 4, master_seed=0)
+                              replicas=10 ** 4, master_seed=master_seed)
     rep = run_tau_experiment(config, workers=4)
     elapsed = time.perf_counter() - t0
     lam_scale = rep.extra("lambda_scale")
@@ -318,51 +335,66 @@ def test_c10_end_to_end_tau_tail_and_laplace():
     points = [row.laplace[1] for row in rep.rows]       # lambda = 1 column
     lap = [pt.value for pt in points]
     z = [(pt.value - target) / pt.stderr for pt in points]
-    hill_ok = 0.35 <= hill_mid <= 0.65
     # the limit theorem promises convergence, not a monotone approach: at
     # every n the Laplace point must sit within 4 standard errors of the limit
-    trend_ok = all(abs(zi) <= 4.0 for zi in z)
     lo, hi = math.exp(-4.0 * lam_scale), math.exp(-lam_scale / 4.0)
-    band_ok = lo < lap[1] < hi
-    report(10, hill_ok and trend_ok and band_ok and elapsed < 900.0,
-           f"hill(1e4)={hill_mid:.3f}, laplace(1)="
-           + ", ".join(f"{v:.4f} (z={zi:+.2f})" for v, zi in zip(lap, z))
-           + f" vs target={target:.4f}, band=({lo:.2e},{hi:.4f}), {elapsed:.0f}s",
-           [clause("hill(1e4)", hill_mid, ">=", 0.35),
-            clause("hill(1e4)", hill_mid, "<=", 0.65),
-            *(clause(f"|z| n={row.n}", abs(zi), "<=", 4.0) for row, zi in zip(rep.rows, z)),
-            clause("laplace(1) at 1e4", lap[1], ">", lo),
-            clause("laplace(1) at 1e4", lap[1], "<", hi),
-            clause("seconds", elapsed, "<", 900.0)])
-    assert elapsed < 900.0
-    assert hill_ok
-    assert trend_ok
-    assert band_ok
+    return Reading(
+        f"hill(1e4)={hill_mid:.3f}, laplace(1)="
+        + ", ".join(f"{v:.4f} (z={zi:+.2f})" for v, zi in zip(lap, z))
+        + f" vs target={target:.4f}, band=({lo:.2e},{hi:.4f}), {elapsed:.0f}s",
+        [clause("hill(1e4)", hill_mid, ">=", 0.35),
+         clause("hill(1e4)", hill_mid, "<=", 0.65),
+         *(clause(f"|z| n={row.n}", abs(zi), "<=", 4.0) for row, zi in zip(rep.rows, z)),
+         clause("laplace(1) at 1e4", lap[1], ">", lo),
+         clause("laplace(1) at 1e4", lap[1], "<", hi),
+         clause("seconds", elapsed, "<", 900.0)])
+
+
+def c11_reduction(master_seed):
+    """c11's reduction brackets over 200 environments at n = 1e4."""
+    config = ExperimentConfig(law=BETA_LAW, n_values=(10 ** 4,),
+                              replicas=1, lambda_grid=(0.5, 1.0),
+                              master_seed=master_seed)
+    rep = verify_reduction(config, workers=4, environments=200)
+    margins = sorted((pt.lam, pt.margin) for pt in rep.rows[0].reduction)
+    return Reading("margins " + ", ".join(f"lam={lam}: {m:+.4f}" for lam, m in margins),
+                   [clause(f"bracket margin lam={lam}", m, ">", 0.0) for lam, m in margins])
+
+
+def c12_crossing(master_seed):
+    """c12's crossing-time growth fit over 2000 environments."""
+    config = ExperimentConfig(law=BETA_LAW, n_values=(100,),
+                              replicas=2000, master_seed=master_seed)
+    slope = verify_crossing_bound(config, workers=4).extra("slope")
+    return Reading(f"fitted slope of log E[tau_h] vs h = {slope:.4f}",
+                   [clause("slope", slope, "<=", 1.1)])
+
+
+# the statistical criteria as functions of the master seed: the gate runs
+# them at seed 0, and tests/seed_sweep.py at other seeds
+STATISTICAL = {9: c09_census, 10: c10_tau, 11: c11_reduction, 12: c12_crossing}
+
+
+def gate(num, reading):
+    report(num, reading.ok, reading.detail, reading.clauses)
+    for c in reading.clauses:
+        assert holds(c), c[0]
+
+
+def test_c09_valley_census_at_scale():
+    gate(9, c09_census(0))
+
+
+def test_c10_end_to_end_tau_tail_and_laplace():
+    gate(10, c10_tau(0))
 
 
 def test_c11_reduction_bracket_contains_the_annealed_value():
-    config = ExperimentConfig(law=BETA_LAW, n_values=(10 ** 4,),
-                              replicas=1, lambda_grid=(0.5, 1.0),
-                              master_seed=0)
-    rep = verify_reduction(config, workers=4, environments=200)
-    margins = {pt.lam: pt.margin for pt in rep.rows[0].reduction}
-    ok = all(m > 0.0 for m in margins.values())
-    report(11, ok, "margins " + ", ".join(
-        f"lam={lam}: {m:+.4f}" for lam, m in sorted(margins.items())),
-        [clause(f"bracket margin lam={lam}", m, ">", 0.0)
-         for lam, m in sorted(margins.items())])
-    for lam, m in sorted(margins.items()):
-        assert m > 0.0, f"bracket missed at lambda={lam}"
+    gate(11, c11_reduction(0))
 
 
 def test_c12_crossing_time_growth_bound():
-    config = ExperimentConfig(law=BETA_LAW, n_values=(100,),
-                              replicas=2000, master_seed=0)
-    rep = verify_crossing_bound(config, workers=4)
-    slope = rep.extra("slope")
-    report(12, slope <= 1.1, f"fitted slope of log E[tau_h] vs h = {slope:.4f}",
-           [clause("slope", slope, "<=", 1.1)])
-    assert slope <= 1.1
+    gate(12, c12_crossing(0))
 
 
 def test_c13_reports_are_worker_count_invariant(tmp_path):

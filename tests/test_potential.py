@@ -239,36 +239,60 @@ def test_deep_valleys_on_sampled_environment():
 
 # -------------------------------------------------------- star valleys
 
+def _first_with_shape(has_shape, seeds=range(200), window=(-600, 12000)):
+    """The potential of the first seed's environment that has the shape a
+    test needs.  The shape is the test's precondition only, never what it
+    checks; a window too short to tell counts as lacking the shape."""
+    for seed in seeds:
+        path = build_potential(sample_environment(BETA_LAW, window, seed=seed))
+        try:
+            if has_shape(path):
+                return path
+        except WindowExhausted:
+            pass
+    pytest.fail(f"no seed in {seeds} has the shape")
+
+
+def _first_descent(path, n):
+    """The star scan's first gamma: the first D_n-descent from the origin."""
+    level = path.value(0) - descent_threshold(n, 0.5)
+    idx = oracles.first_at_most_full(path.v, path.index(0), level)
+    return math.inf if idx is None else path.offset + idx
+
+
+def _two_disjoint_deep_valleys_past_the_first_descent(path):
+    deep = detect_deep_valleys(path, 60, epsilon=0.2, kappa=0.5)
+    return (len(deep) == 2 and deep[0].d < deep[1].a
+            and deep[0].b >= _first_descent(path, 60))
+
+
+def _a_deep_window_starts_inside_the_one_before(path):
+    deep = detect_deep_valleys(path, 60, epsilon=0.2, kappa=0.5)
+    return any(nxt.a < prev.d for prev, nxt in zip(deep, deep[1:]))
+
+
 def test_star_valleys_coincide_when_deep_valleys_are_disjoint():
-    # seed chosen so the two deep windows [a, d] do not overlap; both lie
-    # past the first D_n-descent from the origin, where the star scan starts
-    env = sample_environment(BETA_LAW, (-600, 12000), seed=47)
-    path = build_potential(env)
+    # both deep valleys lie past the first D_n-descent from the origin,
+    # where the star scan starts; one before it is never scanned
+    path = _first_with_shape(_two_disjoint_deep_valleys_past_the_first_descent)
     n = 60
     deep = detect_deep_valleys(path, n, epsilon=0.2, kappa=0.5)
     star = detect_star_valleys(path, n, epsilon=0.2, kappa=0.5)
-    assert len(deep) == 2
-    assert all(deep[i].d < deep[i + 1].a for i in range(len(deep) - 1))
     assert {(v.b, v.d_bar) for v in deep} == {(v.b, v.d_bar) for v in star}
 
 
 def test_star_valleys_are_a_subset_of_deep_ones():
-    # overlapping deep valleys get merged by the star scan, never invented;
-    # seed chosen so the third deep window starts inside the second
-    env = sample_environment(BETA_LAW, (-600, 12000), seed=7)
-    path = build_potential(env)
+    # overlapping deep valleys get merged by the star scan, never invented
+    path = _first_with_shape(_a_deep_window_starts_inside_the_one_before)
     deep = detect_deep_valleys(path, 60, epsilon=0.2, kappa=0.5)
     star = detect_star_valleys(path, 60, epsilon=0.2, kappa=0.5)
-    assert len(deep) == 3
-    deep_pairs = {(v.b, v.d_bar) for v in deep}
     star_pairs = [(v.b, v.d_bar) for v in star]
-    assert star_pairs == [(39, 60), (88, 111)]
-    assert set(star_pairs) <= deep_pairs
+    assert star == oracles.star_valleys_full(path, 60, 0.2, 0.5)
+    assert set(star_pairs) <= {(v.b, v.d_bar) for v in deep}
 
 
 def test_star_valleys_ordered_and_disjoint():
-    env = sample_environment(BETA_LAW, (-600, 12000), seed=7)
-    path = build_potential(env)
+    path = _first_with_shape(lambda p: len(oracles.star_valleys_full(p, 60, 0.2, 0.5)) >= 2)
     star = detect_star_valleys(path, 60, epsilon=0.2, kappa=0.5)
     d_n = descent_threshold(60, 0.5)
     assert len(star) >= 2
@@ -364,44 +388,58 @@ def test_gallop_searches_without_a_hit_exhaust_their_side():
     assert (left.value.side, right.value.side) == ("left", "right")
 
 
-# seeds chosen so the cuts reach all four star-valley searches and both sides
-@pytest.mark.parametrize("seed,n", [(0, 60), (94, 60), (1, 600), (4, 2000)])
-def test_star_and_grown_valleys_match_full_window_scans(seed, n):
-    full = build_potential(sample_environment(BETA_LAW, (-600, 12 * n + 5000), seed=seed))
+def _full_window_cases(full, n):
+    """The scans that the full-window test compares, as (scan, oracle, args,
+    cut), cut naming the kind of cut window.  The star scan runs on the
+    whole window, then on windows that end just short of a valley's gamma,
+    t_star, d_bar or d, or start just inside its a; the whole window's table
+    keeps e_n past the cut, so each search runs off it.  Each of the first
+    six deep valleys grows on the whole window, then on windows that end
+    just inside its a (left) or just short of its d (right).  Cut sites are
+    read from the oracles."""
     h_n = critical_height(n, 0.2, 0.5)
     d_n = descent_threshold(n, 0.5)
-    sides = set()
-    # the whole window, then windows that end just short of a valley's
-    # gamma, t_star, d_bar or d, or start just inside its a; the whole
-    # window's table keeps e_n past the cut, so each search runs off it
     table = excursion_table(full)
-    star = detect_star_valleys(full, n, 0.2, 0.5)
-    assert star == oracles.star_valleys_full(full, n, 0.2, 0.5)
+    star = oracles.star_valleys_full(full, n, 0.2, 0.5)
     cuts = [(0, full.index(site)) for v in star for site in (v.gamma, v.t_star, v.d_bar, v.d)]
     cuts += [(full.index(v.a) + 1, len(full)) for v in star if v.a < 0]
-    whats = set()
+    cases = [(detect_star_valleys, oracles.star_valleys_full, (full, n, 0.2, 0.5), None)]
     for lo, hi in cuts:
         path = PotentialPath(offset=full.offset + lo, v=full.v[lo:hi])
-        cut = _outcome(detect_star_valleys, path, n, 0.2, 0.5, table)
-        assert cut == _outcome(oracles.star_valleys_full, path, n, 0.2, 0.5, table)
-        sides.add(cut[1])
-        whats.add(cut[2])
-    assert whats == {f"star-valley {x}" for x in ("gamma", "t_star", "d_bar", "d")}
-    # each deep valley grown on the whole window, then on windows that end
-    # just inside its a (left) or just short of its d (right)
-    deep = np.flatnonzero(table.heights >= h_n)
-    assert deep.size
-    for i in deep[:6]:
-        b, d_bar = int(table.starts[i]), int(table.ends[i])
-        grown = _grow_valley(full, b, d_bar, h_n, d_n, float(table.heights[i]))
-        assert grown == oracles.grow_valley_full(full, b, d_bar, h_n, d_n, grown.height)
+        cases.append((detect_star_valleys, oracles.star_valleys_full,
+                      (path, n, 0.2, 0.5, table), "star"))
+    for i in np.flatnonzero(table.heights >= h_n)[:6]:
+        args = (int(table.starts[i]), int(table.ends[i]), h_n, d_n, float(table.heights[i]))
+        cases.append((_grow_valley, oracles.grow_valley_full, (full, *args), None))
+        grown = oracles.grow_valley_full(full, *args)
         for lo, hi in [(full.index(grown.a) + 1, len(full)), (0, full.index(grown.d))]:
             path = PotentialPath(offset=full.offset + lo, v=full.v[lo:hi])
-            args = (path, b, d_bar, h_n, d_n, grown.height)
-            cut = _outcome(_grow_valley, *args)
-            assert cut == _outcome(oracles.grow_valley_full, *args)
-            sides.add(cut[1])
-    assert sides == {"left", "right"}
+            cases.append((_grow_valley, oracles.grow_valley_full, (path, *args), "grow"))
+    return cases
+
+
+def _cuts_reach_every_search_on_both_sides(full, n):
+    """There are star and grown-valley cuts, every cut runs a search off its
+    window, the star cuts reach the gamma, t_star, d_bar and d searches,
+    and the cuts run off both sides."""
+    cuts = [(kind, _outcome(oracle, *args))
+            for _, oracle, args, kind in _full_window_cases(full, n) if kind]
+    if {kind for kind, _ in cuts} != {"star", "grow"}:
+        return False
+    if not all(isinstance(o, tuple) and o[0] == "exhausted" for _, o in cuts):
+        return False
+    return ({o[1] for _, o in cuts} == {"left", "right"}
+            and {o[2] for kind, o in cuts if kind == "star"}
+            == {f"star-valley {x}" for x in ("gamma", "t_star", "d_bar", "d")})
+
+
+# each case searches the seeds from its first up to 199
+@pytest.mark.parametrize("first,n", [(0, 60), (94, 60), (1, 600), (4, 2000)])
+def test_star_and_grown_valleys_match_full_window_scans(first, n):
+    full = _first_with_shape(lambda path: _cuts_reach_every_search_on_both_sides(path, n),
+                             seeds=range(first, 200), window=(-600, 12 * n + 5000))
+    for scan, oracle, args, _ in _full_window_cases(full, n):
+        assert _outcome(scan, *args) == _outcome(oracle, *args)
 
 
 # -------------------------------------------------- good environments

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rwre.rng import _GOLDEN, _mix64_int, counter_bits, counter_uniforms, generator, mix64, stream_key
+from rwre.rng import _GOLDEN, _U64_MASK, _mix64_int, counter_bits, counter_uniforms, generator, mix64, stream_key
 
 
 def test_mix64_scalar_and_array_agree():
@@ -118,3 +118,24 @@ def test_generator_reproducible_and_keyed():
     a, b, c = g1.random(32), g2.random(32), g3.random(32)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("key", [0, 1, 0x846C7640C43D6D6E, 2**64 - 1])
+def test_generator_is_pcg64_seeded_with_the_key(key):
+    ours = generator(key)
+    ref = np.random.Generator(np.random.PCG64(key & _U64_MASK))
+    assert isinstance(ours.bit_generator, np.random.PCG64)
+    np.testing.assert_array_equal(ours.random(8), ref.random(8))
+    np.testing.assert_array_equal(ours.standard_gamma(0.7, 8), ref.standard_gamma(0.7, 8))
+    np.testing.assert_array_equal(ours.poisson(3.5, 8), ref.poisson(3.5, 8))
+
+
+@pytest.mark.parametrize("bit", [0, 1, 62, 63])
+def test_generator_keys_one_bit_apart_start_apart(bit):
+    key = stream_key(4, "env", 17)
+    assert generator(key).random() != generator(key ^ (1 << bit)).random()
+
+
+def test_generator_reads_the_key_modulo_2_64():
+    key = stream_key(4, "env", 17)
+    np.testing.assert_array_equal(generator(key + 2**64).random(16), generator(key).random(16))
