@@ -23,8 +23,7 @@ draw_omegas, on a generator keyed by the block (see rng).
 draw_omegas, and the per-replica samplers draw_rho and draw_log_rho,
 dispatch on one rule: Beta(A, 1) and discrete laws invert the CDF on
 generator uniforms, other Beta laws use the generator's beta sampler.
-draw_rho skips omega where it can: rho = V^(-1/A) - 1 for Beta(A, 1), a
-per-atom table for discrete laws.
+draw_rho reads a per-atom table for discrete laws.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ _EDGE = 1e-6
 _BISECT_ITERS = 200
 _SITE_BLOCK = 4096  # sites per stream block when sampling environments
 _OMEGA_CLIP = (1e-300, 1.0 - 1e-16)  # keeps generator draws off 0 and 1
-_RHO_CLIP = tuple((1.0 - om) / om for om in reversed(_OMEGA_CLIP))  # rho over _OMEGA_CLIP
 
 
 class RegimeError(ValueError):
@@ -208,26 +206,15 @@ def _clipped_atoms(law: EnvironmentLaw) -> np.ndarray:
 
 
 def draw_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """size i.i.d. draws of rho = (1-omega)/omega, dispatched as draw_omegas.
-
-    Beta(a,1): omega = V^(1/a) for V uniform, so rho = V^(-1/a) - 1, with
-    V = 1 - rng.random() in [2^-53, 1] so that rho stays finite; it is
-    clipped into the range _OMEGA_CLIP gives.  The law is that of
-    draw_omegas, not the values.  Discrete laws read a per-atom table,
-    value for value those of draw_omegas; other Beta laws take
-    (1-omega)/omega of draw_omegas.
+    """size i.i.d. draws of rho = (1-omega)/omega, dispatched as
+    draw_omegas.  Discrete laws read a per-atom table, value for value
+    those of draw_omegas; Beta laws take (1-omega)/omega of draw_omegas.
     """
-    if not _by_cdf(law):
-        om = draw_omegas(law, rng, size)
-        return (1.0 - om) / om
     if law.kind == "discrete":
         atoms = _clipped_atoms(law)
         return ((1.0 - atoms) / atoms)[_atom_index(law, rng.random(size))]
-    rho = rng.random(size)
-    np.subtract(1.0, rho, out=rho)
-    np.power(rho, -1.0 / law.alpha, out=rho)
-    rho -= 1.0
-    return np.clip(rho, _RHO_CLIP[0], _RHO_CLIP[1], out=rho)
+    om = draw_omegas(law, rng, size)
+    return (1.0 - om) / om
 
 
 def draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:

@@ -73,7 +73,13 @@ from .potential import (
     first_ascent,
     ladder_epochs,      # not called here: benchmarks/spans.py wraps it by this module's name
 )
-from .quenched import QuenchedChain, _branching_cascade, linear_solve_oracle
+from .quenched import (
+    QuenchedChain,
+    _beta_geometric,
+    _branching_cascade,
+    _gamma_poisson,
+    linear_solve_oracle,
+)
 from .rng import generator, stream_key
 # predicted_tau_cdf and sample_positive_stable are not called here: benchmarks/spans.py
 # wraps them by this module's name, so the imports stay until those targets go
@@ -384,13 +390,18 @@ def _ks_result(sample: np.ndarray, cdf) -> KsResult:
 
 def _tau_block(law: EnvironmentLaw, n: int, count: int, key: int,
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact annealed tau(0 -> n) draws: the branching cascade with a
-    fresh omega vector at every site, one environment per replica.
-    Returns (tau, clipped); callers must not let clipped values into
-    estimators."""
+    """Exact annealed tau(0 -> n) draws, one environment per replica: the
+    branching cascade with each site's omega integrated out, lane by lane.
+    Beta(a,1) draws each count as one geometric variable (_beta_geometric);
+    other laws draw a fresh rho vector at every site and mix Poisson over
+    it (_gamma_poisson).  Returns (tau, clipped); callers must not let
+    clipped values into estimators."""
     rng = generator(key)
-    return _branching_cascade(lambda _site, size: draw_rho(law, rng, size),
-                              rng, count, 0, n, floor=-_TAU_DEPTH - 1)
+    if law.kind == "beta" and law.beta == 1.0:
+        draw = _beta_geometric(law.alpha, rng)
+    else:
+        draw = _gamma_poisson(lambda _site, size: draw_rho(law, rng, size), rng)
+    return _branching_cascade(draw, count, 0, n, floor=-_TAU_DEPTH - 1)
 
 
 def _replica_blocks(replicas: int, block: int, workers: int, task,

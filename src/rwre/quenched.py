@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -54,7 +55,7 @@ __all__ = [
 
 _RECURRENCE_CHUNK = 256  # terms between restarts of _log_linear_recurrence's prefix sum
 _HARMONIC_ROUNDINGS = 16   # harmonicity bound in units of eps (1 + M); see _check_harmonic
-_LAM_CAP = 5e18       # poisson mixing saturates here; far beyond any test scale
+_LAM_CAP = 5e18       # cascade intensities (Poisson means, geometric values) saturate here
 
 
 @dataclass(frozen=True)
@@ -518,40 +519,86 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
     raise ValueError(f"unknown functional {functional!r}")
 
 
-def _branching_cascade(rho_at, rng: np.random.Generator, count: int, start: int,
-                       target: int, floor: int | None = None,
-                       ) -> tuple[np.ndarray, np.ndarray]:
+class _SiteDraw(NamedTuple):
+    """How the branching cascade draws one site's crossing counts from
+    their shapes: intensity(i, shape) draws one continuous value per lane,
+    which the cascade caps at _LAM_CAP, and count turns the capped values
+    into int64 counts."""
+    intensity: Callable[[int, np.ndarray], np.ndarray]
+    count: Callable[[np.ndarray], np.ndarray]
+
+
+def _gamma_poisson(rho_at, rng: np.random.Generator) -> _SiteDraw:
+    """Negative binomial counts as Poisson(Gamma(shape) rho_at(i, size)),
+    for any environment.  rho_at(i, size) is a scalar in a fixed
+    environment or a vector of size fresh values, one environment per
+    lane; it is called before the site's gamma draw.  A gamma or Poisson
+    draw of shape 0 consumes no bits, so in a fixed environment the
+    cascade's live-lane scan below start draws what scanning every lane
+    would."""
+    def intensity(i: int, shape: np.ndarray) -> np.ndarray:
+        rho = rho_at(i, shape.size)
+        lam = rng.standard_gamma(shape)
+        lam *= rho
+        return lam
+    return _SiteDraw(intensity, rng.poisson)
+
+
+def _beta_geometric(alpha: float, rng: np.random.Generator) -> _SiteDraw:
+    """Annealed counts for omega ~ Beta(alpha, 1), fresh at every site and
+    lane, as one geometric variable a lane.
+
+    Given its shape r, a count has the beta-negative-binomial law
+    BNB(r, alpha, 1), which is symmetric in its first and third
+    parameters: it is BNB(1, alpha, r), a Geometric(p) count of failures
+    with p ~ Beta(alpha, r).  With p = G_a / (G_a + G_r), for Gamma(alpha)
+    and Gamma(r) draws G_a and G_r, and E standard exponential, the count
+    is floor(E / -log(1 - p)) = floor(E / log1p(G_a / G_r)).  The law is
+    exact; it differs from the Gamma-Poisson draw over draw_rho only where
+    that clips omega into _OMEGA_CLIP, an event of probability about
+    1e-16.  A log1p of 0 gives an infinite intensity, which the cap
+    clips and counts.
+    """
+    def intensity(_i: int, shape: np.ndarray) -> np.ndarray:
+        x = rng.standard_gamma(alpha, shape.size)
+        x /= rng.standard_gamma(shape)
+        np.log1p(x, out=x)
+        with np.errstate(divide="ignore"):
+            return np.divide(rng.standard_exponential(shape.size), x, out=x)
+    return _SiteDraw(intensity, lambda x: x.astype(np.int64))
+
+
+def _site_counts(draw: _SiteDraw, i: int, shape: np.ndarray, clipped: np.ndarray,
+                 lanes) -> np.ndarray:
+    """Crossing counts at site i: the draw's intensity, capped at _LAM_CAP,
+    with the lanes past the cap marked in clipped[lanes]."""
+    lam = draw.intensity(i, shape)
+    if lam.max(initial=0.0) > _LAM_CAP:         # rare: clip and count
+        clipped[lanes] |= lam > _LAM_CAP
+        np.minimum(lam, _LAM_CAP, out=lam)
+    return draw.count(lam)
+
+
+def _branching_cascade(draw: _SiteDraw, count: int, start: int, target: int,
+                       floor: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """count draws of tau(start -> target) = (target - start) + 2 sum_i U_i,
     U_i the left crossings of the edge (i, i+1).
 
-    Scanning right to left, U_i given U_{i+1} is negative binomial (failures
-    before U_{i+1} + 1 successes at rate omega_i for sites >= start, before
-    U_{i+1} successes below start), drawn as Poisson(Gamma(.) rho_at(i, size)).
-    rho_at(i, size) is a scalar in a fixed environment or a vector of size
-    fresh values, one environment per lane; it is called before the site's
-    gamma draw.  Every lane is drawn at sites >= start.  Below start only
-    the lanes with U_{i+1} > 0 are drawn (size counts them), and the scan
+    Scanning right to left, U_i given U_{i+1} is negative binomial: the
+    failures before U_{i+1} + 1 successes at rate omega_i for sites >=
+    start, before U_{i+1} successes below start.  draw turns those shapes
+    into counts: _gamma_poisson in any environment, _beta_geometric
+    annealed over Beta(alpha, 1).  Every lane is drawn at sites >= start.
+    Below start only the lanes with U_{i+1} > 0 are drawn, and the scan
     runs until none is left, but visits no site below min(floor, start).
-    A gamma or Poisson draw of shape 0 consumes no bits, so in a fixed
-    environment the draws are those of scanning every lane.  Returns (tau,
-    clipped): clipped marks the replicas whose intensity passed _LAM_CAP
-    or that were alive below floor.
+    Returns (tau, clipped): clipped marks the replicas whose intensity
+    passed _LAM_CAP or that were alive below floor.
     """
     u = np.zeros(count, dtype=np.int64)
     total = np.zeros(count, dtype=np.float64)   # a sum of counts can pass int64's range
     clipped = np.zeros(count, dtype=bool)
-
-    def crossings(i: int, shape: np.ndarray, lanes) -> np.ndarray:
-        rho = rho_at(i, shape.size)
-        lam = rng.standard_gamma(shape)
-        lam *= rho
-        if lam.max(initial=0.0) > _LAM_CAP:     # rare: clip and count
-            clipped[lanes] |= lam > _LAM_CAP
-            np.minimum(lam, _LAM_CAP, out=lam)
-        return rng.poisson(lam)
-
     for i in range(target - 1, start - 1, -1):
-        u = crossings(i, u + 1.0, slice(None))
+        u = _site_counts(draw, i, u + 1.0, clipped, slice(None))
         total += u
     live = np.flatnonzero(u)
     u = u[live]
@@ -560,7 +607,7 @@ def _branching_cascade(rho_at, rng: np.random.Generator, count: int, start: int,
         if floor is not None and i < min(floor, start):
             clipped[live] = True
             break
-        u = crossings(i, u, live)
+        u = _site_counts(draw, i, u, clipped, live)
         total[live] += u
         keep = np.flatnonzero(u)
         live, u = live[keep], u[keep]
@@ -598,8 +645,8 @@ def sample_hitting_times(env, target: int, n_replicas: int, seed,
         om = omega_of(i)
         return (1.0 - om) / om
 
-    tau, clipped = _branching_cascade(rho_at, rng, n_replicas, start, target,
-                                      floor=reflect_at)
+    tau, clipped = _branching_cascade(_gamma_poisson(rho_at, rng), n_replicas, start,
+                                      target, floor=reflect_at)
     if clipped.any():
         raise FloatingPointError(
             f"{int(clipped.sum())} of {n_replicas} replicas passed the branching "

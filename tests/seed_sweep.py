@@ -5,9 +5,11 @@ This script, which is not part of the test suite, runs the same
 configurations, readings and bounds (tests/test_acceptance.py) at master
 seeds 1-10 and prints each criterion's line per seed, then per criterion
 its pass count and the min, median and max of every reading.  It takes
-about half an hour on a 2-core machine, most of it c10.
+about half an hour on a 2-core machine, most of it c10.  Criterion
+numbers given as arguments restrict the sweep to those criteria.
 
-    PYTHONPATH=src python tests/seed_sweep.py
+    PYTHONPATH=src python tests/seed_sweep.py        # c09-c12
+    PYTHONPATH=src python tests/seed_sweep.py 10     # c10 only
 """
 
 import statistics
@@ -18,8 +20,13 @@ from test_acceptance import STATISTICAL, report
 SEEDS = range(1, 11)
 
 
-def main():
-    for num, criterion in STATISTICAL.items():
+def main(argv):
+    nums = [int(a) for a in argv] or list(STATISTICAL)
+    unknown = [num for num in nums if num not in STATISTICAL]
+    if unknown:
+        sys.exit(f"no statistical criterion {unknown}; choose from {list(STATISTICAL)}")
+    for num in nums:
+        criterion = STATISTICAL[num]
         passed = 0
         readings = {}
         for seed in SEEDS:
@@ -40,4 +47,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -552,27 +552,79 @@ def test_annealed_tau_block_follows_the_reference_cascade(spec):
 def test_cascade_clips_the_lanes_alive_below_the_floor():
     # discrete:0.3@1 has rho = 7/3, so the cascade grows below the origin
     from rwre.env import EnvironmentLaw, draw_rho
-    from rwre.quenched import _branching_cascade
+    from rwre.quenched import _branching_cascade, _gamma_poisson
     from rwre.rng import generator
     law = EnvironmentLaw.parse("discrete:0.3@1")
     rng = generator(31)
-    draw = lambda _i, size: draw_rho(law, rng, size)
+    draw = _gamma_poisson(lambda _i, size: draw_rho(law, rng, size), rng)
     # floor = start: no site below start is visited, so a lane is clipped
     # exactly when it crossed the edge (start, start + 1) leftward
-    tau, clipped = _branching_cascade(draw, rng, 4000, 0, 1, floor=0)
+    tau, clipped = _branching_cascade(draw, 4000, 0, 1, floor=0)
     np.testing.assert_array_equal(clipped, tau > 1.0)
     assert 0.5 < clipped.mean() < 0.9                 # P{U_0 > 0} = 0.7
     # a floor three sites down: the live-lane scan against the reference
     # that scans every lane, in the same fixed environment
     rho = 7.0 / 3.0
-    ours = _branching_cascade(lambda _i, _size: rho, generator(32), 4000, 0, 5, floor=-3)
+    ours = _branching_cascade(_gamma_poisson(lambda _i, _size: rho, generator(32)), 4000, 0, 5,
+                              floor=-3)
     ref = oracles.branching_cascade_reference(lambda _i: rho, generator(32), 4000, 0, 5,
                                               floor=-3)
     np.testing.assert_array_equal(ours[0], ref[0])
     np.testing.assert_array_equal(ours[1], ref[1])
     assert 0.5 < ours[1].mean() < 1.0
-    _, annealed_clipped = _branching_cascade(draw, rng, 4000, 0, 5, floor=-3)
+    _, annealed_clipped = _branching_cascade(draw, 4000, 0, 5, floor=-3)
     assert abs(annealed_clipped.mean() - ours[1].mean()) < 0.05
+
+
+def _bnb_chi_square_pvalue(counts: np.ndarray, r: int, alpha: float) -> float:
+    """Chi-square p-value of counts against BNB(r, alpha, 1), on about 40
+    bins of near-equal reference mass; the last bin holds the tail."""
+    from scipy.stats import betanbinom, chisquare
+    # betanbinom.ppf loops forever on these tails, so the quantiles come
+    # from the summed pmf; bin j is (tops[j-1], tops[j]]
+    cdf = np.cumsum(betanbinom(r, alpha, 1.0).pmf(np.arange(10**6)))
+    tops = np.unique(np.searchsorted(cdf, np.linspace(0.0, 1.0, 41)[1:-1]))
+    observed = np.bincount(np.searchsorted(tops, counts), minlength=tops.size + 1)
+    expected = np.diff(np.concatenate([[0.0], cdf[tops], [1.0]])) * counts.size
+    return float(chisquare(observed, expected * counts.size / expected.sum()).pvalue)
+
+
+@pytest.mark.parametrize("route", ["gamma_poisson", "beta_geometric"])
+@pytest.mark.parametrize("r", [1, 2, 6, 51])
+def test_annealed_site_draws_have_the_beta_negative_binomial_law(route, r):
+    # omega ~ Beta(1.5, 1) integrated out: given shape r, a count is
+    # BNB(r, 1.5, 1).  Above the origin the cascade passes the float shape
+    # u + 1, below it the integer u; both forms must give the law.
+    from rwre.env import EnvironmentLaw, draw_rho
+    from rwre.quenched import _beta_geometric, _gamma_poisson, _site_counts
+    from rwre.rng import generator
+    law, size = EnvironmentLaw.beta_law(1.5, 1.0), 1_000_000
+    for seed, shape in ((70 + r, np.full(size, r - 1, dtype=np.int64) + 1.0),
+                        (170 + r, np.full(size, r, dtype=np.int64))):
+        rng = generator(seed)
+        draw = (_beta_geometric(1.5, rng) if route == "beta_geometric" else
+                _gamma_poisson(lambda _i, n: draw_rho(law, rng, n), rng))
+        clipped = np.zeros(size, dtype=bool)
+        counts = _site_counts(draw, 0, shape, clipped, slice(None))
+        assert counts.dtype == np.int64 and not clipped.any()
+        assert _bnb_chi_square_pvalue(counts, r, 1.5) > 1e-3
+
+
+def test_geometric_draw_clips_and_counts_the_lanes_past_the_cap():
+    # a shape of 1e20 puts E / log1p(G_a / G_r) near 1e20 E / G_a, past
+    # _LAM_CAP; an infinite shape makes the log1p 0, an infinite intensity
+    import warnings
+    from rwre.quenched import _LAM_CAP, _beta_geometric, _site_counts
+    from rwre.rng import generator
+    lanes = np.array([0, 2, 3, 5])
+    clipped = np.zeros(6, dtype=bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = _site_counts(_beta_geometric(1.5, generator(61)), 0,
+                              np.array([1.0, 1e20, 2.0, np.inf]), clipped, lanes)
+    np.testing.assert_array_equal(clipped, [False, False, True, False, False, True])
+    assert counts[1] == counts[3] == int(_LAM_CAP)
+    assert counts[0] < 10**6 and counts[2] < 10**6
 
 
 def test_from_environment_needs_the_chain_inside_the_slice():
