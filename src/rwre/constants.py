@@ -10,11 +10,13 @@ law whose scale is an explicit product of four ingredients:
 * the Kesten constant C_K governing the tail of the renewal series
   R = sum_k e^{V(k)}, P{R > x} ~ C_K x^{-kappa}.
 
-C_I comes out of a joint Monte Carlo over excursions (with a delta-method
-standard error that keeps the covariance between the two excursion
-functionals).  C_K has a closed form in the Beta case and, for any law,
-Goldie's implicit renewal formula (Ann. Appl. Probab. 1991)
-C_K = E[R^kappa - (R - 1)^kappa] / (kappa E[rho^kappa log rho]): with
+C_I is read off the first n excursions of one keyed potential path, cut
+at its weak descending ladder epochs by potential.excursion_table (the
+strong Markov property makes them i.i.d.), with a delta-method standard
+error that keeps the covariance between the two excursion functionals.
+C_K has a closed form in the Beta case and, for any law, Goldie's
+implicit renewal formula (Ann. Appl. Probab. 1991) C_K =
+E[R^kappa - (R - 1)^kappa] / (kappa E[rho^kappa log rho]): with
 R >= 1 and 0 < kappa < 1 the summand lies in (0, 1], so the estimate is
 the sample mean of a bounded variable over series simulated to numerical
 convergence.
@@ -33,7 +35,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import betaln, digamma
 
-from .env import EnvironmentLaw, RegimeError, draw_log_rho, kappa_solve, moment_rho_log
+from .env import (
+    EnvironmentLaw,
+    RegimeError,
+    draw_log_rho,
+    kappa_solve,
+    mean_log_rho,
+    moment_rho_log,
+    sample_environment,
+)
+from .potential import build_potential, excursion_table
 from .rng import generator, stream_key
 
 __all__ = [
@@ -51,7 +62,6 @@ __all__ = [
     "limit_scale_beta",
 ]
 
-_EXCURSION_SITE_CAP = 100_000     # one excursion longer than this is flagged
 _SERIES_TERM_CAP = 100_000
 _SERIES_REL_TOL = 1e-12
 _SERIES_BLOCK = 100_000           # series per _simulate_series_block call
@@ -94,42 +104,38 @@ class IglehartEstimate:
     e_len: float                  # sample mean of e_1
     cov: np.ndarray               # 2x2 covariance of (e^{kappa V(e_1)}, e_1)
     n_excursions: int
-    truncated_excursions: int     # excursions cut by the site cap
 
 
 def sample_excursions(law: EnvironmentLaw, n: int, seed: int,
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """n excursions of the potential above its running minimum.
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first n excursions of the potential above its running minimum
+    on sites 0, 1, ... of the environment keyed by stream_key(seed,
+    "excursions").
 
-    Returns (v_end, length, height, truncated): the potential value at the
-    first weak descending ladder epoch, the epoch itself, the running max
-    over the excursion, and how many excursions were cut off by the site
-    cap (their partial values are kept; with a transient law the cap is
-    effectively unreachable).
+    Returns (v_end, length, height) per excursion, between consecutive
+    weak descending ladder epochs e_{i-1} < e_i: V(e_i) - V(e_{i-1}) <= 0,
+    e_i - e_{i-1}, and the rise max V - V(e_{i-1}) over [e_{i-1}, e_i].
+    The first window holds 2n sites; a window short of n excursions grows
+    in place by the sites per excursion seen so far, with the potential
+    and the excursion table continued bit for bit, so no excursion is cut.
     """
-    rng = generator(stream_key(seed, "excursions"))
-    v = np.zeros(n)
-    height = np.zeros(n)
-    length = np.zeros(n, dtype=np.int64)
-    active = np.arange(n)
-    v_end = np.zeros(n)
-    rounds = 0
-    truncated = 0
-    while active.size:
-        inc = draw_log_rho(law, rng, active.size)
-        v[active] += inc
-        length[active] += 1
-        height[active] = np.maximum(height[active], v[active])
-        done = v[active] <= 0.0
-        idx_done = active[done]
-        v_end[idx_done] = v[idx_done]
-        active = active[~done]
-        rounds += 1
-        if rounds >= _EXCURSION_SITE_CAP and active.size:
-            truncated = int(active.size)
-            v_end[active] = v[active]
-            break
-    return v_end, length, height, truncated
+    if mean_log_rho(law) >= 0.0:
+        raise RegimeError(f"law {law.spec_text()} has E[log rho] >= 0: its potential "
+                          "does not drift down and an excursion need not end")
+    key = stream_key(seed, "excursions")
+    right = 2 * n
+    path = build_potential(sample_environment(law, (1, right), seed=key))
+    table = excursion_table(path)
+    while table.ends.size < n:
+        done = table.ends.size
+        per_excursion = right / done if done else 2.0
+        grown = right + math.ceil((n - done) * per_excursion * 1.02) + 4096
+        piece = sample_environment(law, (right + 1, grown), seed=key)
+        path = path.joined(build_potential(piece, prior=path))
+        table = excursion_table(path, prior=table)
+        right = grown
+    starts, ends = table.starts[:n], table.ends[:n]    # the path starts at site 0
+    return path.v[ends] - path.v[starts], ends - starts, table.heights[:n]
 
 
 def iglehart_constant(law: EnvironmentLaw, kappa: float, n_excursions: int = 200_000,
@@ -142,7 +148,7 @@ def iglehart_constant(law: EnvironmentLaw, kappa: float, n_excursions: int = 200
     if abs(kr.kappa - kappa) > 1e-6:
         raise ValueError(f"kappa={kappa} does not match the law's root {kr.kappa}")
     moment = moment_rho_log(law, kappa)
-    v_end, length, _, truncated = sample_excursions(law, n_excursions, seed)
+    v_end, length, _ = sample_excursions(law, n_excursions, seed)
     a = np.exp(kappa * v_end)      # e^{kappa V(e_1)} <= 1
     b = length.astype(np.float64)
     a_mean = float(a.mean())
@@ -155,8 +161,7 @@ def iglehart_constant(law: EnvironmentLaw, kappa: float, n_excursions: int = 200
     var = float(grad @ cov @ grad) / n_excursions
     return IglehartEstimate(c_i=c_i, stderr=math.sqrt(max(var, 0.0)),
                             e_kv=a_mean, e_len=b_mean, cov=cov,
-                            n_excursions=n_excursions,
-                            truncated_excursions=truncated)
+                            n_excursions=n_excursions)
 
 
 def feller_from_estimate(est: IglehartEstimate, kappa: float, moment: float,

@@ -626,7 +626,10 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     excursion-height tail (Iglehart route), the deep/star coincidence
     rate, the tail-flatness table h -> e^{kappa h} P{H >= h}, and the
     good-environment event frequencies.  The A2 band is self-calibrated
-    per environment (its own K_n / n), matching the check's default.
+    per environment (its own K_n / n), matching the check's default, so it
+    holds by construction: floor(K_n (1 - m)) <= K_n <= ceil(K_n (1 + m)).
+    The a2 frequency reads 1 and the joint frequency tests only A1, A3
+    and A4.
 
     Each environment's window starts at _CENSUS_FIRST E[len] n +
     _CENSUS_MARGIN sites right of the origin, E[len] being the mean
@@ -651,7 +654,7 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
             c_prime = 2.0 * (ig.e_len + 1.0)
         c_i_hat = ig.c_i
     else:
-        _, lengths, _, _ = sample_excursions(
+        _, lengths, _ = sample_excursions(
             config.law, _FALLBACK_EXCURSIONS, stream_key(config.master_seed, "census-ci"))
         e_len = float(lengths.mean())
         c_prime = c_prime if c_prime is not None else 4.0
@@ -732,13 +735,13 @@ def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
     lefts = []
     factors = []
     first = deep[0] if deep else None
+    if first is not None:
+        vchain = QuenchedChain.from_environment(env, first.a, first.d, reflect_at=first.a)
     for lam in lam_values:
         lam_n = lam / scale
         sol = linear_solve_oracle(chain, "laplace_hit", target=e_n, lam=lam_n)
         lefts.append(float(sol[0 - left]))
         if first is not None:
-            vchain = QuenchedChain.from_environment(env, first.a, first.d,
-                                                    reflect_at=first.a)
             vsol = linear_solve_oracle(vchain, "laplace_hit", target=first.d,
                                        lam=lam_n)
             factors.append(float(vsol[first.b - first.a]))

@@ -265,10 +265,8 @@ def excursion_table(path: PotentialPath,
 def first_ascent(path: PotentialPath, h: float) -> int | None:
     """First site x >= 0 with max rise V_up(0, x) >= h, else None."""
     i0 = _origin_index(path)
-    v = path.v[i0:]
-    up = v - np.minimum.accumulate(v)
-    hits = np.flatnonzero(up >= h)
-    return int(hits[0]) if hits.size else None
+    hit = _first_rise(path.v, i0, h)
+    return None if hit is None else hit - i0
 
 
 def max_increment(path: PotentialPath, x: int, y: int) -> float:

@@ -450,28 +450,29 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
     end replaces absorption there).  Returns the value at every site of
     [left, right].  The banded solve's rounding grows with the chain: on
     reflected Beta(1.5, 1) chains of 2200 sites its hit probabilities sit
-    up to 2e-5 from the exact 1, above or below.  hit_prob and laplace_hit
-    are clipped into [0, 1], the functional's range; that removes only the
-    excess above 1, not the error below it.
+    up to 2e-5 from the exact 1, above or below.  laplace_hit is clipped
+    into [0, 1], the functional's range; that removes only the excess
+    above 1, not the error below it.
 
     functional:
-      "hit_prob":            P^x{absorbed at target} (target = left or right)
-      "expected_time":       E^x[steps to absorption]
-      "second_moment_time":  E^x[(steps to absorption)^2]
-      "laplace_hit":         E^x[e^{-lam tau(target)}; absorbed at target]
+      "expected_time":  E^x[steps to absorption]
+      "laplace_hit":    E^x[e^{-lam tau(target)}; absorbed at target]
+                        (target = left or right; lam = 0 gives the hit
+                        probability P^x{absorbed at target})
     """
     L, R = chain.left, chain.right
     reflect = chain.reflect_at
-    if functional in ("hit_prob", "laplace_hit"):
-        if target not in (L, R):
-            raise ValueError("target must be an endpoint")
+    if functional not in ("expected_time", "laplace_hit"):
+        raise ValueError(f"unknown functional {functional!r}")
+    if functional == "laplace_hit" and target not in (L, R):
+        raise ValueError("target must be an endpoint")
     # unknown sites: interior, plus the left end if it reflects
     x0 = L if reflect == L else L + 1
     x1 = R - 1
     n = x1 - x0 + 1
     if n <= 0:
         out = np.zeros(R - L + 1)
-        if functional in ("hit_prob", "laplace_hit"):
+        if functional == "laplace_hit":
             out[target - L] = 1.0
         return out
     w = chain._wslice(x0, x1)
@@ -482,41 +483,17 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
     ab[0, 1:] = -w[:-1]               # superdiagonal: coupling to x+1
     ab[2, :-1] = -(1.0 - w[1:])       # subdiagonal: coupling to x-1
 
-    def boundary(values_left: float, values_right: float, rhs_base: np.ndarray) -> np.ndarray:
-        rhs = rhs_base.copy()
-        if x0 == L + 1:
-            rhs[0] += (1.0 - w[0]) * values_left
-        rhs[-1] += w[-1] * values_right
-        return rhs
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 1), ab, rhs)
-
     out = np.zeros(R - L + 1)
-    if functional in ("hit_prob", "laplace_hit"):
-        f = solve(boundary(float(target == L), float(target == R), np.zeros(n)))
-        out[x0 - L : x1 - L + 1] = np.clip(f, 0.0, 1.0)
-        out[target - L] = 1.0         # absorbed at once: 1 at target, 0 at the other end
-        return out
-
     if functional == "expected_time":
-        t = solve(boundary(0.0, 0.0, np.ones(n)))
-        out[x0 - L : x1 - L + 1] = t
+        out[x0 - L : x1 - L + 1] = solve_banded((1, 1), ab, np.ones(n))
         return out
-
-    if functional == "second_moment_time":
-        t_sys = solve(boundary(0.0, 0.0, np.ones(n)))
-        t_full = np.zeros(R - L + 1)
-        t_full[x0 - L : x1 - L + 1] = t_sys
-        # E[tau^2](x) = 1 + 2 (P T)(x) + (P S)(x); below L the time is 0
-        up = t_full[x0 - L + 1 : x1 - L + 2]
-        down = np.concatenate([[0.0], t_full])[x0 - L : x1 - L + 1]
-        pt = w * up + (1.0 - w) * down
-        s = solve(boundary(0.0, 0.0, 1.0 + 2.0 * pt))
-        out[x0 - L : x1 - L + 1] = s
-        return out
-
-    raise ValueError(f"unknown functional {functional!r}")
+    rhs = np.zeros(n)
+    if x0 == L + 1:
+        rhs[0] += (1.0 - w[0]) * float(target == L)
+    rhs[-1] += w[-1] * float(target == R)
+    out[x0 - L : x1 - L + 1] = np.clip(solve_banded((1, 1), ab, rhs), 0.0, 1.0)
+    out[target - L] = 1.0             # absorbed at once: 1 at target, 0 at the other end
+    return out
 
 
 class _SiteDraw(NamedTuple):

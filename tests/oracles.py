@@ -336,6 +336,23 @@ def inverse_subordinator_path(kappa, x_scale, times, dt, seed=0):
 # to the window's end, the plain way the galloping searches of
 # rwre.potential must reproduce site for site.
 
+def excursions_reference(law, n, seed):
+    """n excursions by a plain walk: each starts at V = 0 and steps by log
+    rho until V <= 0.  Returns (v_end, length, height) as arrays."""
+    def steps():
+        rng = generator(seed)
+        while True:
+            yield from draw_log_rho(law, rng, 4096).tolist()
+    step, rows = steps(), []
+    for _ in range(n):
+        v, length, height = next(step), 1, 0.0
+        while v > 0.0:
+            height = max(height, v)
+            v, length = v + next(step), length + 1
+        rows.append((v, length, height))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
 def first_at_most_full(v, start, level):
     """First index k >= start with v[k] <= level, else None."""
     hits = np.flatnonzero(v[start:] <= level)

@@ -259,7 +259,7 @@ def test_c06_constants_table_closed_forms():
 def test_c07_iglehart_formula_route_vs_height_census():
     t0 = time.perf_counter()
     est = iglehart_constant(BETA_LAW, 0.5, n_excursions=10 ** 6, seed=0)
-    _, _, height, _ = sample_excursions(BETA_LAW, 10 ** 6, seed=777)
+    _, _, height = sample_excursions(BETA_LAW, 10 ** 6, seed=777)
     h = 10.0
     census = math.exp(0.5 * h) * float(np.mean(height >= h))
     rel = abs(est.c_i - census) / est.c_i

@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize, stats
 
 import oracles
+import rwre.constants
 from rwre.env import (
     EnvironmentLaw,
     NoRootError,
@@ -14,6 +15,7 @@ from rwre.env import (
     kappa_solve,
     lambda_fn,
     moment_rho_log,
+    sample_environment,
 )
 from rwre.constants import (
     _SERIES_BLOCK,
@@ -26,6 +28,7 @@ from rwre.constants import (
     limit_scale_beta,
     sample_excursions,
 )
+from rwre.potential import build_potential, excursion_table
 from rwre.rng import generator, stream_key
 
 BETA_LAW = EnvironmentLaw.beta_law(1.5, 1.0)
@@ -35,19 +38,65 @@ BETA_MOMENT = 2.0 - 2.0 * math.log(2.0)
 # ------------------------------------------------------------- excursions
 
 def test_sample_excursions_invariants():
-    v_end, length, height, truncated = sample_excursions(BETA_LAW, 5000, seed=4)
+    v_end, length, height = sample_excursions(BETA_LAW, 5000, seed=4)
     assert len(v_end) == len(length) == len(height) == 5000
     assert np.all(v_end <= 0.0)
     assert np.all(length >= 1)
     assert np.all(height >= 0.0)
-    assert truncated == 0
 
 
 def test_sample_excursions_deterministic():
     a = sample_excursions(BETA_LAW, 1000, seed=9)
     b = sample_excursions(BETA_LAW, 1000, seed=9)
-    for x, y in zip(a[:3], b[:3]):
+    for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("spec", ["beta:1.5,1", "discrete:0.8@0.5;0.3@0.5"])
+def test_sample_excursions_match_a_stepping_walk(spec):
+    # the path's excursions between ladder epochs against a walk that
+    # restarts at 0 for each excursion: same law, independent draws
+    law = EnvironmentLaw.parse(spec)
+    kappa = kappa_solve(law).kappa
+    n = 40_000
+    ours = sample_excursions(law, n, seed=3)
+    walk = oracles.excursions_reference(law, n, seed=stream_key(3, "excursion-walk"))
+    for name, f in [("length", lambda v, l, h: l), ("v_end", lambda v, l, h: v),
+                    ("e^(kappa v_end)", lambda v, l, h: np.exp(kappa * v)),
+                    ("H >= 1", lambda v, l, h: h >= 1.0)]:
+        a = f(*ours).astype(np.float64)
+        b = f(*walk).astype(np.float64)
+        se = math.sqrt(a.var(ddof=1) / n + b.var(ddof=1) / n)
+        assert abs(a.mean() - b.mean()) <= 5.0 * se, (name, a.mean(), b.mean(), se)
+
+
+@pytest.mark.parametrize("spec,n,grows", [("beta:1.5,1", 5000, True),
+                                          ("discrete:0.75@1", 5000, False)])
+def test_sample_excursions_grown_window_equals_one_whole_window(monkeypatch, spec, n, grows):
+    # beta:1.5,1 needs about 2.3 n sites and grows its 2n first window;
+    # under discrete:0.75@1 every excursion is one site long
+    law = EnvironmentLaw.parse(spec)
+    ranges = []
+
+    def spy(law, site_range, seed):
+        ranges.append(site_range)
+        return sample_environment(law, site_range, seed)
+
+    monkeypatch.setattr(rwre.constants, "sample_environment", spy)
+    grown = sample_excursions(law, n, seed=5)
+    assert (len(ranges) > 1) == grows
+    path = build_potential(sample_environment(law, (1, ranges[-1][1]),
+                                              seed=stream_key(5, "excursions")))
+    table = excursion_table(path)
+    starts, ends = table.starts[:n], table.ends[:n]
+    whole = (path.v[ends] - path.v[starts], ends - starts, table.heights[:n])
+    for x, y in zip(grown, whole):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_sample_excursions_refuse_a_law_whose_potential_does_not_drift_down():
+    with pytest.raises(RegimeError):
+        sample_excursions(EnvironmentLaw.beta_law(1.0, 1.5), 10, seed=0)
 
 
 def test_iglehart_constant_frozen_value():
@@ -57,7 +106,6 @@ def test_iglehart_constant_frozen_value():
     assert abs(est.e_kv - 0.5649) < 0.02
     assert abs(est.e_len - 2.310) < 0.06
     assert est.n_excursions == 200_000
-    assert est.truncated_excursions == 0
     assert est.cov.shape == (2, 2)
     assert est.cov[0, 1] == pytest.approx(est.cov[1, 0], rel=1e-12)
 

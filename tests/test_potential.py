@@ -333,7 +333,11 @@ def test_gallop_searches_match_full_window_on_random_paths(seed, length, drift, 
     gap = data.draw(st.floats(0.0, 40.0))
     assert _first_at_most(v, start, v[start] - gap) == \
         oracles.first_at_most_full(v, start, v[start] - gap)
-    assert _first_rise(v, start, gap) == oracles.first_rise_full(v, start, gap)
+    rise = oracles.first_rise_full(v, start, gap)
+    assert _first_rise(v, start, gap) == rise
+    # first_ascent is the same search from the origin, returned as a site
+    assert first_ascent(PotentialPath(offset=-start, v=v), gap) == \
+        (None if rise is None else rise - start)
     path = PotentialPath(offset=-start - 3, v=v)
     site = path.offset + start
     assert _outcome(_backing_site, path, site, gap, "a") == _full_backing(path, site, gap)
@@ -374,6 +378,12 @@ def test_first_rise_carries_the_running_minimum_across_chunks():
     v[100] = -1.0                        # the low, in the first chunk
     v[4000] = 2.0                        # a rise of 3 from it, in the third
     assert _first_rise(v, 0, 3.0) == 4000 == oracles.first_rise_full(v, 0, 3.0)
+    # from an origin at index 50: the hit lies past the first chunk, and
+    # no rise of 3.5 exists anywhere
+    path = PotentialPath(offset=-50, v=v)
+    assert first_ascent(path, 3.0) == 3950 == oracles.first_rise_full(v, 50, 3.0) - 50
+    assert first_ascent(path, 3.5) is None
+    assert oracles.first_rise_full(v, 50, 3.5) is None
 
 
 def test_gallop_searches_without_a_hit_exhaust_their_side():

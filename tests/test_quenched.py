@@ -387,7 +387,7 @@ def test_attempt_decomposition_matches_total_hitting_time():
 
 def test_oracle_hit_prob_flat():
     chain = flat_chain(0.5, 10)
-    out = linear_solve_oracle(chain, "hit_prob", target=10)
+    out = linear_solve_oracle(chain, "laplace_hit", target=10, lam=0.0)
     np.testing.assert_allclose(out, np.arange(11) / 10.0, rtol=0, atol=1e-12)
 
 
@@ -409,12 +409,15 @@ def test_oracle_reflected_drift_chain_closed_form():
 
 
 def test_oracle_laplace_matches_hit_prob_at_zero():
-    chain, _ = random_chain(9, 77)
-    hp = linear_solve_oracle(chain, "hit_prob", target=9)
-    lp = linear_solve_oracle(chain, "laplace_hit", target=9, lam=0.0)
-    np.testing.assert_allclose(lp, hp, rtol=0, atol=1e-12)
-    damped = linear_solve_oracle(chain, "laplace_hit", target=9, lam=0.3)
-    assert np.all(damped <= hp + 1e-15)
+    # reflected at 0 the walk hits 9 surely; absorbed at 0 it hits 9 first
+    # with the exit probability of the reference solver
+    for reflect in (True, False):
+        chain, om_full = random_chain(9, 77, reflect=reflect)
+        hp = np.ones(10) if reflect else oracles.exit_right_prob(om_full[1:9])
+        lp = linear_solve_oracle(chain, "laplace_hit", target=9, lam=0.0)
+        np.testing.assert_allclose(lp, hp, rtol=0, atol=1e-12)
+        damped = linear_solve_oracle(chain, "laplace_hit", target=9, lam=0.3)
+        assert np.all(damped <= lp + 1e-15)
 
 
 def test_oracle_hit_probabilities_stay_in_the_unit_interval():
@@ -423,10 +426,9 @@ def test_oracle_hit_probabilities_stay_in_the_unit_interval():
     # of seeds 0-399 the worst are 13 (1 + 1.3e-5) and 216 (1 - 2.0e-5)
     for seed in (0, 1, 2, 3, 13, 216):
         chain, _ = random_chain(2200, seed)
-        for functional in ("hit_prob", "laplace_hit"):
-            out = linear_solve_oracle(chain, functional, target=2200)
-            assert np.all(out <= 1.0)
-            np.testing.assert_allclose(out, 1.0, rtol=0, atol=2.5e-5)
+        out = linear_solve_oracle(chain, "laplace_hit", target=2200, lam=0.0)
+        assert np.all(out <= 1.0)
+        np.testing.assert_allclose(out, 1.0, rtol=0, atol=2.5e-5)
 
 
 def test_oracle_laplace_against_dense_reference():
@@ -438,19 +440,14 @@ def test_oracle_laplace_against_dense_reference():
         np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-13)
 
 
-def test_oracle_second_moment_dominates_mean_squared():
-    chain, _ = random_chain(8, 11)
-    m1 = linear_solve_oracle(chain, "expected_time")
-    m2 = linear_solve_oracle(chain, "second_moment_time")
-    assert np.all(m2[:-1] >= m1[:-1] ** 2 * (1 - 1e-12))
-
-
 def test_oracle_target_validation():
     chain = flat_chain(0.5, 5)
     with pytest.raises(ValueError):
-        linear_solve_oracle(chain, "hit_prob", target=2)
+        linear_solve_oracle(chain, "laplace_hit", target=2, lam=0.0)
     with pytest.raises(ValueError):
         linear_solve_oracle(chain, "laplace_hit", target=None)
+    with pytest.raises(ValueError):
+        linear_solve_oracle(chain, "hit_prob", target=5)
 
 
 # -------------------------------------------------------------- sampling
