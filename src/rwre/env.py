@@ -23,11 +23,13 @@ draw_omegas, on a generator keyed by the block (see rng).
 draw_omegas, and the per-replica samplers draw_rho and draw_log_rho,
 dispatch on one rule: Beta(A, 1) and discrete laws invert the CDF on
 generator uniforms, other Beta laws use the generator's beta sampler.
-draw_rho reads a per-atom table for discrete laws.
+draw_rho and draw_log_rho read per-atom tables for discrete laws, built
+once per law.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -163,14 +165,27 @@ def rho(omega: float) -> float:
     return (1.0 - omega) / omega
 
 
+@functools.lru_cache(maxsize=None)
+def _atom_tables(law: EnvironmentLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A discrete law's tables, built once per law: the first K-1
+    cumulative edges, which _atom_index counts against, and rho and log
+    rho of each atom clipped into _OMEGA_CLIP.  The arrays are shared, so
+    they are read-only."""
+    atoms = np.clip(law.values, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
+    tables = (np.cumsum(np.asarray(law.probs))[:-1], (1.0 - atoms) / atoms,
+              np.log1p(-atoms) - np.log(atoms))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _atom_index(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
     """Inverse CDF of a discrete law: the atom each uniform selects, the
     number of cumulative edges strictly below u, capped at the last atom.
     Counting over the first K-1 edges gives the cap for free, and K-1
     comparisons beat a binary search for the few atoms a law has."""
-    edges = np.cumsum(np.asarray(law.probs))
     idx = np.zeros(np.shape(u), dtype=np.intp)
-    for edge in edges[:-1]:
+    for edge in _atom_tables(law)[0]:
         idx += u > edge
     return idx
 
@@ -201,18 +216,13 @@ def draw_omegas(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.
     return np.clip(om, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
 
 
-def _clipped_atoms(law: EnvironmentLaw) -> np.ndarray:
-    return np.clip(law.values, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
-
-
 def draw_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
     """size i.i.d. draws of rho = (1-omega)/omega, dispatched as
     draw_omegas.  Discrete laws read a per-atom table, value for value
     those of draw_omegas; Beta laws take (1-omega)/omega of draw_omegas.
     """
     if law.kind == "discrete":
-        atoms = _clipped_atoms(law)
-        return ((1.0 - atoms) / atoms)[_atom_index(law, rng.random(size))]
+        return _atom_tables(law)[1][_atom_index(law, rng.random(size))]
     om = draw_omegas(law, rng, size)
     return (1.0 - om) / om
 
@@ -223,8 +233,7 @@ def draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np
     if law.kind == "beta":
         om = draw_omegas(law, rng, size)
         return np.log1p(-om) - np.log(om)
-    atoms = _clipped_atoms(law)
-    return (np.log1p(-atoms) - np.log(atoms))[_atom_index(law, rng.random(size))]
+    return _atom_tables(law)[2][_atom_index(law, rng.random(size))]
 
 
 def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: int) -> EnvironmentSlice:

@@ -22,7 +22,10 @@ to the configuration.
 Work is cut into fixed-size blocks; block i draws from the stream
 stream_key(master_seed, tag, ..., i) and results merge in block order, so
 a report is bit-identical for any worker count.  Workers are threads: the
-point is deterministic decomposition, not speedup.
+point is deterministic decomposition, not speedup.  A tau block serves
+every n of the grid: its key is stream_key(master_seed, "tau", i), with
+no n, and row n's tail below the origin draws on stream_key(block key,
+n).
 
 Estimates never mix in truncated replicas (window exhaustion, branching
 clip); they are counted and reported instead.
@@ -388,31 +391,35 @@ def _ks_result(sample: np.ndarray, cdf) -> KsResult:
 
 # ------------------------------------------------------- tau experiment
 
-def _tau_block(law: EnvironmentLaw, n: int, count: int, key: int,
+def _tau_block(law: EnvironmentLaw, n_values: tuple[int, ...], count: int, key: int,
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact annealed tau(0 -> n) draws, one environment per replica: the
-    branching cascade with each site's omega integrated out, lane by lane.
-    Beta(a,1) draws each count as one geometric variable (_beta_geometric);
-    other laws draw a fresh rho vector at every site and mix Poisson over
-    it (_gamma_poisson).  Returns (tau, clipped); callers must not let
-    clipped values into estimators."""
-    rng = generator(key)
-    if law.kind == "beta" and law.beta == 1.0:
-        draw = _beta_geometric(law.alpha, rng)
-    else:
-        draw = _gamma_poisson(lambda _site, size: draw_rho(law, rng, size), rng)
-    return _branching_cascade(draw, count, 0, n, floor=-_TAU_DEPTH - 1)
+    """Exact annealed tau(0 -> n) draws for each n of n_values, one
+    environment per replica: the branching cascade with each site's omega
+    integrated out, lane by lane.  The chain above the origin runs once,
+    for max(n_values) sites on the stream key, and row n's tail below the
+    origin draws on stream_key(key, n), so a row's values do not depend on
+    the other n.  Beta(a,1) draws each count as one geometric variable
+    (_beta_geometric); other laws draw a fresh rho vector at every site
+    and mix Poisson over it (_gamma_poisson).  Returns (tau, clipped), one
+    row per n; callers must not let clipped values into estimators."""
+    def site_draw(rng: np.random.Generator):
+        if law.kind == "beta" and law.beta == 1.0:
+            return _beta_geometric(law.alpha, rng)
+        return _gamma_poisson(lambda _site, size: draw_rho(law, rng, size), rng)
+    return _branching_cascade(site_draw(generator(key)), count, 0, n_values,
+                              floor=-_TAU_DEPTH - 1,
+                              tail=lambda n: site_draw(generator(stream_key(key, n))))
 
 
 def _replica_blocks(replicas: int, block: int, workers: int, task,
                     *tag) -> tuple[np.ndarray, np.ndarray]:
     """Split replicas into blocks of at most block, run task(count, key)
     for block i on key stream_key(*tag, i) and concatenate the (values,
-    flags) pairs in block order."""
+    flags) pairs in block order, along their last axis."""
     counts = [min(block, replicas - start) for start in range(0, replicas, block)]
     parts = _run_blocks(lambda i, key: task(counts[i], key), len(counts), workers, *tag)
-    return (np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]))
+    return (np.concatenate([p[0] for p in parts], axis=-1),
+            np.concatenate([p[1] for p in parts], axis=-1))
 
 
 def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
@@ -422,15 +429,22 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
     distance to the limit law's CDF.  Replicas the branching cascade clips
     are counted and excluded; config.step_cap plays no part, since the
     cascade's cost does not grow with tau.  c_k overrides the tail
-    constant behind the predicted columns."""
+    constant behind the predicted columns.
+
+    Each replica runs one cascade above the origin, for max(n_values)
+    sites, and every row reads it (see _tau_block).  So the rows share
+    each replica's above-origin cascade and are dependent across n; each
+    row alone is exact in law; and a row's values do not depend on which
+    other n the grid holds."""
     run_params = _as_declared("tau", config, c_k=c_k)
     kappa, params, c_k_extras = _limit_params(config, run_params["c_k"])
     limit = StableSpec(kappa, scale=params.tau_prefactor)
     rows = []
-    for n in config.n_values:
-        tau, trunc = _replica_blocks(
-            config.replicas, _TAU_BLOCK, workers,
-            lambda c, key: _tau_block(config.law, n, c, key), config.master_seed, "tau", n)
+    taus, truncs = _replica_blocks(
+        config.replicas, _TAU_BLOCK, workers,
+        lambda c, key: _tau_block(config.law, config.n_values, c, key),
+        config.master_seed, "tau")
+    for n, tau, trunc in zip(config.n_values, taus, truncs):
         kept = tau[~trunc]
         if kept.size < 10:
             raise RuntimeError(f"n={n}: only {kept.size} usable replicas")

@@ -498,10 +498,11 @@ def linear_solve_oracle(chain: QuenchedChain, functional: str,
 
 class _SiteDraw(NamedTuple):
     """How the branching cascade draws one site's crossing counts from
-    their shapes: intensity(i, shape) draws one continuous value per lane,
-    which the cascade caps at _LAM_CAP, and count turns the capped values
-    into int64 counts."""
-    intensity: Callable[[int, np.ndarray], np.ndarray]
+    their shapes: intensity(i, shape, out) draws one continuous value per
+    lane into out and returns it, the cascade caps it at _LAM_CAP, and
+    count turns the capped values into whole-number counts, int64 or
+    float64, possibly in place."""
+    intensity: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     count: Callable[[np.ndarray], np.ndarray]
 
 
@@ -513,11 +514,11 @@ def _gamma_poisson(rho_at, rng: np.random.Generator) -> _SiteDraw:
     draw of shape 0 consumes no bits, so in a fixed environment the
     cascade's live-lane scan below start draws what scanning every lane
     would."""
-    def intensity(i: int, shape: np.ndarray) -> np.ndarray:
+    def intensity(i: int, shape: np.ndarray, out: np.ndarray) -> np.ndarray:
         rho = rho_at(i, shape.size)
-        lam = rng.standard_gamma(shape)
-        lam *= rho
-        return lam
+        rng.standard_gamma(shape, out=out)
+        out *= rho
+        return out
     return _SiteDraw(intensity, rng.poisson)
 
 
@@ -530,66 +531,95 @@ def _beta_geometric(alpha: float, rng: np.random.Generator) -> _SiteDraw:
     parameters: it is BNB(1, alpha, r), a Geometric(p) count of failures
     with p ~ Beta(alpha, r).  With p = G_a / (G_a + G_r), for Gamma(alpha)
     and Gamma(r) draws G_a and G_r, and E standard exponential, the count
-    is floor(E / -log(1 - p)) = floor(E / log1p(G_a / G_r)).  The law is
-    exact; it differs from the Gamma-Poisson draw over draw_rho only where
-    that clips omega into _OMEGA_CLIP, an event of probability about
-    1e-16.  A log1p of 0 gives an infinite intensity, which the cap
-    clips and counts.
+    is floor(E / -log(1 - p)) = floor(E / log1p(G_a / G_r)), truncated in
+    place as a float64.  The law is exact; it differs from the
+    Gamma-Poisson draw over draw_rho only where that clips omega into
+    _OMEGA_CLIP, an event of probability about 1e-16.  A log1p of 0 gives
+    an infinite intensity, as does E / log1p(...) past the float range;
+    the cap clips and counts both, and their division by 0 and overflow
+    warn unless the caller ignores them, as the cascade does.
     """
-    def intensity(_i: int, shape: np.ndarray) -> np.ndarray:
-        x = rng.standard_gamma(alpha, shape.size)
-        x /= rng.standard_gamma(shape)
-        np.log1p(x, out=x)
-        with np.errstate(divide="ignore"):
-            return np.divide(rng.standard_exponential(shape.size), x, out=x)
-    return _SiteDraw(intensity, lambda x: x.astype(np.int64))
+    def intensity(_i: int, shape: np.ndarray, out: np.ndarray) -> np.ndarray:
+        rng.standard_gamma(alpha, out=out)
+        scratch = rng.standard_gamma(shape)
+        out /= scratch
+        np.log1p(out, out=out)
+        return np.divide(rng.standard_exponential(out=scratch), out, out=out)
+    return _SiteDraw(intensity, lambda x: np.trunc(x, out=x))
 
 
 def _site_counts(draw: _SiteDraw, i: int, shape: np.ndarray, clipped: np.ndarray,
-                 lanes) -> np.ndarray:
-    """Crossing counts at site i: the draw's intensity, capped at _LAM_CAP,
-    with the lanes past the cap marked in clipped[lanes]."""
-    lam = draw.intensity(i, shape)
+                 lanes, out: np.ndarray) -> np.ndarray:
+    """Crossing counts at site i, drawn through the buffer out: the draw's
+    intensity, capped at _LAM_CAP, with the lanes past the cap marked in
+    clipped[lanes]."""
+    lam = draw.intensity(i, shape, out)
     if lam.max(initial=0.0) > _LAM_CAP:         # rare: clip and count
         clipped[lanes] |= lam > _LAM_CAP
         np.minimum(lam, _LAM_CAP, out=lam)
     return draw.count(lam)
 
 
-def _branching_cascade(draw: _SiteDraw, count: int, start: int, target: int,
-                       floor: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """count draws of tau(start -> target) = (target - start) + 2 sum_i U_i,
-    U_i the left crossings of the edge (i, i+1).
+def _branching_cascade(draw: _SiteDraw, count: int, start: int, targets,
+                       floor: int | None = None,
+                       tail: Callable[[int], _SiteDraw] | None = None,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """count draws of tau(start -> n) = (n - start) + 2 sum_i U_i for each
+    n in targets, U_i the left crossings of the edge (i, i+1).
 
     Scanning right to left, U_i given U_{i+1} is negative binomial: the
     failures before U_{i+1} + 1 successes at rate omega_i for sites >=
     start, before U_{i+1} successes below start.  draw turns those shapes
     into counts: _gamma_poisson in any environment, _beta_geometric
-    annealed over Beta(alpha, 1).  Every lane is drawn at sites >= start.
-    Below start only the lanes with U_{i+1} > 0 are drawn, and the scan
-    runs until none is left, but visits no site below min(floor, start).
-    Returns (tau, clipped): clipped marks the replicas whose intensity
-    passed _LAM_CAP or that were alive below floor.
+    annealed over Beta(alpha, 1).
+
+    One chain runs down from max(targets) to start, every lane drawn at
+    every site.  Row n takes its running total, its U and its clipped
+    flags after n - start steps, so rows share that chain; which n are in
+    targets changes no row.  Each row then runs its own tail below start,
+    drawn by tail(n) (draw when tail is None) on the lanes with U_{i+1} >
+    0, until none is left, but visiting no site below min(floor, start).
+    A row n < max(targets) reads sites max(targets) - 1 .. max(targets) -
+    n + start above start, not n - 1 .. start: several targets are exact
+    only for a draw that ignores the site index, which the annealed
+    draws do.  Returns (tau, clipped), one row per target in order:
+    clipped marks the replicas whose intensity passed _LAM_CAP or that
+    were alive below floor.  Division by 0 and overflow are ignored
+    throughout: they make the infinite intensities _beta_geometric may
+    draw, which the cap clips and counts.
     """
-    u = np.zeros(count, dtype=np.int64)
-    total = np.zeros(count, dtype=np.float64)   # a sum of counts can pass int64's range
+    row_at = {n - start: row for row, n in enumerate(targets)}   # step -> row
+    u = np.zeros(count)
+    total = np.zeros(count)                     # a sum of counts can pass int64's range
     clipped = np.zeros(count, dtype=bool)
-    for i in range(target - 1, start - 1, -1):
-        u = _site_counts(draw, i, u + 1.0, clipped, slice(None))
-        total += u
-    live = np.flatnonzero(u)
-    u = u[live]
-    i = start - 1
-    while live.size:
-        if floor is not None and i < min(floor, start):
-            clipped[live] = True
-            break
-        u = _site_counts(draw, i, u, clipped, live)
-        total[live] += u
-        keep = np.flatnonzero(u)
-        live, u = live[keep], u[keep]
-        i -= 1
-    return (target - start) + 2.0 * total, clipped
+    totals = np.empty((len(targets), count))
+    clips = np.empty((len(targets), count), dtype=bool)
+    heads = [None] * len(targets)
+    shape, buf = np.empty(count), np.empty(count)
+    with np.errstate(divide="ignore", over="ignore"):
+        for step, i in enumerate(range(max(targets) - 1, start - 1, -1), 1):
+            np.add(u, 1.0, out=shape)
+            u = _site_counts(draw, i, shape, clipped, slice(None), buf)
+            total += u
+            if step in row_at:
+                row = row_at[step]
+                totals[row], clips[row] = total, clipped
+                live = np.flatnonzero(u)
+                heads[row] = live, u[live]
+        for row, n in enumerate(targets):
+            row_draw = draw if tail is None else tail(n)
+            live, u = heads[row]
+            i = start - 1
+            while live.size:
+                if floor is not None and i < min(floor, start):
+                    clips[row, live] = True
+                    break
+                u = _site_counts(row_draw, i, u, clips[row], live, buf[: live.size])
+                totals[row, live] += u
+                keep = np.flatnonzero(u)
+                live, u = live[keep], u[keep]
+                i -= 1
+    return np.subtract(targets, start)[:, None] + 2.0 * totals, clips
 
 
 def sample_hitting_times(env, target: int, n_replicas: int, seed,
@@ -623,10 +653,10 @@ def sample_hitting_times(env, target: int, n_replicas: int, seed,
         return (1.0 - om) / om
 
     tau, clipped = _branching_cascade(_gamma_poisson(rho_at, rng), n_replicas, start,
-                                      target, floor=reflect_at)
+                                      (target,), floor=reflect_at)
     if clipped.any():
         raise FloatingPointError(
             f"{int(clipped.sum())} of {n_replicas} replicas passed the branching "
             f"intensity cap {_LAM_CAP:g} or were cut at the reflecting site")
-    return tau
+    return tau[0]
 

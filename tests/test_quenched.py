@@ -493,8 +493,8 @@ def test_branching_cascade_callers_agree_on_a_constant_environment():
     from rwre.experiments import _tau_block
     from rwre.rng import stream_key
     n = 20
-    annealed, clipped = _tau_block(EnvironmentLaw.parse("discrete:0.7@1"), n, 4000,
-                                   stream_key(11, "tau"))
+    (annealed,), (clipped,) = _tau_block(EnvironmentLaw.parse("discrete:0.7@1"), (n,), 4000,
+                                         stream_key(11, "tau"))
     assert not clipped.any()
     chain = QuenchedChain.from_omegas([0.7] * (n + 400), left=-400)
     quenched = sample_hitting_times(chain, n, 4000, seed=12)
@@ -537,7 +537,7 @@ def test_annealed_tau_block_follows_the_reference_cascade(spec):
     from rwre.experiments import _TAU_DEPTH, _tau_block
     from rwre.rng import generator, stream_key
     law, n, count = EnvironmentLaw.parse(spec), 100, 3000
-    ours, clipped = _tau_block(law, n, count, stream_key(21, "tau"))
+    (ours,), (clipped,) = _tau_block(law, (n,), count, stream_key(21, "tau"))
     rng = generator(stream_key(22, "tau-ref"))
     ref, ref_clipped = oracles.branching_cascade_reference(
         lambda _i: oracles.rho_reference(law, rng, count), rng, count, 0, n,
@@ -556,21 +556,88 @@ def test_cascade_clips_the_lanes_alive_below_the_floor():
     draw = _gamma_poisson(lambda _i, size: draw_rho(law, rng, size), rng)
     # floor = start: no site below start is visited, so a lane is clipped
     # exactly when it crossed the edge (start, start + 1) leftward
-    tau, clipped = _branching_cascade(draw, 4000, 0, 1, floor=0)
+    (tau,), (clipped,) = _branching_cascade(draw, 4000, 0, (1,), floor=0)
     np.testing.assert_array_equal(clipped, tau > 1.0)
     assert 0.5 < clipped.mean() < 0.9                 # P{U_0 > 0} = 0.7
     # a floor three sites down: the live-lane scan against the reference
     # that scans every lane, in the same fixed environment
     rho = 7.0 / 3.0
-    ours = _branching_cascade(_gamma_poisson(lambda _i, _size: rho, generator(32)), 4000, 0, 5,
-                              floor=-3)
+    (ours,), (ours_clipped,) = _branching_cascade(
+        _gamma_poisson(lambda _i, _size: rho, generator(32)), 4000, 0, (5,), floor=-3)
     ref = oracles.branching_cascade_reference(lambda _i: rho, generator(32), 4000, 0, 5,
                                               floor=-3)
-    np.testing.assert_array_equal(ours[0], ref[0])
-    np.testing.assert_array_equal(ours[1], ref[1])
-    assert 0.5 < ours[1].mean() < 1.0
-    _, annealed_clipped = _branching_cascade(draw, 4000, 0, 5, floor=-3)
-    assert abs(annealed_clipped.mean() - ours[1].mean()) < 0.05
+    np.testing.assert_array_equal(ours, ref[0])
+    np.testing.assert_array_equal(ours_clipped, ref[1])
+    assert 0.5 < ours_clipped.mean() < 1.0
+    _, (annealed_clipped,) = _branching_cascade(draw, 4000, 0, (5,), floor=-3)
+    assert abs(annealed_clipped.mean() - ours_clipped.mean()) < 0.05
+
+
+@pytest.mark.parametrize("spec", ("beta:1.5,1", "discrete:0.8@0.5;0.3@0.5"))
+def test_tau_block_row_does_not_depend_on_the_rest_of_the_grid(spec):
+    from rwre.env import EnvironmentLaw
+    from rwre.experiments import _tau_block
+    from rwre.rng import stream_key
+    law, key = EnvironmentLaw.parse(spec), stream_key(41, "tau", 0)
+    (alone,), (alone_clipped,) = _tau_block(law, (300,), 600, key)
+    tau, clipped = _tau_block(law, (100, 300, 600), 600, key)
+    np.testing.assert_array_equal(tau[1], alone)
+    np.testing.assert_array_equal(clipped[1], alone_clipped)
+
+
+@pytest.mark.parametrize("spec", ("beta:1.5,1", "discrete:0.8@0.5;0.3@0.5"))
+def test_shared_chain_row_has_the_single_target_law(spec):
+    # row n = 60 is a snapshot of the chain run for n = 500, plus its own
+    # tail; the reference runs one cascade to 60 with rho from
+    # Generator.beta or Generator.choice
+    from scipy.stats import ks_2samp
+    from rwre.env import EnvironmentLaw
+    from rwre.experiments import _TAU_DEPTH, _tau_block
+    from rwre.rng import generator, stream_key
+    law, count = EnvironmentLaw.parse(spec), 4000
+    tau, clipped = _tau_block(law, (60, 500), count, stream_key(43, "tau", 0))
+    rng = generator(stream_key(44, "tau-ref"))
+    ref, ref_clipped = oracles.branching_cascade_reference(
+        lambda _i: oracles.rho_reference(law, rng, count), rng, count, 0, 60,
+        floor=-_TAU_DEPTH - 1)
+    assert not clipped.any() and not ref_clipped.any()
+    assert ks_2samp(tau[0], ref).pvalue > 1e-3
+
+
+def test_each_row_keeps_its_own_clipped_flags():
+    # discrete:0.3@1 (rho = 7/3) with the floor at the origin: a row's tail
+    # clips a lane exactly when that row's U_0 > 0, which for row 1 is
+    # tau > 1.  Rows 1 and 5 share their first site but not U_0, so each
+    # row must carry the flags it has alone, not the other's clips.
+    from rwre.env import EnvironmentLaw, draw_rho
+    from rwre.quenched import _branching_cascade, _gamma_poisson
+    from rwre.rng import generator
+    law = EnvironmentLaw.parse("discrete:0.3@1")
+
+    def draw(seed):
+        rng = generator(seed)
+        return _gamma_poisson(lambda _i, size: draw_rho(law, rng, size), rng)
+    tau, clipped = _branching_cascade(draw(51), 4000, 0, (1, 5), floor=0, tail=draw)
+    for row, n in enumerate((1, 5)):
+        alone = _branching_cascade(draw(51), 4000, 0, (n,), floor=0, tail=draw)
+        np.testing.assert_array_equal(tau[row], alone[0][0])
+        np.testing.assert_array_equal(clipped[row], alone[1][0])
+    np.testing.assert_array_equal(clipped[0], tau[0] > 1.0)
+    assert (clipped[0] & ~clipped[1]).any() and (clipped[1] & ~clipped[0]).any()
+
+
+def test_cascade_clips_infinite_geometric_intensities_without_a_warning():
+    # Gamma(1e-3) draws underflow to 0 about half the time, so log1p(G_a /
+    # G_r) is 0 or subnormal and E over it infinite: clipped, no warning
+    import warnings
+    from rwre.quenched import _LAM_CAP, _beta_geometric, _branching_cascade
+    from rwre.rng import generator
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tau, clipped = _branching_cascade(_beta_geometric(1e-3, generator(53)), 200, 0,
+                                          (3, 6), floor=-2)
+    assert clipped.mean() > 0.5
+    assert np.isfinite(tau).all() and tau.max() >= 2.0 * _LAM_CAP
 
 
 def _bnb_chi_square_pvalue(counts: np.ndarray, r: int, alpha: float) -> float:
@@ -602,23 +669,26 @@ def test_annealed_site_draws_have_the_beta_negative_binomial_law(route, r):
         draw = (_beta_geometric(1.5, rng) if route == "beta_geometric" else
                 _gamma_poisson(lambda _i, n: draw_rho(law, rng, n), rng))
         clipped = np.zeros(size, dtype=bool)
-        counts = _site_counts(draw, 0, shape, clipped, slice(None))
-        assert counts.dtype == np.int64 and not clipped.any()
+        counts = _site_counts(draw, 0, shape, clipped, slice(None), np.empty(size))
+        np.testing.assert_array_equal(counts, np.floor(counts))     # whole numbers
+        assert not clipped.any()
         assert _bnb_chi_square_pvalue(counts, r, 1.5) > 1e-3
 
 
 def test_geometric_draw_clips_and_counts_the_lanes_past_the_cap():
     # a shape of 1e20 puts E / log1p(G_a / G_r) near 1e20 E / G_a, past
-    # _LAM_CAP; an infinite shape makes the log1p 0, an infinite intensity
+    # _LAM_CAP; an infinite shape makes the log1p 0, an infinite intensity,
+    # whose division by 0 the cascade ignores around its whole scan
     import warnings
     from rwre.quenched import _LAM_CAP, _beta_geometric, _site_counts
     from rwre.rng import generator
     lanes = np.array([0, 2, 3, 5])
     clipped = np.zeros(6, dtype=bool)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), np.errstate(divide="ignore"):
         warnings.simplefilter("error")
         counts = _site_counts(_beta_geometric(1.5, generator(61)), 0,
-                              np.array([1.0, 1e20, 2.0, np.inf]), clipped, lanes)
+                              np.array([1.0, 1e20, 2.0, np.inf]), clipped, lanes,
+                              np.empty(4))
     np.testing.assert_array_equal(clipped, [False, False, True, False, False, True])
     assert counts[1] == counts[3] == int(_LAM_CAP)
     assert counts[0] < 10**6 and counts[2] < 10**6
