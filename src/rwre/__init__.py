@@ -52,6 +52,7 @@ from .quenched import (
     QuenchedChain,
     attempt_moments,
     exit_prob,
+    expected_hitting_times,
     failure_prob,
     h_transform,
     linear_solve_oracle,

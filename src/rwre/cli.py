@@ -25,16 +25,17 @@ from .constants import (
     kesten_tail_estimate,
     limit_scale,
 )
-from .env import EnvironmentLaw, RegimeError, kappa_solve, moment_rho_log, sample_environment
+from .env import EnvironmentLaw, RegimeError, kappa_solve, moment_rho_log
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    _widening,
     parse_config_text,
     report_csv_text,
     run_from_manifest,
     write_report,
 )
-from .potential import build_potential, detect_deep_valleys, detect_star_valleys, excursion_table
+from .potential import detect_deep_valleys, detect_star_valleys
 from .rng import stream_key
 from .stable import StableSpec, sample_positive_stable
 
@@ -166,13 +167,13 @@ def _cmd_constants(args) -> int:
 def _cmd_valleys(args) -> int:
     law = EnvironmentLaw.parse(args.law)
     kappa = kappa_solve(law).kappa
-    n = args.n
-    window = 4 * n + 1000
-    env = sample_environment(law, (-2000, window), seed=args.seed)
-    path = build_potential(env)
-    table = excursion_table(path)
-    deep = detect_deep_valleys(path, n, args.epsilon, kappa, table=table)
-    star = detect_star_valleys(path, n, args.epsilon, kappa, table=table)
+    found, growths, _ = _widening(
+        law, args.seed, -2000, 4 * args.n + 1000,
+        lambda path, table: [detect(path, args.n, args.epsilon, kappa, table=table)
+                             for detect in (detect_deep_valleys, detect_star_valleys)])
+    if found is None:
+        raise RuntimeError(f"the valleys ran off the window after {growths} growths")
+    deep, star = found
     print(f"# deep valleys: {len(deep)}  star valleys: {len(star)}")
     print("a  b  c  d  height")
     for v in deep:

@@ -54,6 +54,7 @@ from .constants import (
     sample_excursions,
 )
 from .env import (
+    _SITE_BLOCK,
     EnvironmentLaw,
     EnvironmentSlice,
     NoRootError,
@@ -81,6 +82,7 @@ from .quenched import (
     _beta_geometric,
     _branching_cascade,
     _gamma_poisson,
+    expected_hitting_times,
     linear_solve_oracle,
 )
 from .rng import generator, stream_key
@@ -117,11 +119,10 @@ _POS_BLOCK = 512           # replicas per position block
 _POS_EXTEND = 1024         # window growth unit (sites)
 _POS_MAX_WIDTH = 20_000    # hard cap on the per-block environment window
 _TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica is clipped
-_SHORT_LADDER = "the n-th ladder epoch"     # reduction windows grow right to find it
 _CENSUS_FIRST = 1.5        # first census window: this many times E[len] n sites ...
 _CENSUS_MARGIN = 2000      # ... plus these
-_CENSUS_GROWTH = 1.3       # factor a census window grows by when too short
-_CENSUS_RETRIES = 10       # growths before an environment counts as exhausted
+_WINDOW_GROWTH = 1.3       # factor a window grows by on the right when too short
+_WINDOW_GROWTHS = 10       # growths before an environment counts as exhausted
 _FALLBACK_EXCURSIONS = 200_000     # E[len] sample when the law has no kappa
 
 _C_K_SOURCE_CODE = {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}
@@ -553,46 +554,46 @@ def _left_pad(d_n: float, drift: float) -> int:
     return int(math.ceil((d_n + 10.0) / max(drift, 0.05) * 4.0)) + 256
 
 
-def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, widen,
-              max_retries: int, keep_env: bool = False):
+def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, keep_env=False):
     """Sample sites [left, right] of the environment at key and run
-    scan(path, table) on its potential and excursion table.  A scan that
-    runs off the window raises WindowExhausted; the window then becomes
-    widen(exhausted, left, right), at most max_retries times.
-
-    A wider window that keeps the left edge grows in place: only the new
-    sites are sampled, the potential continues its running sum and the
-    table its last complete excursion, so every site reads as in a build
-    over the whole window.  A new left edge resamples the whole window.
-    Returns (scan result, retries, env): the result is None when the last
-    window was still too small, and env, the last window's environment,
-    is kept only when asked for."""
+    scan(path, table) on its potential and excursion table; the census,
+    the reduction, the crossing bound and `rwre valleys` all scan here.
+    A scan that runs off the window raises WindowExhausted, and the
+    window grows, at most _WINDOW_GROWTHS times, by one rule: short on
+    the right, the right edge moves out by _WINDOW_GROWTH in place (only
+    the new sites are sampled, the potential and the table continue bit
+    for bit as a build over the whole window); short on the left, the
+    left edge moves out by 4 and the whole window is resampled.  Returns
+    (scan result, growths, env): the result is None when the last window
+    was still too small, and env, the last window's environment, is kept
+    only when asked for."""
     env = sample_environment(law, (left, right), seed=key)
     path = build_potential(env)
     env = env if keep_env else None
     table = excursion_table(path)
-    retries = 0
+    growths = 0
     while True:
         try:
-            return scan(path, table), retries, env
+            return scan(path, table), growths, env
         except WindowExhausted as exhausted:
-            if retries == max_retries:
-                return None, retries, None
-            retries += 1
-            grown = widen(exhausted, left, right)
-            if grown[0] == left:
-                piece = sample_environment(law, (right + 1, grown[1]), seed=key)
+            if growths == _WINDOW_GROWTHS:
+                return None, growths, None
+            growths += 1
+            if exhausted.side == "right":
+                grown = int(right * _WINDOW_GROWTH)
+                piece = sample_environment(law, (right + 1, grown), seed=key)
                 path = path.joined(build_potential(piece, prior=path))
                 table = excursion_table(path, prior=table)
                 if keep_env:
                     env = EnvironmentSlice(left, np.concatenate([env.omegas, piece.omegas]))
+                right = grown
             else:
-                piece = sample_environment(law, grown, seed=key)
+                left *= 4
+                piece = sample_environment(law, (left, right), seed=key)
                 path = build_potential(piece)
                 table = excursion_table(path)
                 env = piece if keep_env else None
             del piece                   # no omegas but env's live through the next scan
-            left, right = grown
 
 
 def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
@@ -606,10 +607,7 @@ def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                                        kappa, table=table, kappa_fallback=fallback),
                 table)
 
-    found, retries, _ = _widening(
-        law, key, -left_pad, right, scan,
-        lambda exhausted, left, right: (4 * left, right) if exhausted.side == "left"
-        else (left, int(right * _CENSUS_GROWTH)), _CENSUS_RETRIES)
+    found, retries, _ = _widening(law, key, -left_pad, right, scan)
     if found is None:
         return {"ok": False, "retries": retries}
     return dict(_census_fields(*found, n, h_grid), ok=True, retries=retries)
@@ -648,12 +646,12 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     Each environment's window starts at _CENSUS_FIRST E[len] n +
     _CENSUS_MARGIN sites right of the origin, E[len] being the mean
     excursion length of the excursion sample, so it usually holds e_n and
-    the first deep valley past it.  A window too short grows in place by
-    _CENSUS_GROWTH, and the retries field counts these growths (and the
-    rare left-edge resamples).  c_prime is only A1's constant.  A law with
-    no kappa in (0,1) is counted at the unit height scale kappa = 1, and
-    its A4/A5 read only the valleys among the first n excursions (see
-    check_good_environment's kappa_fallback).
+    the first deep valley past it.  A window too short grows (_widening),
+    and the retries field counts the growths.  c_prime is only A1's
+    constant, 2 (E[len] + 1) by default.  A law with no kappa in (0,1) is
+    counted at the unit height scale kappa = 1, and its A4/A5 read only
+    the valleys among the first n excursions (see check_good_environment's
+    kappa_fallback).
     """
     run_params = _as_declared("census", config, delta=delta, c_prime=c_prime, c_dprime=c_dprime)
     delta, c_prime, c_dprime = run_params.values()
@@ -663,16 +661,12 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     if not fallback:
         ig = iglehart_constant(config.law, kappa,
                                seed=stream_key(config.master_seed, "census-ci"))
-        e_len = ig.e_len
-        if c_prime is None:
-            c_prime = 2.0 * (ig.e_len + 1.0)
-        c_i_hat = ig.c_i
+        e_len, c_i_hat = ig.e_len, ig.c_i
     else:
         _, lengths, _ = sample_excursions(
             config.law, _FALLBACK_EXCURSIONS, stream_key(config.master_seed, "census-ci"))
-        e_len = float(lengths.mean())
-        c_prime = c_prime if c_prime is not None else 4.0
-        c_i_hat = 0.0
+        e_len, c_i_hat = float(lengths.mean()), 0.0
+    c_prime = c_prime if c_prime is not None else 2.0 * (e_len + 1.0)
     drift = abs(mean_log_rho(config.law))
     rows = []
     total_retries = 0
@@ -732,14 +726,10 @@ def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                    lam_values: tuple[float, ...], key: int, left_pad: int,
                    ) -> dict:
     def scan(path, table):
-        if table.ends.size < n:
-            raise WindowExhausted("right", _SHORT_LADDER)
-        return int(table.ends[n - 1]), detect_deep_valleys(path, n, epsilon, kappa, table=table)
+        deep = detect_deep_valleys(path, n, epsilon, kappa, table=table)
+        return int(table.ends[n - 1]), deep
 
-    found, _, env = _widening(
-        law, key, -left_pad, 4 * n + 1000, scan,
-        lambda exhausted, left, right: (left, 2 * right) if exhausted.what == _SHORT_LADDER
-        else (4 * left, int(right * 1.5)), 3, keep_env=True)
+    found, _, env = _widening(law, key, -left_pad, 4 * n + 1000, scan, keep_env=True)
     if found is None:
         return {"ok": False}
     e_n, deep = found
@@ -825,20 +815,18 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
 
 # ------------------------------------------------------- crossing bound
 
-def _crossing_env(law: EnvironmentLaw, h_values: tuple[float, ...], key: int,
-                  window: int) -> list[float | None]:
-    env = sample_environment(law, (0, window), seed=key)
-    path = build_potential(env)
-    values = []
-    for h in h_values:
-        t_up = first_ascent(path, h)
-        if t_up is None or t_up - 1 <= 0:
-            values.append(None)
-            continue
-        target = t_up - 1
-        chain = QuenchedChain.from_environment(env, 0, target, reflect_at=0)
-        sol = linear_solve_oracle(chain, "expected_time")
-        values.append(float(sol[0]))
+def _crossing_env(law: EnvironmentLaw, h_values: tuple[float, ...], key: int) -> list:
+    values = [None] * len(h_values)
+
+    def scan(path, _table):
+        rises = [first_ascent(path, h) for h in h_values]          # None: not risen yet
+        times = expected_hitting_times(path.slice_values(0, max((t or 1 for t in rises),
+                                                                default=1) - 1))
+        values[:] = [float(times[t - 1]) if t and t > 1 else None for t in rises]
+        if None in rises:       # grow until the largest h has risen, keeping the rest
+            raise WindowExhausted("right", f"a rise of {max(h_values)}")
+
+    _widening(law, key, 0, _SITE_BLOCK - 1, scan)
     return values
 
 
@@ -849,16 +837,16 @@ def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
     the first height-h rise of the potential; the fitted slope of
     log E[tau_h] against h must not exceed 1 by more than the band.
 
-    Environments whose potential never rises by h inside the window are
-    skipped and counted; a law whose potential cannot rise at all (drift
-    down with bounded steps never accumulating h) yields an empty fit and
-    a slope of 0, trivially under the bound.
+    A window starts as the site block 0 .. 4095 and grows (_widening) to
+    about 56,000 sites until the largest h has risen; E_0 tau for every h
+    comes off its potential in one pass (expected_hitting_times).  An h
+    not risen by then, or risen at the first step, is skipped and counted;
+    a law whose potential cannot rise yields an empty fit and slope 0.
     """
     run_params = _as_declared("crossing", config, h_values=h_values)
     h_values = run_params["h_values"]
     environments = config.replicas
-    window = 30_000
-    parts = _run_blocks(lambda _, key: _crossing_env(config.law, h_values, key, window),
+    parts = _run_blocks(lambda _, key: _crossing_env(config.law, h_values, key),
                         environments, workers, config.master_seed, "cross")
     points = []
     for j, h in enumerate(h_values):

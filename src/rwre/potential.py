@@ -27,13 +27,12 @@ of the window.
 Site indexing is absolute throughout: a path knows the site of its first
 entry (offset), and every returned epoch or valley field is a site index.
 Detection never silently truncates: if a valley needs sites outside the
-realized window, WindowExhausted says which side, and the caller is
-expected to widen the window and retry.  Environments are keyed by site
-block, so a widened window agrees with the old one site by site, and a
-window grows in place on the right: build_potential continues a path's
-running sum over the new sites only and excursion_table continues a
-table from its last complete excursion, and both agree bit for bit with
-a build over the whole window.
+realized window, WindowExhausted says which side, and the caller
+(experiments._widening) grows the window and retries.  Environments are
+keyed by site block, so a grown window agrees with the old one site by
+site, and it grows in place on the right: build_potential continues a
+path's running sum over the new sites only and excursion_table a table
+from its last complete excursion, both bit for bit as a whole build.
 """
 
 from __future__ import annotations
@@ -74,8 +73,7 @@ class WindowExhausted(RuntimeError):
     """
 
     def __init__(self, side: str, what: str):
-        super().__init__(f"window exhausted on the {side} while locating {what}; "
-                         f"widen the window and retry")
+        super().__init__(f"window exhausted on the {side} while locating {what}")
         self.side = side
         self.what = what
 

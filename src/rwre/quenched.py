@@ -11,8 +11,9 @@ of it:
   potentials and their gap arrays;
 * closed-form conditional moments of the failure time F and a computable
   upper bound for the success time G;
-* a dense linear-solve oracle (absorption probabilities, expected times,
-  second moments, Laplace transforms) used to cross-check every formula;
+* E_0 tau(r) reflected at 0, for every target r, off the potential;
+* a banded linear solve (absorption probabilities, expected times,
+  Laplace transforms) for the reduction check and the cross-checks;
 * hitting-time sampling through the branching representation of tau(n),
   which is exact in distribution and turns one hitting time into O(n)
   negative binomial draws instead of O(tau) coin flips.
@@ -49,6 +50,7 @@ __all__ = [
     "h_transform",
     "attempt_moments",
     "mean_G_exact",
+    "expected_hitting_times",
     "linear_solve_oracle",
     "sample_hitting_times",
 ]
@@ -216,6 +218,15 @@ def _log_linear_recurrence(first: float, log_add: np.ndarray,
         x[s + 1 : s + 1 + len(shift)] = shift + np.logaddexp.accumulate(
             np.concatenate(([x[s]], log_add[s : s + len(shift)] - shift)))[1:]
     return x
+
+
+def expected_hitting_times(v: np.ndarray) -> np.ndarray:
+    """E_0 tau(r) = r + 2 sum_{0<=j<i<r} e^{V(i) - V(j)} (Solomon 1975),
+    reflected at 0, for r = 0 .. R, off v[k] = V(k) on 0 .. R: edge by edge,
+    m_i = E_i tau(i+1) = 1/omega_i + rho_i m_{i-1}, m_0 = 1, all positive."""
+    log_rho = np.diff(v[:-1])                   # sites 1 .. R-1
+    log_m = _log_linear_recurrence(0.0, np.logaddexp(0.0, log_rho), log_rho)
+    return np.concatenate(([0.0], np.cumsum(np.exp(log_m[: len(v) - 1]))))
 
 
 def exit_prob(chain: QuenchedChain, x: int, l: int, r: int) -> float:

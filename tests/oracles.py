@@ -36,6 +36,7 @@ from rwre.potential import (
     detect_deep_valleys,
     detect_star_valleys,
     excursion_table,
+    first_ascent,
 )
 from rwre.rng import generator, stream_key
 from rwre.stable import StableSpec, sample_positive_stable
@@ -84,6 +85,44 @@ def hit_time_reflected(omega_full, start):
     L = len(omega_full) - 1
     tot = solve_tridiagonal(omega_full[0:L], np.ones(L), (0.0, 0.0))
     return float(tot[start + 1])       # phantom state shifts indices by one
+
+
+def hit_time_reflected_mp(omega_full, dps=60):
+    """hit_time_reflected(omega_full, 0) by Thomas's elimination of the
+    same first-step equations in mpmath at dps digits."""
+    import mpmath
+    with mpmath.workdps(dps):
+        L = len(omega_full) - 1
+        c_prime, d_prime = [], []
+        for x in range(L):
+            w = mpmath.mpf(float(omega_full[x]))
+            lower, upper = -(1 - w), -w          # couplings of state x to x-1 and x+1
+            denom = 1 - lower * (c_prime[-1] if x else 0)
+            c_prime.append(upper / denom)
+            d_prime.append((1 - lower * (d_prime[-1] if x else 0)) / denom)
+        t = mpmath.mpf(0)                        # t(L) = 0
+        for x in range(L - 1, -1, -1):
+            t = d_prime[x] - c_prime[x] * t
+        return float(t)
+
+
+def crossing_env_fixed_window(law, h_values, key, window=30_000):
+    """One crossing environment by the route that samples sites [0, window]
+    once and solves each h's chain densely: E_0 tau(t_up - 1) reflected at
+    0, or None when h does not rise in the window or rises at the first
+    step."""
+    env = sample_environment(law, (0, window), seed=key)
+    path = build_potential(env)
+    out = []
+    for h in h_values:
+        t_up = first_ascent(path, h)
+        if t_up is None or t_up <= 1:
+            out.append(None)
+            continue
+        omega_full = env.omegas[:t_up].copy()    # sites 0 .. t_up - 1, the target
+        omega_full[0] = 1.0
+        out.append(hit_time_reflected(omega_full, 0))
+    return out
 
 
 def laplace_hit_reflected(omega_full, lam):

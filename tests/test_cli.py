@@ -75,6 +75,13 @@ def test_valleys_listing(capsys):
     assert "coinciding (b, d_bar) pairs" in out
 
 
+def test_valleys_grows_a_short_window(capsys):
+    # beta:1.1,1 excursions are long: the first window, 4n + 1000 sites
+    # right of the origin, holds 9871 of the 20000 excursions it needs
+    assert main(["valleys", "--law", "beta:1.1,1.0", "--n", "20000", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.startswith("# deep valleys:")
+
+
 def test_stable_sample(capsys):
     assert main(["stable-sample", "--kappa", "0.5", "--count", "5",
                  "--seed", "3"]) == 0

@@ -32,6 +32,7 @@ from rwre.experiments import (
     verify_reduction,
     write_report,
 )
+from rwre.rng import stream_key
 
 BETA_LAW = EnvironmentLaw.beta_law(1.5, 1.0)
 DRIFT_LAW = EnvironmentLaw.discrete((0.75,), (1.0,))
@@ -395,8 +396,8 @@ def test_census_windows_grown_in_place_match_the_resampling_route(law, monkeypat
         whole.pop("retries")
         assert grown == whole
         # the last grown window reaches past the resampling route's fourth
-        for _ in range(experiments._CENSUS_RETRIES):
-            first = int(first * experiments._CENSUS_GROWTH)
+        for _ in range(experiments._WINDOW_GROWTHS):
+            first = int(first * experiments._WINDOW_GROWTH)
         for _ in range(3):
             old_first = int(old_first * 1.6)
         assert first >= old_first
@@ -438,6 +439,41 @@ def test_crossing_bound_desk_scale():
         assert p.environments + p.skipped == 60
         assert p.mean_tau >= 0.0
     assert 0.4 < report.extra("slope") < 1.6
+
+
+def test_crossing_windows_grown_from_one_block_match_a_fixed_window(monkeypatch):
+    # h = 11 rises past the first 4096-site block in some environments, so
+    # their windows grow; every value matches a dense solve per h over a
+    # fixed 30,000-site window
+    growths = []
+    widening = experiments._widening
+
+    def counted(*args, **kwargs):
+        found = widening(*args, **kwargs)
+        growths.append(found[1])
+        return found
+
+    monkeypatch.setattr(experiments, "_widening", counted)
+    law = EnvironmentLaw.parse("beta:1.5,1")
+    for i in range(20):
+        key = stream_key(0, "cross", i)
+        ours = experiments._crossing_env(law, (3.0, 11.0), key)
+        ref = oracles.crossing_env_fixed_window(law, (3.0, 11.0), key)
+        assert [v is None for v in ours] == [v is None for v in ref]
+        assert [v for v in ours if v is not None] == pytest.approx(
+            [v for v in ref if v is not None], rel=1e-9)
+    assert any(growths)
+
+
+def test_crossing_keeps_the_h_that_rose_when_the_largest_never_does():
+    # beta:3,1 drifts down fast: h = 3 rises early, h = 40 never does in
+    # the last grown window, which must not cost the h = 3 value
+    law = EnvironmentLaw.parse("beta:3,1")
+    key = stream_key(0, "cross", 0)
+    low, high = experiments._crossing_env(law, (3.0, 40.0), key)
+    assert high is None
+    assert low == pytest.approx(oracles.crossing_env_fixed_window(law, (3.0,), key)[0],
+                                rel=1e-9)
 
 
 def test_crossing_bound_flat_law_never_ascends():

@@ -450,6 +450,37 @@ def test_oracle_target_validation():
         linear_solve_oracle(chain, "hit_prob", target=5)
 
 
+# ------------------------------------------------- expected hitting times
+
+def test_expected_hitting_times_match_the_dense_solves():
+    # E_0 tau(r) reflected at 0, read off the potential, at every target r
+    # of small chains: against the banded solve and the reference solver
+    for seed in range(30):
+        L = 1 + seed % 12
+        chain, om_full = random_chain(L, 7100 + seed)
+        times = quenched.expected_hitting_times(chain.base_potential)
+        assert times.size == L + 1 and times[0] == 0.0
+        banded = linear_solve_oracle(chain, "expected_time")[0]
+        assert times[L] == pytest.approx(banded, rel=1e-12)
+        for r in range(1, L + 1):
+            ref = oracles.hit_time_reflected(om_full[: r + 1], 0)
+            assert times[r] == pytest.approx(ref, rel=1e-12)
+    # omega = 3/4 everywhere: 2 * 10 - (1 - 3^{-10}) * 3/2
+    flat = quenched.expected_hitting_times(flat_chain(0.75, 10, reflect_at=0).base_potential)
+    assert flat[10] == pytest.approx(18.5 + 1.5 * 3.0 ** -10, rel=1e-13)
+
+
+@pytest.mark.parametrize("seed", [13, 216])
+def test_expected_hitting_times_against_a_60_digit_solve(seed):
+    # 2200-site chains whose potential falls by about 1300; the banded
+    # solve errs here by 4.5e-6 (seed 13) and 2.9e-5 (seed 216)
+    chain, om_full = random_chain(2200, seed)
+    times = quenched.expected_hitting_times(chain.base_potential)
+    for r in (1, 550, 1100, 2200):
+        assert times[r] == pytest.approx(oracles.hit_time_reflected_mp(om_full[: r + 1]),
+                                         rel=1e-11)
+
+
 # -------------------------------------------------------------- sampling
 
 def test_branching_sampler_matches_dense_mean():
