@@ -64,8 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
     law_arg(p)
     p.add_argument("--excursions", type=int, default=200_000)
     p.add_argument("--series", type=int, default=0,
-                   help="renewal series for the tail-constant estimate; "
-                        "0 skips it for Beta laws (closed form available)")
+                   help="draws of the renewal series R, from the perpetuity "
+                        "chain R = 1 + rho R', that Goldie's tail-constant "
+                        "estimate averages; 0 takes the estimator's 3,000,000, "
+                        "and skips the estimate for Beta laws, whose C_K has "
+                        "a closed form")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("valleys", help="deep valleys of one environment")

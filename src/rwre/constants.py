@@ -18,8 +18,10 @@ C_K has a closed form in the Beta case and, for any law, Goldie's
 implicit renewal formula (Ann. Appl. Probab. 1991) C_K =
 E[R^kappa - (R - 1)^kappa] / (kappa E[rho^kappa log rho]): with
 R >= 1 and 0 < kappa < 1 the summand lies in (0, 1], so the estimate is
-the sample mean of a bounded variable over series simulated to numerical
-convergence.
+the mean of a bounded variable.  R solves the perpetuity R = 1 + rho R'
+(Kesten, Acta Math. 1973), so its draws come from the Markov chain
+R_k = 1 + rho_k R_{k-1}, whose stationary law is the law of R, at one
+rho draw a sample.
 The combined scale Lambda = 2^kappa (pi kappa^2 / sin(pi kappa)) C_K^2
 times the log-moment then feeds every prediction downstream: the Laplace
 transform e^{-Lambda lambda^kappa}, the tau prefactor Lambda^{1/kappa},
@@ -38,11 +40,12 @@ from scipy.special import betaln, digamma
 from .env import (
     EnvironmentLaw,
     RegimeError,
-    draw_log_rho,
+    draw_rho,
     kappa_solve,
     mean_log_rho,
     moment_rho_log,
     sample_environment,
+    var_log_rho,
 )
 from .potential import build_potential, excursion_table
 from .rng import generator, stream_key
@@ -62,11 +65,11 @@ __all__ = [
     "limit_scale_beta",
 ]
 
-_SERIES_TERM_CAP = 100_000
-_SERIES_REL_TOL = 1e-12
-_SERIES_BLOCK = 100_000           # series per _simulate_series_block call
-_SERIES_CHUNK = 64                # terms drawn per active series and pass
-_SERIES_ROWS = 1024               # series per slice: 1024 x 64 doubles = 512 KB
+_CHAIN_LANES = 1024               # independent perpetuity chains
+_CHAIN_BLOCK = 64                 # steps drawn per generator call: 1024 x 64 doubles = 512 KB
+_HILL_STRIDE = 8                  # steps between the R kept for the Hill index; divides _CHAIN_BLOCK
+_BURN_IN_WEIGHT = 1e-12           # bound on the start's weight prod rho_k after the burn-in
+_BURN_IN_Z = 6.0                  # standard deviations of log prod rho_k the bound allows for
 
 
 @dataclass(frozen=True)
@@ -83,9 +86,8 @@ class LimitLawParams:
 class TailEstimate:
     constant_hat: float           # Goldie's E[R^kappa - (R - 1)^kappa] / (kappa m)
     index_hat: float              # Hill estimate of the tail index
-    stderr: float                 # sample standard error of constant_hat
-    n_series: int
-    truncated_series: int         # series stopped by the term cap, not by tolerance
+    stderr: float                 # standard error of constant_hat, from the lane means
+    n_series: int                 # R draws averaged: lanes x kept steps
 
 
 @dataclass(frozen=True)
@@ -188,38 +190,54 @@ def kesten_constant_beta(alpha: float, beta: float) -> float:
     return 1.0 / (kappa * math.exp(betaln(kappa, beta)))
 
 
-def _simulate_series_block(law: EnvironmentLaw, rng: np.random.Generator,
-                           size: int, truncation: int) -> tuple[np.ndarray, int]:
-    """R = sum_{k>=0} e^{V(k)} per series, stopped when the increment is
-    below _SERIES_REL_TOL of the running sum or at the term cap.
+def _burn_in(law: EnvironmentLaw) -> int:
+    """Steps after which the start's weight in R_k = 1 + rho_k R_{k-1},
+    prod rho_k, lies below _BURN_IN_WEIGHT.
 
-    The series still active advance _SERIES_CHUNK terms at a time, and
-    each chunk runs over consecutive slices of _SERIES_ROWS series so
-    that the log-rho draws, their cumulative sum, exp and product stay in
-    one cache-sized array, updated in place.  Generator fills are
-    sequential, so the draws and every R are those of one fill per
-    chunk.  Memory: about 50 bytes a series (r, p, the active index and
-    the temporaries of the stopping test), plus a few _SERIES_ROWS x
-    _SERIES_CHUNK arrays of 512 KB, whatever the term cap.
+    log prod rho_k is a random walk with drift mu = E[log rho] < 0 and
+    variance s^2 = Var[log rho] a step.  The burn-in b is the least with
+    b mu + z s sqrt(b) <= log _BURN_IN_WEIGHT, z = _BURN_IN_Z: the weight
+    stays above the bound only if the walk ends z standard deviations above
+    its mean, which the central limit theorem puts at Phi(-6) = 1e-9 a lane
+    (Hoeffding's inequality bounds it by e^{-18} = 1.5e-8 for a two-atom law
+    with equal weights).  The weight matches the 1e-12 relative tolerance
+    at which a summed series would stop.
     """
-    r = np.ones(size)
-    p = np.ones(size)              # current partial product e^{V(k)}
-    active = np.arange(size)
-    terms = 0
-    while active.size and terms < truncation:
-        width = min(_SERIES_CHUNK, truncation - terms)
-        for lo in range(0, active.size, _SERIES_ROWS):
-            rows = active[lo : lo + _SERIES_ROWS]
-            prods = draw_log_rho(law, rng, rows.size * width).reshape(rows.size, width)
-            np.cumsum(prods, axis=1, out=prods)
-            np.exp(prods, out=prods)
-            prods *= p[rows, None]
-            r[rows] += prods.sum(axis=1)
-            p[rows] = prods[:, -1]
-        terms += width
-        still = p[active] > _SERIES_REL_TOL * r[active]
-        active = active[still]
-    return r, int(active.size)
+    drift = -mean_log_rho(law)
+    if drift <= 0.0:
+        raise RegimeError(f"law {law.spec_text()} has E[log rho] >= 0: the series "
+                          "R = sum e^{V(k)} diverges")
+    spread = _BURN_IN_Z * math.sqrt(var_log_rho(law))
+    level = -math.log(_BURN_IN_WEIGHT)
+    root = (spread + math.sqrt(spread * spread + 4.0 * drift * level)) / (2.0 * drift)
+    return math.ceil(root * root)
+
+
+def _perpetuity_blocks(law: EnvironmentLaw, rng: np.random.Generator, start: np.ndarray,
+                       steps: int):
+    """Run R_k = 1 + rho_k R_{k-1} for `steps` steps on independent lanes
+    from R_0 = start, yielding the R of each step _CHAIN_BLOCK steps at a
+    time as a (steps in the block, lanes) array.  Each block's rho come
+    from one draw_rho call, row by row, and are overwritten in place by
+    the R they drive; the last row of a block starts the next one."""
+    r = start
+    for lo in range(0, steps, _CHAIN_BLOCK):
+        block = draw_rho(law, rng, min(_CHAIN_BLOCK, steps - lo) * r.size).reshape(-1, r.size)
+        for row in block:
+            row *= r
+            row += 1.0
+            r = row
+        yield block
+
+
+def _burned_in(law: EnvironmentLaw, rng: np.random.Generator, start: np.ndarray,
+               ) -> np.ndarray:
+    """The lanes' R after _burn_in(law) steps of the perpetuity chain from
+    R_0 = start."""
+    r = start
+    for block in _perpetuity_blocks(law, rng, start, _burn_in(law)):
+        r = block[-1]
+    return r
 
 
 def _reject_arithmetic(law: EnvironmentLaw) -> None:
@@ -238,41 +256,52 @@ def _reject_arithmetic(law: EnvironmentLaw) -> None:
                          "tail constant C_K")
 
 
-def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 200_000,
-                         truncation: int = _SERIES_TERM_CAP, seed: int = 0,
-                         ) -> TailEstimate:
+def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 3_000_000,
+                         seed: int = 0) -> TailEstimate:
     """Estimate the tail constant of R = sum e^{V(k)} by Goldie's identity
     C_K = E[R^kappa - (R - 1)^kappa] / (kappa m), m = E[rho^kappa log rho].
 
-    Each summand is -R^kappa expm1(kappa log1p(-1/R)), which lies in
-    (0, 1] for 0 < kappa < 1 and keeps its digits when R is large; the
-    standard error is the sample one.  The Hill estimator over the top max(200, n^0.6)
-    series reads off the index.
+    R's draws come from the perpetuity chain R_k = 1 + rho_k R_{k-1} on
+    min(_CHAIN_LANES, n_series) independent lanes.  Each lane starts at
+    R = 1, runs _burn_in(law) steps, then averages Goldie's summand
+    -R^kappa expm1(kappa log1p(-1/R)), which lies in (0, 1] for
+    0 < kappa < 1 and keeps its digits when R is large, over
+    ceil(n_series / lanes) kept steps.  The lane means are independent, so
+    their spread gives the standard error with no model of the chain's
+    autocorrelation.  The Hill estimator over the top max(200, m^0.6) of
+    the m values of R recorded every _HILL_STRIDE kept steps reads off the
+    index.
 
-    Memory: about 24 bytes a series (the sample, its summands and the
-    standard deviation's temporary), plus about 5 MB for one
-    _SERIES_BLOCK block of the simulation (see _simulate_series_block),
-    whatever the term cap.
+    Memory: 8 bytes a lane for each R recorded for the Hill index, one in
+    _HILL_STRIDE kept steps (3 MB at the default size), plus about 2 MB of
+    _CHAIN_BLOCK-step blocks and summands, whatever n_series.
 
     Raises ValueError for an arithmetic discrete law, which has no C_K.
     """
     _reject_arithmetic(law)
     scale = kappa * moment_rho_log(law, kappa)
     rng = generator(stream_key(seed, "kesten"))
-    out = np.empty(n_series)
-    g = np.empty(n_series)
-    truncated = 0
-    for lo in range(0, n_series, _SERIES_BLOCK):
-        r, trunc = _simulate_series_block(law, rng, min(_SERIES_BLOCK, n_series - lo),
-                                          truncation)
-        out[lo : lo + r.size] = r
-        g[lo : lo + r.size] = -r ** kappa * np.expm1(kappa * np.log1p(-1.0 / r))
-        truncated += trunc
+    lanes = min(_CHAIN_LANES, n_series)
+    steps = -(-n_series // lanes)
+    r = _burned_in(law, rng, np.ones(lanes))
+    totals = np.zeros(lanes)
+    recorded = np.empty((-(-steps // _HILL_STRIDE), lanes))
+    for i, block in enumerate(_perpetuity_blocks(law, rng, r, steps)):
+        # every block but the last holds _CHAIN_BLOCK steps, a multiple of the stride
+        lo = i * (_CHAIN_BLOCK // _HILL_STRIDE)
+        kept = block[::_HILL_STRIDE]
+        recorded[lo : lo + kept.shape[0]] = kept
+        g = np.log1p(-1.0 / block)
+        g *= kappa
+        np.expm1(g, out=g)
+        g *= block ** kappa
+        totals -= g.sum(axis=0)
 
-    index_hat = hill_estimate(out, k=max(200, int(n_series ** 0.6))).index
-    return TailEstimate(constant_hat=float(g.mean()) / scale, index_hat=index_hat,
-                        stderr=float(g.std(ddof=1)) / math.sqrt(n_series) / scale,
-                        n_series=n_series, truncated_series=truncated)
+    means = totals / steps
+    index_hat = hill_estimate(recorded.ravel(), k=max(200, int(recorded.size ** 0.6))).index
+    return TailEstimate(constant_hat=float(means.mean()) / scale, index_hat=index_hat,
+                        stderr=float(means.std(ddof=1)) / math.sqrt(lanes) / scale,
+                        n_series=lanes * steps)
 
 
 def hill_estimate(sample: np.ndarray, k: int | None = None) -> HillEstimate:

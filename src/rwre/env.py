@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, digamma, logsumexp
+from scipy.special import betaln, digamma, logsumexp, polygamma
 
 from . import rng
 
@@ -290,6 +290,15 @@ def mean_log_rho(law: EnvironmentLaw) -> float:
         return float(digamma(law.beta) - digamma(law.alpha))
     lr = [math.log(rho(v)) for v in law.values]
     return float(sum(p * x for p, x in zip(law.probs, lr)))
+
+
+def var_log_rho(law: EnvironmentLaw) -> float:
+    """Var[log rho].  For Beta(A, B), rho = G_B / G_A with independent
+    Gamma(A) and Gamma(B) variables, so Var[log rho] = trigamma(A) + trigamma(B)."""
+    if law.kind == "beta":
+        return float(polygamma(1, law.alpha) + polygamma(1, law.beta))
+    mean = mean_log_rho(law)
+    return float(sum(p * (math.log(rho(v)) - mean) ** 2 for v, p in zip(law.values, law.probs)))
 
 
 def kappa_solve(law: EnvironmentLaw, tol: float = 1e-12,

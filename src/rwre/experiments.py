@@ -842,9 +842,14 @@ def verify_crossing_bound(config: ExperimentConfig, workers: int = 1,
     comes off its potential in one pass (expected_hitting_times).  An h
     not risen by then, or risen at the first step, is skipped and counted;
     a law whose potential cannot rise yields an empty fit and slope 0.
+
+    Raises ValueError for a height h <= 0, from the API or a manifest.
     """
     run_params = _as_declared("crossing", config, h_values=h_values)
     h_values = run_params["h_values"]
+    if any(h <= 0.0 for h in h_values):
+        raise ValueError(f"crossing heights must be positive, got {h_values}: a "
+                         "height h <= 0 rises at the first step")
     environments = config.replicas
     parts = _run_blocks(lambda _, key: _crossing_env(config.law, h_values, key),
                         environments, workers, config.master_seed, "cross")

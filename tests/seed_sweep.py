@@ -1,14 +1,15 @@
-"""How often c09-c12 pass by chance: run them at other master seeds.
+"""How often c08-c12 pass by chance: run them at other master seeds.
 
 The acceptance gate runs each statistical criterion at master seed 0.
 This script, which is not part of the test suite, runs the same
 configurations, readings and bounds (tests/test_acceptance.py) at master
 seeds 1-10 and prints each criterion's line per seed, then per criterion
 its pass count and the min, median and max of every reading.  It takes
-about half an hour on a 2-core machine, most of it c10.  Criterion
-numbers given as arguments restrict the sweep to those criteria.
+about half an hour on a 2-core machine, most of it c10; c08 takes about
+a minute.  Criterion numbers given as arguments restrict the sweep to
+those criteria.
 
-    PYTHONPATH=src python tests/seed_sweep.py        # c09-c12
+    PYTHONPATH=src python tests/seed_sweep.py        # c08-c12
     PYTHONPATH=src python tests/seed_sweep.py 10     # c10 only
 """
 

@@ -272,36 +272,30 @@ def test_c07_iglehart_formula_route_vs_height_census():
     assert elapsed < 120.0
 
 
-def test_c08_kesten_tail_constant_and_index():
+def c08_kesten(master_seed):
+    """c08's Goldie estimates of C_K against the closed form
+    Gamma(alpha) / (Gamma(kappa + 1) Gamma(beta)), which is 1 for beta:1.5,1:
+    8e7 chain draws there, for a standard error near 0.0002, and 1.2e7 on
+    beta:2,1.5 and beta:1.8,1.2, below what a million series gave each."""
     t0 = time.perf_counter()
-    est = kesten_tail_estimate(BETA_LAW, 0.5, n_series=10 ** 7, seed=0)
-    # Goldie's estimate on two more Beta laws, a million series each
+    est = kesten_tail_estimate(BETA_LAW, 0.5, n_series=8 * 10 ** 7, seed=master_seed)
     others = {(a, b): kesten_tail_estimate(EnvironmentLaw.beta_law(a, b), a - b,
-                                           n_series=10 ** 6, seed=0)
+                                           n_series=12 * 10 ** 6, seed=master_seed)
               for a, b in ((2.0, 1.5), (1.8, 1.2))}
     elapsed = time.perf_counter() - t0
     closed = kesten_constant_beta(1.5, 1.0)
-    hill_ok = abs(est.index_hat - 0.5) <= 0.05
-    ck_ok = abs(est.constant_hat - closed) <= 0.6
     z = {(1.5, 1.0): (est.constant_hat - closed) / est.stderr}
     z.update({law: (e.constant_hat - kesten_constant_beta(*law)) / e.stderr
               for law, e in others.items()})
-    goldie_ok = all(abs(v) <= 4.0 for v in z.values())
-    report(8, hill_ok and ck_ok and goldie_ok and elapsed < 300.0,
-           f"hill index={est.index_hat:.4f}, C_K hat={est.constant_hat:.5f} "
-           f"+/- {est.stderr:.5f} vs closed form {closed:.6g}, z by law "
-           + ", ".join(f"beta:{a:g},{b:g} {v:+.2f}" for (a, b), v in z.items())
-           + f", {elapsed:.0f}s",
-           [clause("|hill - 0.5|", abs(est.index_hat - 0.5), "<=", 0.05),
-            clause("|C_K hat - closed|", abs(est.constant_hat - closed), "<=", 0.6),
-            *(clause(f"|z| beta:{a:g},{b:g}", abs(v), "<=", 4.0) for (a, b), v in z.items()),
-            clause("seconds", elapsed, "<", 300.0)])
-    assert elapsed < 300.0
-    assert hill_ok
-    # the series measurement against the closed form
-    # Gamma(alpha) / (Gamma(kappa + 1) Gamma(beta)), which is 1 here
-    assert ck_ok
-    assert goldie_ok
+    return Reading(
+        f"hill index={est.index_hat:.4f}, C_K hat={est.constant_hat:.5f} "
+        f"+/- {est.stderr:.5f} vs closed form {closed:.6g}, z by law "
+        + ", ".join(f"beta:{a:g},{b:g} {v:+.2f}" for (a, b), v in z.items())
+        + f", {elapsed:.0f}s",
+        [clause("|hill - 0.5|", abs(est.index_hat - 0.5), "<=", 0.05),
+         clause("|C_K hat - closed|", abs(est.constant_hat - closed), "<=", 0.6),
+         *(clause(f"|z| beta:{a:g},{b:g}", abs(v), "<=", 4.0) for (a, b), v in z.items()),
+         clause("seconds", elapsed, "<", 300.0)])
 
 
 def c09_census(master_seed):
@@ -372,13 +366,17 @@ def c12_crossing(master_seed):
 
 # the statistical criteria as functions of the master seed: the gate runs
 # them at seed 0, and tests/seed_sweep.py at other seeds
-STATISTICAL = {9: c09_census, 10: c10_tau, 11: c11_reduction, 12: c12_crossing}
+STATISTICAL = {8: c08_kesten, 9: c09_census, 10: c10_tau, 11: c11_reduction, 12: c12_crossing}
 
 
 def gate(num, reading):
     report(num, reading.ok, reading.detail, reading.clauses)
     for c in reading.clauses:
         assert holds(c), c[0]
+
+
+def test_c08_kesten_tail_constant_and_index():
+    gate(8, c08_kesten(0))
 
 
 def test_c09_valley_census_at_scale():

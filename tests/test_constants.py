@@ -18,8 +18,9 @@ from rwre.env import (
     sample_environment,
 )
 from rwre.constants import (
-    _SERIES_BLOCK,
-    _simulate_series_block,
+    _burn_in,
+    _burned_in,
+    _perpetuity_blocks,
     feller_from_estimate,
     iglehart_constant,
     kesten_constant_beta,
@@ -146,30 +147,33 @@ ORACLE_LAWS = [(1.5, 1.0), (2.0, 1.5), (1.8, 1.2)]
 @pytest.mark.parametrize("alpha,beta", ORACLE_LAWS)
 def test_inverse_series_follows_the_exact_beta_law(alpha, beta):
     # Chamayou-Letac: for omega ~ Beta(alpha, beta), 1/R ~ Beta(alpha - beta, beta)
-    # exactly; 2e5 simulated series must fit it and must not fit Beta(alpha, beta)
+    # exactly; the perpetuity chain R_k = 1 + rho_k R_{k-1} has R's law as its
+    # stationary law, so 20,000 independent lanes after the burn-in must fit
+    # it and must not fit Beta(alpha, beta)
     law = EnvironmentLaw.beta_law(alpha, beta)
-    rng = generator(stream_key(0, "series-oracle"))
-    blocks = [_simulate_series_block(law, rng, 100_000, 100_000) for _ in range(2)]
-    assert all(truncated == 0 for _, truncated in blocks)
-    r = np.concatenate([series for series, _ in blocks])
+    r = _burned_in(law, generator(stream_key(0, "series-oracle")), np.ones(20_000))
     kappa = alpha - beta
     assert stats.kstest(1.0 / r, stats.beta(kappa, beta).cdf).pvalue > 1e-3
     assert stats.kstest(1.0 / r, stats.beta(alpha, beta).cdf).statistic > 0.3
 
 
-@pytest.mark.parametrize("spec", ["beta:1.5,1", "beta:2,1.5",
-                                  "discrete:0.8@0.5;0.3@0.3;0.6@0.2"])
-@pytest.mark.parametrize("truncation", [100, 100_000])
-def test_series_block_matches_the_whole_chunk_loop(spec, truncation):
-    # the row-sliced loop must draw and sum exactly as one generator call
-    # per chunk does; 3001 series leave a partial last slice, and a term
-    # cap of 100 cuts the second chunk to 36 columns
+@pytest.mark.parametrize("spec", ["beta:1.5,1", "beta:2,1.5", "discrete:0.8@0.5;0.3@0.5"])
+def test_burn_in_forgets_the_start(spec):
+    # R_k is affine in R_0 with slope prod rho_k, which the burn-in drives
+    # below 1e-12: starts R = 1 and R = 1e6 under the same rho draws must
+    # agree to 1e-12 on every lane, and must not agree halfway through
     law = EnvironmentLaw.parse(spec)
-    r, truncated = _simulate_series_block(law, generator(11), 3001, truncation)
-    ref, ref_truncated = oracles.series_block_reference(law, generator(11), 3001,
-                                                        truncation)
-    np.testing.assert_array_equal(r, ref)
-    assert truncated == ref_truncated
+    key = stream_key(3, "burn-in")
+    low = _burned_in(law, generator(key), np.ones(4096))
+    high = _burned_in(law, generator(key), np.full(4096, 1e6))
+    np.testing.assert_allclose(high, low, rtol=1e-12, atol=0.0)
+
+    def after(start, steps):
+        *_, last = _perpetuity_blocks(law, generator(key), np.full(4096, start), steps)
+        return last[-1]
+
+    half = _burn_in(law) // 2
+    assert not np.allclose(after(1e6, half), after(1.0, half), rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("alpha,beta", ORACLE_LAWS)
@@ -183,24 +187,50 @@ def test_kesten_constant_beta_matches_the_exact_tail(alpha, beta):
 
 def test_kesten_tail_estimate_smoke():
     est = kesten_tail_estimate(BETA_LAW, 0.5, n_series=100_000, seed=2)
-    assert est.n_series == 100_000
+    assert est.n_series == 1024 * 98          # 1024 lanes, 98 kept steps each
     assert abs(est.index_hat - 0.5) < 0.12
     assert 0.5 < est.constant_hat < 2.0
     assert 0.0 < est.stderr < 0.01
-    assert est.truncated_series == 0
     assert abs(est.constant_hat - 1.0) <= 4.0 * est.stderr
 
 
-def test_goldie_estimate_agrees_with_the_tail_window_read():
-    # the same 1e6 series read two ways: Goldie's mean and the level window
-    # of x^kappa P{R > x}; the tau_discrete law has no closed form
+def test_kesten_tail_estimate_keeps_no_step_of_the_burn_in():
+    # eight kept steps a lane: a chain read from its start R = 1, where
+    # Goldie's summand is 1, would sit far above the closed form
+    est = kesten_tail_estimate(BETA_LAW, 0.5, n_series=8 * 1024, seed=4)
+    assert est.n_series == 8 * 1024
+    assert abs(est.constant_hat - 1.0) <= 4.0 * est.stderr
+
+
+@pytest.fixture(scope="module")
+def discrete_series():
+    """A million renewal series of the tau_discrete law, summed term by
+    term by the test oracle, in blocks of 20,000."""
     law = EnvironmentLaw.parse("discrete:0.8@0.5;0.3@0.5")
-    kappa = kappa_solve(law).kappa
-    seed = stream_key(0, "ck")
-    est = kesten_tail_estimate(law, kappa, n_series=10 ** 6, seed=seed)
-    rng = generator(stream_key(seed, "kesten"))
-    r = np.concatenate([_simulate_series_block(law, rng, _SERIES_BLOCK, 100_000)[0]
-                        for _ in range(10 ** 6 // _SERIES_BLOCK)])
+    rng = generator(stream_key(0, "series-reference"))
+    blocks = [oracles.series_block_reference(law, rng, 20_000, 100_000) for _ in range(50)]
+    assert all(truncated == 0 for _, truncated in blocks)
+    return law, kappa_solve(law).kappa, np.concatenate([r for r, _ in blocks])
+
+
+def test_goldie_chain_agrees_with_the_series(discrete_series):
+    # the chain at its default size, as the tau runner calls it, against
+    # Goldie's mean over independent series; its standard error must not
+    # exceed that of the 200,000 series the estimator once averaged
+    law, kappa, r = discrete_series
+    est = kesten_tail_estimate(law, kappa, seed=stream_key(0, "ck"))
+    g = -r ** kappa * np.expm1(kappa * np.log1p(-1.0 / r)) / (kappa * moment_rho_log(law, kappa))
+    series_se = float(g.std(ddof=1)) / math.sqrt(g.size)
+    assert abs(est.constant_hat - float(g.mean())) <= 4.0 * math.hypot(est.stderr, series_se)
+    assert est.stderr <= series_se * math.sqrt(g.size / 200_000)
+
+
+def test_goldie_estimate_agrees_with_the_tail_window_read(discrete_series):
+    # Goldie's estimate from the chain against a second read of C_K off
+    # independent series: the level window of x^kappa P{R > x}; the
+    # tau_discrete law has no closed form
+    law, kappa, r = discrete_series
+    est = kesten_tail_estimate(law, kappa, seed=stream_key(0, "ck"))
     window, window_se = oracles.tail_window_read(r, kappa)
     combined = math.hypot(est.stderr, window_se)
     assert abs(window - est.constant_hat) <= 4.0 * combined
@@ -223,7 +253,7 @@ def test_kesten_tail_estimate_accepts_non_arithmetic_laws(spec):
     law = EnvironmentLaw.parse(spec)
     root = optimize.brentq(lambda t: lambda_fn(law, t), 0.05, 5.0)
     est = kesten_tail_estimate(law, root, n_series=20_000, seed=1)
-    assert est.n_series == 20_000
+    assert est.n_series == 1024 * 20
     assert est.constant_hat > 0.0
 
 

@@ -484,6 +484,22 @@ def test_crossing_bound_flat_law_never_ascends():
         assert p.skipped == 10
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0])
+def test_crossing_bound_rejects_heights_that_are_not_positive(tmp_path, h):
+    # such an h rises at the first step, so every environment would be
+    # skipped at it; the API and a manifest rerun both refuse it
+    with pytest.raises(ValueError, match="must be positive"):
+        verify_crossing_bound(beta_config(replicas=4), h_values=(h, 3.0))
+    path = tmp_path / "crossing.manifest.txt"
+    path.write_text("# rwre-manifest-v1\n"
+                    "experiment = crossing\n"
+                    "law = beta:1.5,1\n"
+                    "replicas = 4\n"
+                    f"h_values = {h},3.0\n")
+    with pytest.raises(ValueError, match="must be positive"):
+        run_from_manifest(str(path))
+
+
 # ------------------------------------------------------------- report
 
 def test_report_csv_text_format(tau_report):
