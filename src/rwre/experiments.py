@@ -559,14 +559,13 @@ def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, keep_e
     scan(path, table) on its potential and excursion table; the census,
     the reduction, the crossing bound and `rwre valleys` all scan here.
     A scan that runs off the window raises WindowExhausted, and the
-    window grows, at most _WINDOW_GROWTHS times, by one rule: short on
-    the right, the right edge moves out by _WINDOW_GROWTH in place (only
-    the new sites are sampled, the potential and the table continue bit
-    for bit as a build over the whole window); short on the left, the
-    left edge moves out by 4 and the whole window is resampled.  Returns
-    (scan result, growths, env): the result is None when the last window
-    was still too small, and env, the last window's environment, is kept
-    only when asked for."""
+    window grows in place on that side, at most _WINDOW_GROWTHS times:
+    the right edge moves out by _WINDOW_GROWTH, the left edge by 4.  Only
+    the new sites are sampled, and the potential and the table continue
+    bit for bit as a build over the whole window.  Returns (scan result,
+    growths, env): the result is None when the last window was still too
+    small, and env, the last window's environment, is kept only when
+    asked for."""
     env = sample_environment(law, (left, right), seed=key)
     path = build_potential(env)
     env = env if keep_env else None
@@ -579,20 +578,15 @@ def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, keep_e
             if growths == _WINDOW_GROWTHS:
                 return None, growths, None
             growths += 1
-            if exhausted.side == "right":
-                grown = int(right * _WINDOW_GROWTH)
-                piece = sample_environment(law, (right + 1, grown), seed=key)
-                path = path.joined(build_potential(piece, prior=path))
-                table = excursion_table(path, prior=table)
-                if keep_env:
-                    env = EnvironmentSlice(left, np.concatenate([env.omegas, piece.omegas]))
-                right = grown
-            else:
-                left *= 4
-                piece = sample_environment(law, (left, right), seed=key)
-                path = build_potential(piece)
-                table = excursion_table(path)
-                env = piece if keep_env else None
+            lo, hi = ((right + 1, int(right * _WINDOW_GROWTH)) if exhausted.side == "right"
+                      else (4 * left, left - 1))
+            left, right = min(left, lo), max(right, hi)
+            piece = sample_environment(law, (lo, hi), seed=key)
+            path = path.joined(build_potential(piece, prior=path))
+            table = excursion_table(path, prior=table)
+            if keep_env:
+                pair = (env, piece) if lo > env.offset else (piece, env)
+                env = EnvironmentSlice(left, np.concatenate([e.omegas for e in pair]))
             del piece                   # no omegas but env's live through the next scan
 
 

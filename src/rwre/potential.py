@@ -1,8 +1,9 @@
 """Potential landscape of an environment: ladders, excursions, valleys.
 
-The potential V is the random walk's energy landscape: V(0) = 0 and
-V(x) - V(x-1) = log rho_x.  The walk is trapped for long stretches in the
-valleys of V, and everything in this module is about locating them:
+The potential V is the random walk's energy landscape: V(0) = 0, V(x) =
+sum_{0<i<=x} log rho_i for x > 0 and -sum_{x<i<=0} log rho_i for x < 0.
+The walk is trapped for long stretches in the valleys of V, and
+everything in this module is about locating them:
 
 * weak descending ladder epochs e_0 = 0 < e_1 < ... (V(e_i) <= all earlier
   values, equality counts) cut the path into excursions above the running
@@ -30,9 +31,10 @@ Detection never silently truncates: if a valley needs sites outside the
 realized window, WindowExhausted says which side, and the caller
 (experiments._widening) grows the window and retries.  Environments are
 keyed by site block, so a grown window agrees with the old one site by
-site, and it grows in place on the right: build_potential continues a
-path's running sum over the new sites only and excursion_table a table
-from its last complete excursion, both bit for bit as a whole build.
+site, and V, summed outward from site 0, does not depend on its edges.
+So a window grows in place on either side: build_potential continues a
+path over the new sites only and excursion_table a table from its last
+complete excursion, both bit for bit as a whole build.
 """
 
 from __future__ import annotations
@@ -82,8 +84,6 @@ class WindowExhausted(RuntimeError):
 class PotentialPath:
     offset: int                    # site index of v[0]
     v: np.ndarray                  # v[k] = V(offset + k)
-    shift: float = 0.0             # running log-rho sum at site 0, taken off every value
-    running_sum: float | None = None   # running sum at last_site before the shift
 
     def __len__(self) -> int:
         return len(self.v)
@@ -106,13 +106,16 @@ class PotentialPath:
         return self.v[self.index(lo) : self.index(hi) + 1]
 
     def joined(self, piece: "PotentialPath") -> "PotentialPath":
-        """This path followed by a continuation that build_potential made
-        from it (piece.v[0] is this path's last value)."""
-        if piece.offset != self.last_site:
-            raise ValueError(f"piece starts at site {piece.offset}, "
-                             f"not at this path's last site {self.last_site}")
-        return PotentialPath(offset=self.offset, v=np.concatenate([self.v, piece.v[1:]]),
-                             shift=self.shift, running_sum=piece.running_sum)
+        """This path and a continuation that build_potential made from it
+        on either side (the piece repeats the value at the end it meets)."""
+        if piece.offset == self.last_site:
+            parts = (self.v, piece.v[1:])
+        elif piece.last_site == self.offset:
+            parts = (piece.v[:-1], self.v)
+        else:
+            raise ValueError(f"piece on sites [{piece.offset}, {piece.last_site}] meets "
+                             f"neither end of [{self.offset}, {self.last_site}]")
+        return PotentialPath(offset=min(self.offset, piece.offset), v=np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -158,42 +161,44 @@ def build_potential(env: EnvironmentSlice,
     """Potential of an environment slice.
 
     The slice provides omegas on sites [lo, hi]; the potential lives on
-    [lo-1, hi] with V(x) - V(x-1) = log rho_x, anchored at V(0) = 0
-    whenever site 0 lies in the window (otherwise the left edge is the
-    anchor).
+    [lo-1, hi] with V(x) - V(x-1) = log rho_x.  A window that holds site 0
+    is summed outward from V(0) = 0, so V(x) does not depend on its edges;
+    any other window is summed rightward from V = 0 at its left edge.
 
-    ``prior``, a path this function built that ends at site lo - 1, is
-    continued instead: the running sum picks up where prior's stopped and
-    prior's anchor value is taken off, so prior.joined(result) equals the
+    ``prior``, a path that the slice meets at either end, is continued
+    instead: on the right (lo - 1 = prior.last_site) from prior's last
+    value, and on the left (hi = prior.offset), which only a prior holding
+    site 0 allows, from its first.  prior.joined(result) equals the
     potential of the union of the two slices bit for bit.  The result
-    holds only the new sites (and prior's last value in front).
+    holds only the new sites and prior's value at the end it meets.
     """
     omegas = np.asarray(env.omegas, dtype=np.float64)
     if omegas.size == 0:
         raise ValueError("empty environment slice")
     offset = env.offset - 1
-    v = np.empty(omegas.size + 1)
-    np.negative(omegas, out=v[1:])
-    np.log1p(v[1:], out=v[1:])
-    v[1:] -= np.log(omegas)                 # log rho
-    if prior is not None:
-        if prior.running_sum is None or prior.last_site != offset:
-            raise ValueError(f"prior must be a built path ending at site {offset}")
-        if prior.last_site < 0 <= offset + omegas.size:
-            raise ValueError("continuing across site 0 would move the anchor")
-        v[1] += prior.running_sum
-    np.cumsum(v[1:], out=v[1:])
-    running_sum = float(v[-1])
-    if prior is not None:
-        shift = prior.shift
-        v[1:] -= shift
-        v[0] = prior.v[-1]
+    last = offset + omegas.size
+    if prior is None:
+        pivot, seed = (-offset if offset <= 0 <= last else 0), 0.0
+    elif prior.last_site == offset and not prior.last_site < 0 <= last:
+        pivot, seed = 0, prior.v[-1]
+    elif prior.offset == last and prior.offset <= 0 <= prior.last_site:
+        pivot, seed = omegas.size, prior.v[0]
     else:
-        v[0] = 0.0
-        anchor = -offset                    # index of site 0
-        shift = float(v[anchor]) if 0 <= anchor < len(v) else 0.0
-        v -= shift
-    return PotentialPath(offset=offset, v=v, shift=shift, running_sum=running_sum)
+        raise ValueError(f"sites [{env.offset}, {last}] do not continue the path on "
+                         f"[{prior.offset}, {prior.last_site}]: a slice meets one end, a path "
+                         "left of site 0 may not reach it, only one holding it grows left")
+    v = np.empty(omegas.size + 1)
+    # left of the pivot v[k] takes log rho at site offset + k + 1, right of it at offset + k
+    for part, out in ((omegas[:pivot], v[:pivot]), (omegas[pivot:], v[pivot + 1:])):
+        np.negative(part, out=out)
+        np.log1p(out, out=out)
+        out -= np.log(part)
+    left = v[pivot::-1]             # V(x) = V(x+1) - log rho_{x+1}: sum -V outward, negate
+    left[0] = -seed
+    np.cumsum(left, out=left)
+    np.negative(left, out=left)
+    np.cumsum(v[pivot:], out=v[pivot:])
+    return PotentialPath(offset=offset, v=v)
 
 
 def _origin_index(path: PotentialPath) -> int:
@@ -239,7 +244,7 @@ def excursion_table(path: PotentialPath,
     """Vectorized excursion scan.  Million-site windows hold hundreds of
     thousands of excursions, so the scans below work on these arrays.
 
-    ``prior``, the table of a path that this one extends to the right,
+    ``prior``, the table of a path that this one extends on either side,
     is continued: only the sites from its last complete excursion's end
     on are scanned, and the result is its rows followed by the new ones,
     equal to a scan of the whole path."""

@@ -16,7 +16,7 @@ from scipy.special import erf, erfc
 
 from rwre import experiments
 from rwre.constants import hill_estimate
-from rwre.env import EnvironmentLaw
+from rwre.env import EnvironmentLaw, sample_environment
 from rwre.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -32,6 +32,7 @@ from rwre.experiments import (
     verify_reduction,
     write_report,
 )
+from rwre.potential import WindowExhausted, build_potential, excursion_table
 from rwre.rng import stream_key
 
 BETA_LAW = EnvironmentLaw.beta_law(1.5, 1.0)
@@ -402,6 +403,31 @@ def test_census_windows_grown_in_place_match_the_resampling_route(law, monkeypat
             old_first = int(old_first * 1.6)
         assert first >= old_first
     assert any(growths)
+
+
+@pytest.mark.parametrize("law", ["beta:1.5,1", "discrete:0.8@0.5;0.3@0.5"])
+def test_widening_grows_in_place_on_both_sides(law):
+    # two shortfalls on the left, then one on the right, each across a
+    # site-block edge: the path, table and environment grown in place
+    # equal a whole build of the last window
+    law = EnvironmentLaw.parse(law)
+    sides = ["left", "left", "right"]
+
+    def scan(path, table):
+        if sides:
+            raise WindowExhausted(sides.pop(0), "a forced growth")
+        return path, table
+
+    (path, table), growths, env = experiments._widening(law, 7, -300, 4000, scan,
+                                                        keep_env=True)
+    assert growths == 3
+    whole_env = sample_environment(law, (-4800, int(4000 * experiments._WINDOW_GROWTH)),
+                                   seed=7)
+    whole = build_potential(whole_env)
+    assert (env.offset, env.omegas.tobytes()) == (whole_env.offset, whole_env.omegas.tobytes())
+    assert (path.offset, path.v.tobytes()) == (whole.offset, whole.v.tobytes())
+    for grown, built in zip(table, excursion_table(whole)):
+        assert grown.tobytes() == built.tobytes()
 
 
 # --------------------------------------------------------- reduction

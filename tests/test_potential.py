@@ -62,16 +62,27 @@ def test_build_potential_anchors_at_the_origin():
 GROWTH_LAWS = [EnvironmentLaw.parse(text) for text in
                ("beta:1.5,1", "beta:2,1.5", "discrete:0.8@0.5;0.3@0.5")]
 BLOCK_EDGES = [s + d for s in (4096, 8192, 12288) for d in (-1, 0, 1)]
+LEFT_EDGES = [-e for e in BLOCK_EDGES]
+# left edges of windows that hold site 0 and right edges past it
+LEFTS = st.one_of(st.integers(-14_000, 1), st.sampled_from(LEFT_EDGES))
+RIGHTS = st.one_of(st.integers(1, 14_000), st.sampled_from(BLOCK_EDGES))
 
 
-def _grown(law, seed, left, cuts):
-    """Potential and excursion table over [left, cuts[-1]], built on
-    [left, cuts[0]] and grown in place to each later cut."""
-    path = build_potential(sample_environment(law, (left, cuts[0]), seed=seed))
+def _grown(law, seed, lefts, cuts, on_left=()):
+    """Potential and excursion table over [lefts[-1], cuts[-1]], built on
+    [lefts[0], cuts[0]] and grown in place to each later edge, on the left
+    while the flags of on_left say so and edges remain, else on the right."""
+    path = build_potential(sample_environment(law, (lefts[0], cuts[0]), seed=seed))
     table = excursion_table(path)
-    for lo, hi in zip(cuts, cuts[1:]):
-        piece = build_potential(sample_environment(law, (lo + 1, hi), seed=seed), prior=path)
-        assert len(piece) - 1 == hi - lo
+    lefts, cuts = list(lefts[1:]), list(cuts[1:])
+    flags = iter(on_left)
+    while lefts or cuts:
+        if lefts and (next(flags, True) or not cuts):
+            lo, hi = lefts.pop(0), path.offset
+        else:
+            lo, hi = path.last_site + 1, cuts.pop(0)
+        piece = build_potential(sample_environment(law, (lo, hi), seed=seed), prior=path)
+        assert len(piece) - 1 == hi - lo + 1
         path = path.joined(piece)
         table = excursion_table(path, prior=table)
     return path, table
@@ -79,35 +90,56 @@ def _grown(law, seed, left, cuts):
 
 @settings(max_examples=60, deadline=None)
 @given(law=st.sampled_from(GROWTH_LAWS), seed=st.integers(0, 2 ** 32 - 1),
-       left=st.one_of(st.integers(-6000, 0), st.sampled_from([-4097, -4096, -4095])),
-       cuts=st.lists(st.one_of(st.integers(1, 14_000), st.sampled_from(BLOCK_EDGES)),
-                     min_size=1, max_size=5, unique=True))
-def test_grown_potential_and_table_equal_a_whole_window_build(law, seed, left, cuts):
-    cuts = sorted(cuts)
-    path, table = _grown(law, seed, left, cuts)
-    whole = build_potential(sample_environment(law, (left, cuts[-1]), seed=seed))
-    assert (path.offset, path.shift, path.running_sum) == \
-        (whole.offset, whole.shift, whole.running_sum)
+       lefts=st.lists(LEFTS, min_size=1, max_size=4, unique=True),
+       cuts=st.lists(RIGHTS, min_size=1, max_size=5, unique=True),
+       on_left=st.lists(st.booleans(), max_size=8))
+def test_grown_potential_and_table_equal_a_whole_window_build(law, seed, lefts, cuts,
+                                                               on_left):
+    lefts, cuts = sorted(lefts, reverse=True), sorted(cuts)
+    path, table = _grown(law, seed, lefts, cuts, on_left)
+    whole = build_potential(sample_environment(law, (lefts[-1], cuts[-1]), seed=seed))
+    assert path.offset == whole.offset
     assert path.v.tobytes() == whole.v.tobytes()
     for grown, built in zip(table, excursion_table(whole)):
         assert grown.dtype == built.dtype
         assert grown.tobytes() == built.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(law=st.sampled_from(GROWTH_LAWS), seed=st.integers(0, 2 ** 32 - 1),
+       lefts=st.lists(LEFTS, min_size=2, max_size=2, unique=True),
+       rights=st.lists(RIGHTS, min_size=2, max_size=2))
+def test_potential_at_a_site_does_not_depend_on_the_window(law, seed, lefts, rights):
+    # V is summed outward from site 0, so two windows holding it agree bit
+    # for bit wherever they overlap, whatever their edges
+    a, b = (build_potential(sample_environment(law, window, seed=seed))
+            for window in zip(lefts, rights))
+    lo, hi = max(a.offset, b.offset), min(a.last_site, b.last_site)
+    assert a.value(0) == b.value(0) == 0.0
+    assert a.slice_values(lo, hi).tobytes() == b.slice_values(lo, hi).tobytes()
+
+
 def test_build_potential_continues_only_a_built_path_that_it_abuts():
     path = build_potential(sample_environment(BETA_LAW, (-50, 100), seed=3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):         # a gap on the right
         build_potential(sample_environment(BETA_LAW, (102, 200), seed=3), prior=path)
-    with pytest.raises(ValueError):
-        build_potential(sample_environment(BETA_LAW, (101, 200), seed=3),
-                        prior=PotentialPath(offset=path.offset, v=path.v))
+    with pytest.raises(ValueError):         # a gap on the left
+        build_potential(sample_environment(BETA_LAW, (-90, -52), seed=3), prior=path)
     with pytest.raises(ValueError):
         path.joined(PotentialPath(offset=path.last_site + 1, v=np.zeros(3)))
+    with pytest.raises(ValueError):
+        path.joined(PotentialPath(offset=path.offset - 3, v=np.zeros(2)))
     # a window left of the origin is anchored at its own left edge, so
     # reaching site 0 would move every value already built
     left_only = build_potential(sample_environment(BETA_LAW, (-50, -10), seed=3))
     with pytest.raises(ValueError):
         build_potential(sample_environment(BETA_LAW, (-9, 5), seed=3), prior=left_only)
+    # a window that does not hold site 0 has nothing to sum out from, so
+    # it grows only on the right
+    right_only = build_potential(sample_environment(BETA_LAW, (10, 50), seed=3))
+    for window, prior in (((0, 9), right_only), ((-90, -51), left_only)):
+        with pytest.raises(ValueError):
+            build_potential(sample_environment(BETA_LAW, window, seed=3), prior=prior)
 
 
 def test_path_indexing_and_bounds():
