@@ -172,7 +172,7 @@ def _cmd_valleys(args) -> int:
     kappa = kappa_solve(law).kappa
     found, growths, _ = _widening(
         law, args.seed, -2000, 4 * args.n + 1000,
-        lambda path, table: [detect(path, args.n, args.epsilon, kappa, table=table)
+        lambda path, table: [detect(path, args.n, args.epsilon, kappa, table=table())
                              for detect in (detect_deep_valleys, detect_star_valleys)])
     if found is None:
         raise RuntimeError(f"the valleys ran off the window after {growths} growths")

@@ -119,7 +119,8 @@ def sample_excursions(law: EnvironmentLaw, n: int, seed: int,
     e_i - e_{i-1}, and the rise max V - V(e_{i-1}) over [e_{i-1}, e_i].
     The first window holds 2n sites; a window short of n excursions grows
     in place by the sites per excursion seen so far, with the potential
-    and the excursion table continued bit for bit, so no excursion is cut.
+    and the excursion table continued bit for bit into the spare room of
+    their arrays, as every growing window is, so no excursion is cut.
     """
     if mean_log_rho(law) >= 0.0:
         raise RegimeError(f"law {law.spec_text()} has E[log rho] >= 0: its potential "

@@ -556,20 +556,28 @@ def _left_pad(d_n: float, drift: float) -> int:
 
 def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, keep_env=False):
     """Sample sites [left, right] of the environment at key and run
-    scan(path, table) on its potential and excursion table; the census,
-    the reduction, the crossing bound and `rwre valleys` all scan here.
-    A scan that runs off the window raises WindowExhausted, and the
-    window grows in place on that side, at most _WINDOW_GROWTHS times:
-    the right edge moves out by _WINDOW_GROWTH, the left edge by 4.  Only
-    the new sites are sampled, and the potential and the table continue
-    bit for bit as a build over the whole window.  Returns (scan result,
-    growths, env): the result is None when the last window was still too
-    small, and env, the last window's environment, is kept only when
-    asked for."""
+    scan(path, table) on its potential, where table() returns the
+    window's excursion table, built on the first call; the census, the
+    reduction, the crossing bound and `rwre valleys` all scan here.  A
+    scan that runs off the window raises WindowExhausted, and the window
+    grows on that side, at most _WINDOW_GROWTHS times: the right edge
+    moves out by _WINDOW_GROWTH, the left edge by 4.  Only the new sites
+    are sampled, and the potential and the table continue bit for bit as
+    a build over the whole window: on the right in place, into the spare
+    room of their arrays, on the left by one copy.  A table no scan asked
+    for is never built.  Returns (scan result, growths, env): the result
+    is None when the last window was still too small, and env, the last
+    window's environment, is kept only when asked for."""
     env = sample_environment(law, (left, right), seed=key)
     path = build_potential(env)
     env = env if keep_env else None
-    table = excursion_table(path)
+    built = [None, None]            # the last table built and the path it belongs to
+
+    def table():
+        if built[1] is not path:
+            built[:] = excursion_table(path, prior=built[0]), path
+        return built[0]
+
     growths = 0
     while True:
         try:
@@ -583,7 +591,6 @@ def _widening(law: EnvironmentLaw, key: int, left: int, right: int, scan, keep_e
             left, right = min(left, lo), max(right, hi)
             piece = sample_environment(law, (lo, hi), seed=key)
             path = path.joined(build_potential(piece, prior=path))
-            table = excursion_table(path, prior=table)
             if keep_env:
                 pair = (env, piece) if lo > env.offset else (piece, env)
                 env = EnvironmentSlice(left, np.concatenate([e.omegas for e in pair]))
@@ -595,11 +602,15 @@ def _census_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                 key: int, left_pad: int, right: int, h_grid: tuple[float, ...],
                 ) -> dict:
     def scan(path, table):
+        table = table()
+        # the good-environment check first: it is the scan that runs off a
+        # short window (A3 and A4 need the first deep valley past e_n), so
+        # the deep and star scans run once, on the window that holds it
+        record = check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
+                                        kappa, table=table, kappa_fallback=fallback)
         return (detect_deep_valleys(path, n, epsilon, kappa, table=table),
                 detect_star_valleys(path, n, epsilon, kappa, table=table),
-                check_good_environment(path, n, epsilon, delta, c_prime, c_dprime,
-                                       kappa, table=table, kappa_fallback=fallback),
-                table)
+                record, table)
 
     found, retries, _ = _widening(law, key, -left_pad, right, scan)
     if found is None:
@@ -640,12 +651,15 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     Each environment's window starts at _CENSUS_FIRST E[len] n +
     _CENSUS_MARGIN sites right of the origin, E[len] being the mean
     excursion length of the excursion sample, so it usually holds e_n and
-    the first deep valley past it.  A window too short grows (_widening),
-    and the retries field counts the growths.  c_prime is only A1's
-    constant, 2 (E[len] + 1) by default.  A law with no kappa in (0,1) is
-    counted at the unit height scale kappa = 1, and its A4/A5 read only
-    the valleys among the first n excursions (see check_good_environment's
-    kappa_fallback).
+    the first deep valley past it.  A window too short grows in place
+    (_widening), and the retries field counts the growths.  Each window
+    runs check_good_environment first, the scan that runs off a window
+    short of the first deep valley past e_n, so detect_deep_valleys and
+    detect_star_valleys usually run once per environment, on its last
+    window.  c_prime is only A1's constant, 2 (E[len] + 1) by default.  A
+    law with no kappa in (0,1) is counted at the unit height scale kappa
+    = 1, and its A4/A5 read only the valleys among the first n excursions
+    (see check_good_environment's kappa_fallback).
     """
     run_params = _as_declared("census", config, delta=delta, c_prime=c_prime, c_dprime=c_dprime)
     delta, c_prime, c_dprime = run_params.values()
@@ -720,6 +734,7 @@ def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
                    lam_values: tuple[float, ...], key: int, left_pad: int,
                    ) -> dict:
     def scan(path, table):
+        table = table()
         deep = detect_deep_valleys(path, n, epsilon, kappa, table=table)
         return int(table.ends[n - 1]), deep
 

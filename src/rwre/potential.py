@@ -32,16 +32,19 @@ realized window, WindowExhausted says which side, and the caller
 (experiments._widening) grows the window and retries.  Environments are
 keyed by site block, so a grown window agrees with the old one site by
 site, and V, summed outward from site 0, does not depend on its edges.
-So a window grows in place on either side: build_potential continues a
-path over the new sites only and excursion_table a table from its last
-complete excursion, both bit for bit as a whole build.
+So a window grows on either side: build_potential continues a path over
+the new sites only and excursion_table a table from its last complete
+excursion, both bit for bit as a whole build.  A built path and table
+keep spare room past the end of their arrays, and a growth on the right
+writes its sites and rows into it, so the old ones are neither copied
+nor moved; a growth on the left, or past the room, copies once into a
+new array with room again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,10 +83,36 @@ class WindowExhausted(RuntimeError):
         self.what = what
 
 
+_ROOM = 2                          # a new array holds this many times its entries
+
+
+class _Room:
+    """A 1-D array with spare room past its first ``size`` entries.  Paths
+    and tables hold views of data[:size]; a continuation claims the entries
+    past size, so views handed out before keep their values and no two
+    continuations of one view share an entry."""
+
+    __slots__ = ("data", "size")
+
+    def __init__(self, size: int, dtype) -> None:
+        self.data = np.empty(_ROOM * size, dtype)
+        self.size = size
+
+    def claim(self, held: np.ndarray, extra: int) -> np.ndarray | None:
+        """The ``extra`` entries after ``held``, now taken, when held is
+        data[:size] and they fit; else None."""
+        if (len(held) != self.size or self.size + extra > len(self.data)
+                or held.ctypes.data != self.data.ctypes.data):
+            return None
+        self.size += extra
+        return self.data[self.size - extra : self.size]
+
+
 @dataclass(frozen=True)
 class PotentialPath:
     offset: int                    # site index of v[0]
     v: np.ndarray                  # v[k] = V(offset + k)
+    room: _Room | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.v)
@@ -107,15 +136,26 @@ class PotentialPath:
 
     def joined(self, piece: "PotentialPath") -> "PotentialPath":
         """This path and a continuation that build_potential made from it
-        on either side (the piece repeats the value at the end it meets)."""
+        on either side (the piece repeats the value at the end it meets).
+        A piece that build_potential wrote into this path's spare room on
+        the right joins without a copy: the result is a longer view of the
+        same array.  Any other piece is copied with this path into a new
+        array with room."""
         if piece.offset == self.last_site:
+            room, size = self.room, len(self.v) + len(piece.v) - 1
+            if (room is not None and room.size == size and piece.v.base is room.data
+                    and piece.v.ctypes.data == self.v[-1:].ctypes.data):
+                return PotentialPath(offset=self.offset, v=room.data[:size], room=room)
             parts = (self.v, piece.v[1:])
         elif piece.last_site == self.offset:
             parts = (piece.v[:-1], self.v)
         else:
             raise ValueError(f"piece on sites [{piece.offset}, {piece.last_site}] meets "
                              f"neither end of [{self.offset}, {self.last_site}]")
-        return PotentialPath(offset=min(self.offset, piece.offset), v=np.concatenate(parts))
+        room = _Room(len(self.v) + len(piece.v) - 1, np.float64)
+        np.concatenate(parts, out=room.data[:room.size])
+        return PotentialPath(offset=min(self.offset, piece.offset), v=room.data[:room.size],
+                             room=room)
 
 
 @dataclass(frozen=True)
@@ -170,7 +210,10 @@ def build_potential(env: EnvironmentSlice,
     value, and on the left (hi = prior.offset), which only a prior holding
     site 0 allows, from its first.  prior.joined(result) equals the
     potential of the union of the two slices bit for bit.  The result
-    holds only the new sites and prior's value at the end it meets.
+    holds only the new sites and prior's value at the end it meets.  On
+    the right the new sites go into prior's spare room when they fit, and
+    the result is a view of it that prior.joined takes over uncopied.  A
+    new path gets room to double.
     """
     omegas = np.asarray(env.omegas, dtype=np.float64)
     if omegas.size == 0:
@@ -181,24 +224,36 @@ def build_potential(env: EnvironmentSlice,
         pivot, seed = (-offset if offset <= 0 <= last else 0), 0.0
     elif prior.last_site == offset and not prior.last_site < 0 <= last:
         pivot, seed = 0, prior.v[-1]
+        new = prior.room.claim(prior.v, omegas.size) if prior.room is not None else None
+        if new is not None:         # V(x) = V(x-1) + log rho_x, summed on from prior's end
+            _log_rho(omegas, new)
+            new[0] += seed
+            np.cumsum(new, out=new)
+            return PotentialPath(offset=offset, v=prior.room.data[len(prior) - 1:][:new.size + 1])
     elif prior.offset == last and prior.offset <= 0 <= prior.last_site:
         pivot, seed = omegas.size, prior.v[0]
     else:
         raise ValueError(f"sites [{env.offset}, {last}] do not continue the path on "
                          f"[{prior.offset}, {prior.last_site}]: a slice meets one end, a path "
                          "left of site 0 may not reach it, only one holding it grows left")
-    v = np.empty(omegas.size + 1)
+    room = _Room(omegas.size + 1, np.float64) if prior is None else None
+    v = np.empty(omegas.size + 1) if room is None else room.data[:room.size]
     # left of the pivot v[k] takes log rho at site offset + k + 1, right of it at offset + k
-    for part, out in ((omegas[:pivot], v[:pivot]), (omegas[pivot:], v[pivot + 1:])):
-        np.negative(part, out=out)
-        np.log1p(out, out=out)
-        out -= np.log(part)
+    _log_rho(omegas[:pivot], v[:pivot])
+    _log_rho(omegas[pivot:], v[pivot + 1:])
     left = v[pivot::-1]             # V(x) = V(x+1) - log rho_{x+1}: sum -V outward, negate
     left[0] = -seed
     np.cumsum(left, out=left)
     np.negative(left, out=left)
     np.cumsum(v[pivot:], out=v[pivot:])
-    return PotentialPath(offset=offset, v=v)
+    return PotentialPath(offset=offset, v=v, room=room)
+
+
+def _log_rho(omegas: np.ndarray, out: np.ndarray) -> None:
+    """log rho = log((1 - omega) / omega) into out."""
+    np.negative(omegas, out=out)
+    np.log1p(out, out=out)
+    out -= np.log(omegas)
 
 
 def _origin_index(path: PotentialPath) -> int:
@@ -211,32 +266,43 @@ def _origin_index(path: PotentialPath) -> int:
 def ladder_epochs(path: PotentialPath) -> np.ndarray:
     """Weak descending ladder epochs e_0 = 0, e_i = inf{k > e_{i-1}:
     V(k) <= V(e_{i-1})}, as absolute sites, truncated at the window end."""
-    return _ladder_from(path, 0)
-
-
-def _ladder_from(path: PotentialPath, epoch: int) -> np.ndarray:
-    """The ladder epochs from a known epoch on, that epoch first.  V at an
-    epoch is the running minimum of the whole path so far, so the later
-    epochs need only the sites from it on."""
-    v = path.v[_origin_index(path) + epoch:]
-    if len(v) == 1:
-        return np.array([epoch], dtype=np.int64)
-    # k >= 1 is a ladder epoch iff V(k) <= min over [0, k-1]
-    later = np.flatnonzero(v[1:] <= np.minimum.accumulate(v)[:-1])
-    epochs = np.empty(later.size + 1, dtype=np.int64)
-    epochs[0] = epoch
-    np.add(later, epoch + 1, out=epochs[1:])
+    steps = _ladder_steps(path, 0)
+    epochs = np.empty(steps.size + 1, dtype=np.int64)
+    epochs[0] = 0
+    np.add(steps, 1, out=epochs[1:])
     return epochs
 
 
-class ExcursionTable(NamedTuple):
-    """Columnar view of the complete excursions: one row per consecutive
-    ladder pair, starts and ends as absolute sites, and the height
-    max over [start, end] of V - V(start)."""
+def _ladder_steps(path: PotentialPath, epoch: int) -> np.ndarray:
+    """The ladder epochs after a known epoch, less epoch + 1.  V at an
+    epoch is the running minimum of the whole path so far, so the later
+    epochs need only the sites from it on."""
+    v = path.v[_origin_index(path) + epoch:]
+    # k >= 1 is a ladder epoch iff V(k) <= min over [0, k-1]
+    return np.flatnonzero(v[1:] <= np.minimum.accumulate(v)[:-1])
 
-    starts: np.ndarray
-    ends: np.ndarray
+
+@dataclass(frozen=True)
+class ExcursionTable:
+    """Columnar view of the complete excursions: one row per consecutive
+    pair of the ladder epochs e_0, e_1, ... (absolute sites), and the
+    height max over [start, end] of V - V(start).  Both arrays are views
+    of arrays with spare room (``rooms``) that a continuation fills."""
+
+    epochs: np.ndarray
     heights: np.ndarray
+    rooms: tuple[_Room, _Room] | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self.epochs[:-1]
+
+    @property
+    def ends(self) -> np.ndarray:
+        return self.epochs[1:]
+
+    def __iter__(self):
+        return iter((self.starts, self.ends, self.heights))
 
 
 def excursion_table(path: PotentialPath,
@@ -247,22 +313,38 @@ def excursion_table(path: PotentialPath,
     ``prior``, the table of a path that this one extends on either side,
     is continued: only the sites from its last complete excursion's end
     on are scanned, and the result is its rows followed by the new ones,
-    equal to a scan of the whole path."""
-    start = int(prior.ends[-1]) if prior is not None and prior.ends.size else 0
-    eps = _ladder_from(path, start)
-    i0 = _origin_index(path)
-    v = path.v
-    starts = eps[:-1] + i0
-    # max over [start, end); the endpoint cannot exceed it since
-    # V(end) <= V(start) <= the segment max.  The scan stops at the last
-    # ladder epoch: sites past it belong to an incomplete excursion and
-    # must not leak into the last height.
-    heights = np.maximum.reduceat(v[:eps[-1] + i0], starts) if starts.size else np.empty(0)
-    heights -= v[starts]
-    table = ExcursionTable(starts=eps[:-1], ends=eps[1:], heights=heights)
-    if prior is None or not prior.ends.size:
-        return table
-    return ExcursionTable(*(np.concatenate(pair) for pair in zip(prior, table)))
+    equal to a scan of the whole path.  The new rows go into prior's
+    spare room when they fit, so prior's rows are not copied and the
+    result's arrays are longer views of prior's; otherwise all rows are
+    copied once into new arrays with room to double."""
+    rows = 0 if prior is None else prior.heights.size
+    start = 0 if prior is None else int(prior.epochs[-1])
+    steps = _ladder_steps(path, start)
+    new = steps.size
+    rooms = None if prior is None else prior.rooms
+    # heights first: when they fit, so do the epochs, one entry longer
+    fresh = rooms is None or rooms[1].claim(prior.heights, new) is None \
+        or rooms[0].claim(prior.epochs, new) is None
+    if fresh:
+        rooms = (_Room(rows + 1 + new, np.int64), _Room(rows + new, np.float64))
+        rooms[0].data[:rows + 1] = 0 if prior is None else prior.epochs
+        rooms[1].data[:rows] = 0.0 if prior is None else prior.heights
+    epochs = rooms[0].data[:rows + 1 + new]
+    heights = rooms[1].data[:rows + new]
+    np.add(steps, start + 1, out=epochs[rows + 1:])
+    if new:
+        i0 = _origin_index(path)
+        v = path.v
+        starts = epochs[rows:-1] + i0
+        # max over [start, end); the endpoint cannot exceed it since
+        # V(end) <= V(start) <= the segment max.  The scan stops at the last
+        # ladder epoch: sites past it belong to an incomplete excursion and
+        # must not leak into the last height.
+        # reduceat into an out= view holds the interpreter lock and stalls
+        # the census's worker threads, so it returns a new array
+        np.subtract(np.maximum.reduceat(v[:epochs[-1] + i0], starts), v[starts],
+                    out=heights[rows:])
+    return ExcursionTable(epochs=epochs, heights=heights, rooms=rooms)
 
 
 def first_ascent(path: PotentialPath, h: float) -> int | None:

@@ -407,27 +407,74 @@ def test_census_windows_grown_in_place_match_the_resampling_route(law, monkeypat
 
 @pytest.mark.parametrize("law", ["beta:1.5,1", "discrete:0.8@0.5;0.3@0.5"])
 def test_widening_grows_in_place_on_both_sides(law):
-    # two shortfalls on the left, then one on the right, each across a
+    # two shortfalls on the left, then three on the right, each across a
     # site-block edge: the path, table and environment grown in place
-    # equal a whole build of the last window
+    # equal a whole build of the last window, and a growth on the right
+    # writes past the old sites and rows without moving them
     law = EnvironmentLaw.parse(law)
-    sides = ["left", "left", "right"]
+    sides = ["left", "left", "right", "right", "right"]
+    seen = []
 
     def scan(path, table):
+        seen.append((path, table()))
         if sides:
             raise WindowExhausted(sides.pop(0), "a forced growth")
-        return path, table
+        return path, table()
 
     (path, table), growths, env = experiments._widening(law, 7, -300, 4000, scan,
                                                         keep_env=True)
-    assert growths == 3
-    whole_env = sample_environment(law, (-4800, int(4000 * experiments._WINDOW_GROWTH)),
-                                   seed=7)
+    assert growths == 5
+    right = 4000
+    for _ in range(3):
+        right = int(right * experiments._WINDOW_GROWTH)
+    whole_env = sample_environment(law, (-4800, right), seed=7)
     whole = build_potential(whole_env)
     assert (env.offset, env.omegas.tobytes()) == (whole_env.offset, whole_env.omegas.tobytes())
     assert (path.offset, path.v.tobytes()) == (whole.offset, whole.v.tobytes())
     for grown, built in zip(table, excursion_table(whole)):
         assert grown.tobytes() == built.tobytes()
+    for (old, old_table), (new, new_table) in zip(seen[2:], seen[3:]):
+        assert np.shares_memory(old.v, new.v)
+        # the table's rows grow 1.3 times a growth, so the third one on the
+        # right may outgrow its room and copy
+        fits = new_table.heights.size <= old_table.rooms[1].data.size
+        assert all(np.shares_memory(a, b) == fits for a, b in zip(old_table, new_table))
+    assert [np.shares_memory(a.v, b.v) for (a, _), (b, _) in zip(seen, seen[1:])] == \
+        [False, False, True, True, True]
+
+
+def test_census_scans_a_grown_window_once(monkeypatch):
+    # the good-environment check runs first: it is the scan that runs off a
+    # short window, so the deep and star scans run once per environment,
+    # on its last window, and the fields equal a whole-window scan's
+    calls = []
+    for name in ("detect_deep_valleys", "detect_star_valleys"):
+        def counted(*args, _scan=getattr(experiments, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _scan(*args, **kwargs)
+        monkeypatch.setattr(experiments, name, counted)
+    census_env = experiments._census_env
+    envs = []
+
+    def one(law, n, epsilon, kappa, fallback, delta, c_prime, c_dprime, key, left_pad,
+            right, h_grid):
+        calls.clear()
+        grown = census_env(law, n, epsilon, kappa, fallback, delta, c_prime, c_dprime, key,
+                           left_pad, right, h_grid)
+        scans = sorted(calls)
+        whole = oracles.census_env_resampled(law, n, epsilon, kappa, fallback, delta,
+                                             c_prime, c_dprime, key, left_pad, h_grid)
+        envs.append((scans, grown, whole))
+        return grown
+
+    monkeypatch.setattr(experiments, "_census_env", one)
+    run_valley_census(ExperimentConfig(law=EnvironmentLaw.parse("beta:1.5,1"),
+                                       n_values=(20_000,), replicas=6))
+    assert sum(grown["retries"] for _, grown, _ in envs) >= 2
+    for scans, grown, whole in envs:
+        assert scans == ["detect_deep_valleys", "detect_star_valleys"]
+        grown.pop("retries"), whole.pop("retries")
+        assert grown == whole
 
 
 # --------------------------------------------------------- reduction
@@ -489,6 +536,20 @@ def test_crossing_windows_grown_from_one_block_match_a_fixed_window(monkeypatch)
         assert [v for v in ours if v is not None] == pytest.approx(
             [v for v in ref if v is not None], rel=1e-9)
     assert any(growths)
+
+
+def test_crossing_builds_no_excursion_table(monkeypatch):
+    # the crossing scan reads only the potential, so the windows it grows
+    # never build or continue an excursion table
+    def refused(*args, **kwargs):
+        raise AssertionError("the crossing built an excursion table")
+
+    monkeypatch.setattr(experiments, "excursion_table", refused)
+    law = EnvironmentLaw.parse("beta:1.5,1")
+    for i in range(5):
+        key = stream_key(0, "cross", i)
+        assert experiments._crossing_env(law, (3.0, 11.0), key) == pytest.approx(
+            oracles.crossing_env_fixed_window(law, (3.0, 11.0), key), rel=1e-9)
 
 
 def test_crossing_keeps_the_h_that_rose_when_the_largest_never_does():

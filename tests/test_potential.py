@@ -70,31 +70,39 @@ RIGHTS = st.one_of(st.integers(1, 14_000), st.sampled_from(BLOCK_EDGES))
 
 def _grown(law, seed, lefts, cuts, on_left=()):
     """Potential and excursion table over [lefts[-1], cuts[-1]], built on
-    [lefts[0], cuts[0]] and grown in place to each later edge, on the left
-    while the flags of on_left say so and edges remain, else on the right."""
+    [lefts[0], cuts[0]] and grown to each later edge, on the left while
+    the flags of on_left say so and edges remain, else on the right."""
     path = build_potential(sample_environment(law, (lefts[0], cuts[0]), seed=seed))
     table = excursion_table(path)
     lefts, cuts = list(lefts[1:]), list(cuts[1:])
     flags = iter(on_left)
     while lefts or cuts:
-        if lefts and (next(flags, True) or not cuts):
-            lo, hi = lefts.pop(0), path.offset
-        else:
-            lo, hi = path.last_site + 1, cuts.pop(0)
+        right = not (lefts and (next(flags, True) or not cuts))
+        lo, hi = (path.last_site + 1, cuts.pop(0)) if right else (lefts.pop(0), path.offset)
+        old, old_table = path, table
+        before = [a.tobytes() for a in (old.v, *old_table)]
         piece = build_potential(sample_environment(law, (lo, hi), seed=seed), prior=path)
         assert len(piece) - 1 == hi - lo + 1
         path = path.joined(piece)
         table = excursion_table(path, prior=table)
+        # the old path and table keep their values; a growth on the right
+        # that fits their spare room writes past them instead of copying
+        assert [a.tobytes() for a in (old.v, *old_table)] == before
+        assert np.shares_memory(old.v, path.v) == (right and len(path) <= old.room.data.size)
+        fits = table.heights.size <= old_table.rooms[1].data.size
+        for a, b in ((old_table.epochs, table.epochs), (old_table.heights, table.heights)):
+            assert np.shares_memory(a, b) == (fits and a.size > 0)
     return path, table
 
 
 @settings(max_examples=60, deadline=None)
 @given(law=st.sampled_from(GROWTH_LAWS), seed=st.integers(0, 2 ** 32 - 1),
        lefts=st.lists(LEFTS, min_size=1, max_size=4, unique=True),
-       cuts=st.lists(RIGHTS, min_size=1, max_size=5, unique=True),
+       cuts=st.lists(RIGHTS, min_size=4, max_size=6, unique=True),
        on_left=st.lists(st.booleans(), max_size=8))
 def test_grown_potential_and_table_equal_a_whole_window_build(law, seed, lefts, cuts,
                                                                on_left):
+    # at least three growths on the right
     lefts, cuts = sorted(lefts, reverse=True), sorted(cuts)
     path, table = _grown(law, seed, lefts, cuts, on_left)
     whole = build_potential(sample_environment(law, (lefts[-1], cuts[-1]), seed=seed))
@@ -102,6 +110,28 @@ def test_grown_potential_and_table_equal_a_whole_window_build(law, seed, lefts, 
     assert path.v.tobytes() == whole.v.tobytes()
     for grown, built in zip(table, excursion_table(whole)):
         assert grown.dtype == built.dtype
+        assert grown.tobytes() == built.tobytes()
+
+
+@pytest.mark.parametrize("law", GROWTH_LAWS, ids=lambda law: law.spec_text())
+def test_right_growths_write_past_the_old_sites(law):
+    # three growths on the right, each across a site-block edge and within
+    # the room a new path and table keep: every old site and row stays
+    # where it was, and the result equals a whole build bit for bit
+    cuts = [3000, 4095, 4097, 5000]
+    whole = build_potential(sample_environment(law, (-5000, cuts[-1]), seed=11))
+    path = build_potential(sample_environment(law, (-5000, cuts[0]), seed=11))
+    table = excursion_table(path)
+    for cut in cuts[1:]:
+        piece = build_potential(sample_environment(law, (path.last_site + 1, cut), seed=11),
+                                prior=path)
+        grown = path.joined(piece)
+        grown_table = excursion_table(grown, prior=table)
+        assert np.shares_memory(path.v, grown.v)
+        assert all(np.shares_memory(a, b) for a, b in zip(table, grown_table))
+        path, table = grown, grown_table
+    assert (path.offset, path.v.tobytes()) == (whole.offset, whole.v.tobytes())
+    for grown, built in zip(table, excursion_table(whole)):
         assert grown.tobytes() == built.tobytes()
 
 
@@ -140,6 +170,25 @@ def test_build_potential_continues_only_a_built_path_that_it_abuts():
     for window, prior in (((0, 9), right_only), ((-90, -51), left_only)):
         with pytest.raises(ValueError):
             build_potential(sample_environment(BETA_LAW, window, seed=3), prior=prior)
+
+
+def test_a_path_continued_twice_keeps_both_continuations():
+    # the first continuation on the right takes the spare room; a second
+    # one of the same path finds it taken and copies, so neither overwrites
+    # the other's sites or rows
+    def window(lo, hi):
+        return sample_environment(BETA_LAW, (lo, hi), seed=5)
+
+    path = build_potential(window(-50, 100))
+    table = excursion_table(path)
+    grown = [path.joined(build_potential(window(101, hi), prior=path)) for hi in (180, 140)]
+    tables = [excursion_table(g, prior=table) for g in grown]
+    assert [np.shares_memory(path.v, g.v) for g in grown] == [True, False]
+    assert [np.shares_memory(table.heights, t.heights) for t in tables] == [True, False]
+    for g, t, hi in zip(grown, tables, (180, 140)):
+        whole = build_potential(window(-50, hi))
+        assert g.v.tobytes() == whole.v.tobytes()
+        assert [a.tobytes() for a in t] == [a.tobytes() for a in excursion_table(whole)]
 
 
 def test_path_indexing_and_bounds():
