@@ -12,77 +12,13 @@ The package splits along the objects of the theory:
              estimators;
 * stable     positive stable sampling and the exact CDF;
 * experiments  the end-to-end Monte Carlo harness and report emission;
+* cli        the ``rwre`` command line over the harness;
 * rng        stream keys and keyed PCG64 generators behind all of the above.
 
 Special functions (digamma, log-beta, logsumexp) come from scipy.special.
+
+Names are imported from their modules; the package namespace holds only
+``__version__``, so importing one module loads only what it needs.
 """
 
 __version__ = "0.1.0"
-
-from .env import (
-    EnvironmentLaw,
-    EnvironmentSlice,
-    KappaResult,
-    NoRootError,
-    RegimeError,
-    kappa_solve,
-    lambda_fn,
-    mean_log_rho,
-    moment_rho_log,
-    sample_environment,
-)
-from .potential import (
-    DeepValley,
-    GoodEnvironmentRecord,
-    PotentialPath,
-    StarValley,
-    WindowExhausted,
-    build_potential,
-    check_good_environment,
-    critical_height,
-    descent_threshold,
-    detect_deep_valleys,
-    detect_star_valleys,
-    excursion_table,
-    ladder_epochs,
-)
-from .quenched import (
-    AttemptMoments,
-    HTransform,
-    QuenchedChain,
-    attempt_moments,
-    exit_prob,
-    expected_hitting_times,
-    failure_prob,
-    h_transform,
-    linear_solve_oracle,
-    mean_G_exact,
-    sample_hitting_times,
-)
-from .constants import (
-    IglehartEstimate,
-    LimitLawParams,
-    TailEstimate,
-    iglehart_constant,
-    kesten_constant_beta,
-    kesten_tail_estimate,
-    limit_scale,
-    limit_scale_beta,
-)
-from .stable import (
-    PredictedCdf,
-    StableSpec,
-    laplace,
-    predicted_tau_cdf,
-    sample_positive_stable,
-    stable_cdf,
-)
-from .experiments import (
-    ConvergenceReport,
-    ExperimentConfig,
-    run_position_experiment,
-    run_tau_experiment,
-    run_valley_census,
-    verify_crossing_bound,
-    verify_reduction,
-)

@@ -20,11 +20,10 @@ receives the same omega regardless of which window is materialized.
 Every law draws each touched block of _SITE_BLOCK sites whole through
 draw_omegas, on a generator keyed by the block (see rng).
 
-draw_omegas, and the per-replica samplers draw_rho and draw_log_rho,
-dispatch on one rule: Beta(A, 1) and discrete laws invert the CDF on
-generator uniforms, other Beta laws use the generator's beta sampler.
-draw_rho and draw_log_rho read per-atom tables for discrete laws, built
-once per law.
+draw_omegas, and the per-replica sampler draw_rho, dispatch on one rule:
+Beta(A, 1) and discrete laws invert the CDF on generator uniforms, other
+Beta laws use the generator's beta sampler.  draw_rho reads a per-atom
+table for discrete laws, built once per law.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "sample_environment",
     "draw_omegas",
     "draw_rho",
-    "draw_log_rho",
     "rho",
     "lambda_fn",
     "kappa_solve",
@@ -166,14 +164,13 @@ def rho(omega: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _atom_tables(law: EnvironmentLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _atom_tables(law: EnvironmentLaw) -> tuple[np.ndarray, np.ndarray]:
     """A discrete law's tables, built once per law: the first K-1
-    cumulative edges, which _atom_index counts against, and rho and log
-    rho of each atom clipped into _OMEGA_CLIP.  The arrays are shared, so
-    they are read-only."""
+    cumulative edges, which _atom_index counts against, and rho of each
+    atom clipped into _OMEGA_CLIP.  The arrays are shared, so they are
+    read-only."""
     atoms = np.clip(law.values, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
-    tables = (np.cumsum(np.asarray(law.probs))[:-1], (1.0 - atoms) / atoms,
-              np.log1p(-atoms) - np.log(atoms))
+    tables = (np.cumsum(np.asarray(law.probs))[:-1], (1.0 - atoms) / atoms)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -225,15 +222,6 @@ def draw_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.nda
         return _atom_tables(law)[1][_atom_index(law, rng.random(size))]
     om = draw_omegas(law, rng, size)
     return (1.0 - om) / om
-
-
-def draw_log_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """log rho of draw_omegas(law, rng, size), value for value.  Discrete
-    laws read a per-atom table instead of taking two logarithms a draw."""
-    if law.kind == "beta":
-        om = draw_omegas(law, rng, size)
-        return np.log1p(-om) - np.log(om)
-    return _atom_tables(law)[2][_atom_index(law, rng.random(size))]
 
 
 def sample_environment(law: EnvironmentLaw, site_range: tuple[int, int], seed: int) -> EnvironmentSlice:

@@ -91,16 +91,16 @@ class QuenchedChain:
             raise ValueError("reflect_at must lie in [left, right)")
 
     @classmethod
-    def from_omegas(cls, omegas, left: int = 0, reflect_at: int | None = None,
-                    v_left: float = 0.0) -> "QuenchedChain":
-        """Build from omegas on sites left+1 .. left+len(omegas); the last
-        one is the right edge and only feeds V(right)."""
+    def from_omegas(cls, omegas, left: int = 0,
+                    reflect_at: int | None = None) -> "QuenchedChain":
+        """Build from omegas on sites left+1 .. left+len(omegas), with V(left)
+        = 0.  The last omega is the right edge and only feeds V(right)."""
         om = np.asarray(omegas, dtype=np.float64)
         if om.size < 1:
             raise ValueError("need at least one omega")
         right = left + om.size
         log_rho = np.log1p(-om) - np.log(om)
-        v = v_left + np.concatenate([[0.0], np.cumsum(log_rho)])
+        v = np.concatenate([[0.0], np.cumsum(log_rho)])
         return cls(left=left, right=right, omegas=om[:-1], base_potential=v,
                    reflect_at=reflect_at)
 

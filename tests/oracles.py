@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import erfc
 
-from rwre.env import draw_log_rho, sample_environment
+from rwre.env import draw_omegas, sample_environment
 from rwre.experiments import _census_fields
 from rwre.potential import (
     DeepValley,
@@ -260,6 +260,12 @@ def rho_reference(law, rng, size):
     return (1.0 - om) / om
 
 
+def log_rho_draws(law, rng, size):
+    """log rho = log((1 - omega)/omega) of size draws of draw_omegas."""
+    om = draw_omegas(law, rng, size)
+    return np.log1p(-om) - np.log(om)
+
+
 def series_block_reference(law, rng, size, truncation, rel_tol=1e-12, chunk=64):
     """R = sum_{k>=0} e^{V(k)} for ``size`` series, whole chunks at a time.
 
@@ -274,7 +280,7 @@ def series_block_reference(law, rng, size, truncation, rel_tol=1e-12, chunk=64):
     terms = 0
     while active.size and terms < truncation:
         width = min(chunk, truncation - terms)
-        inc = draw_log_rho(law, rng, active.size * width).reshape(active.size, width)
+        inc = log_rho_draws(law, rng, active.size * width).reshape(active.size, width)
         prods = p[active, None] * np.exp(np.cumsum(inc, axis=1))
         r[active] += prods.sum(axis=1)
         p[active] = prods[:, -1]
@@ -381,7 +387,7 @@ def excursions_reference(law, n, seed):
     def steps():
         rng = generator(seed)
         while True:
-            yield from draw_log_rho(law, rng, 4096).tolist()
+            yield from log_rho_draws(law, rng, 4096).tolist()
     step, rows = steps(), []
     for _ in range(n):
         v, length, height = next(step), 1, 0.0

@@ -8,7 +8,13 @@ import pytest
 
 from rwre.cli import _build_parser, _config_from_args, main
 from rwre.env import EnvironmentLaw
-from rwre.experiments import EXPERIMENTS, ExperimentConfig, verify_crossing_bound, write_report
+from rwre.experiments import (
+    EXPERIMENTS,
+    ExperimentConfig,
+    run_tau_experiment,
+    verify_crossing_bound,
+    write_report,
+)
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -65,6 +71,18 @@ def test_constants_table_goldie_route(capsys):
     routes = [line.split()[-1] for line in capsys.readouterr().out.splitlines()
               if line.startswith("C_K ")]
     assert routes == ["closed_form", "goldie"]
+
+
+@pytest.mark.parametrize("law, c_k_format", [("beta:1.5,1.0", ".12g"),
+                                              ("discrete:0.8@0.5;0.3@0.5", ".6g")])
+def test_constants_and_tau_report_read_one_c_k(law, c_k_format, capsys):
+    # both choose the closed form or Goldie's estimate on stream (seed, "ck")
+    assert main(["constants", "--law", law, "--excursions", "2000", "--seed", "3"]) == 0
+    table = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()}
+    tau = run_tau_experiment(ExperimentConfig(law=EnvironmentLaw.parse(law), n_values=(20,),
+                                              replicas=20, master_seed=3))
+    assert table["C_K"] == format(tau.extra("c_k"), c_k_format)
+    assert table["Lambda"] == format(tau.extra("lambda_scale"), ".10g")
 
 
 def test_valleys_listing(capsys):

@@ -14,7 +14,6 @@ from rwre.env import (
     _atom_index,
     NoRootError,
     RegimeError,
-    draw_log_rho,
     draw_omegas,
     draw_rho,
     kappa_solve,
@@ -326,10 +325,7 @@ def test_draw_omegas_inverts_generator_uniforms(law):
     u = generator(44).random(5000)
     expected = np.clip(u ** (1.0 / law.alpha) if law.kind == "beta"
                        else np.asarray(law.values)[_atom_index(law, u)], 1e-300, 1.0 - 1e-16)
-    om = draw_omegas(law, generator(44), 5000)
-    np.testing.assert_array_equal(om, expected)
-    np.testing.assert_array_equal(draw_log_rho(law, generator(44), 5000),
-                                  np.log1p(-om) - np.log(om))
+    np.testing.assert_array_equal(draw_omegas(law, generator(44), 5000), expected)
 
 
 @settings(max_examples=25, deadline=None)

@@ -323,6 +323,32 @@ def test_position_report_shape(position_report):
         assert ex["median_scaled"] > 0.0
 
 
+def test_position_truncation_freezes_replicas_on_the_window_edge(monkeypatch, ks_calls):
+    # growth past _POS_MAX_WIDTH freezes a replica where it leaves the window;
+    # a block kappa of 0.01 makes the first window [-256, 72], which a walk
+    # of 1024 steps often leaves on the right
+    n, replicas = 1024, 600                              # blocks of 512 and 88
+    monkeypatch.setattr(experiments, "_POS_EXTEND", experiments._POS_MAX_WIDTH + 1)
+    real, blocks = experiments._position_block, []
+    monkeypatch.setattr(experiments, "_position_block",
+                        lambda *args: blocks.append(real(*args[:4], 0.01)) or blocks[-1])
+    report = run_position_experiment(beta_config(n_values=(n,), replicas=replicas))
+    x = np.concatenate([b[0] for b in blocks])
+    frozen = np.concatenate([b[1] for b in blocks])
+    lo, hi = -256, 4 * math.ceil(n ** 0.01) + 64
+    assert 0 < frozen.sum() < replicas
+    assert set(x[frozen]) <= {lo, hi}
+    assert np.all((lo < x[~frozen]) & (x[~frozen] < hi))
+    row, = report.rows
+    assert row.truncated == frozen.sum()
+    assert row.replicas_used + row.truncated == replicas
+    # the estimators read the kept replicas only
+    kept = x[~frozen]
+    assert row_extras(row)["median_x"] == np.median(kept)
+    (sample, _), = ks_calls
+    np.testing.assert_array_equal(sample, kept / n ** report.extra("kappa"))
+
+
 # --------------------------------------------------------- census
 
 def test_valley_census_desk_scale():

@@ -88,13 +88,6 @@ def test_site_lookups():
     assert chain.v(4) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_v_left_offset():
-    base = QuenchedChain.from_omegas([0.7, 0.4, 0.6])
-    lifted = QuenchedChain.from_omegas([0.7, 0.4, 0.6], v_left=2.5)
-    np.testing.assert_allclose(lifted.base_potential, base.base_potential + 2.5,
-                               rtol=0, atol=1e-14)
-
-
 # ------------------------------------------------------------- exit_prob
 
 def test_exit_prob_flat_is_linear():
