@@ -18,25 +18,19 @@ import os
 import sys
 from dataclasses import fields
 
-from .constants import (
-    feller_from_estimate,
-    iglehart_constant,
-    kesten_constant_beta,
-    kesten_tail_estimate,
-    limit_scale,
-)
-from .env import EnvironmentLaw, RegimeError, kappa_solve, moment_rho_log
+from .constants import feller_from_estimate, iglehart_constant
+from .env import EnvironmentLaw, RegimeError, kappa_solve
 from .experiments import (
     EXPERIMENTS,
     ExperimentConfig,
     _widening,
+    limit_law,
     parse_config_text,
     report_csv_text,
     run_from_manifest,
     write_report,
 )
 from .potential import detect_deep_valleys, detect_star_valleys
-from .rng import stream_key
 from .stable import StableSpec, sample_positive_stable
 
 __all__ = ["main"]
@@ -135,8 +129,8 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_constants(args) -> int:
     law = EnvironmentLaw.parse(args.law)
-    kappa = kappa_solve(law).kappa
-    moment = moment_rho_log(law, kappa)
+    params, route, est = limit_law(law, args.seed, args.series or None)
+    kappa, moment = params.kappa, params.moment
     ig = iglehart_constant(law, kappa, n_excursions=args.excursions,
                            seed=args.seed)
     c_f, c_f_se = feller_from_estimate(ig, kappa, moment)
@@ -150,16 +144,10 @@ def _cmd_constants(args) -> int:
             ("E[e1]", f"{ig.e_len:.6g}",
              f"{math.sqrt(ig.cov[1, 1] / n):.2g}", "excursion_mc"),
             ("C_F", f"{c_f:.6g}", f"{c_f_se:.2g}", "formula")]
-    if law.kind == "beta":
-        c_k = kesten_constant_beta(law.alpha, law.beta)
-        rows.append(("C_K", f"{c_k:.12g}", "-", "closed_form"))
-    series = {"n_series": args.series} if args.series else {}
-    if series or law.kind != "beta":
-        est = kesten_tail_estimate(law, kappa, seed=stream_key(args.seed, "ck"), **series)
+    if route == "closed_form":
+        rows.append(("C_K", f"{params.c_k:.12g}", "-", "closed_form"))
+    if est is not None:                     # Goldie's estimate, or its Beta cross-check
         rows.append(("C_K", f"{est.constant_hat:.6g}", f"{est.stderr:.2g}", "goldie"))
-        if law.kind != "beta":
-            c_k = est.constant_hat
-    params = limit_scale(kappa, c_k, moment)
     rows += [("Lambda", f"{params.lambda_scale:.10g}", "-", "formula"),
              ("tau_prefactor", f"{params.tau_prefactor:.10g}", "-", "formula"),
              ("x_scale", f"{params.x_scale:.10g}", "-", "formula")]

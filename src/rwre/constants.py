@@ -122,6 +122,8 @@ def sample_excursions(law: EnvironmentLaw, n: int, seed: int,
     and the excursion table continued bit for bit into the spare room of
     their arrays, as every growing window is, so no excursion is cut.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1 excursions, got {n}")
     if mean_log_rho(law) >= 0.0:
         raise RegimeError(f"law {law.spec_text()} has E[log rho] >= 0: its potential "
                           "does not drift down and an excursion need not end")
@@ -146,7 +148,9 @@ def iglehart_constant(law: EnvironmentLaw, kappa: float, n_excursions: int = 200
     """C_I = (1 - E[e^{kappa V(e_1)}])^2 / (kappa E[rho^kappa log rho] E[e_1]),
     with both excursion functionals estimated jointly from one sample and
     the standard error carried through the delta method with their
-    covariance."""
+    covariance.  Needs 2 excursions at least, the fewest with a covariance."""
+    if n_excursions < 2:
+        raise ValueError(f"need n_excursions >= 2, got {n_excursions}")
     kr = kappa_solve(law)          # validates the regime; raises NoRootError
     if abs(kr.kappa - kappa) > 1e-6:
         raise ValueError(f"kappa={kappa} does not match the law's root {kr.kappa}")
@@ -277,8 +281,11 @@ def kesten_tail_estimate(law: EnvironmentLaw, kappa: float, n_series: int = 3_00
     _HILL_STRIDE kept steps (3 MB at the default size), plus about 2 MB of
     _CHAIN_BLOCK-step blocks and summands, whatever n_series.
 
-    Raises ValueError for an arithmetic discrete law, which has no C_K.
+    Raises ValueError for an arithmetic discrete law, which has no C_K,
+    and for n_series below 10, too few draws for the Hill index.
     """
+    if n_series < 10:
+        raise ValueError(f"need n_series >= 10 for a tail estimate, got {n_series}")
     _reject_arithmetic(law)
     scale = kappa * moment_rho_log(law, kappa)
     rng = generator(stream_key(seed, "kesten"))

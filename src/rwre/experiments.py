@@ -46,6 +46,7 @@ from . import __version__ as _pkg_version
 from .constants import (
     HillEstimate,
     LimitLawParams,
+    TailEstimate,
     hill_estimate,
     iglehart_constant,
     kesten_constant_beta,
@@ -103,6 +104,7 @@ __all__ = [
     "CrossingPoint",
     "parse_config_text",
     "config_text",
+    "limit_law",
     "run_tau_experiment",
     "run_position_experiment",
     "run_valley_census",
@@ -125,7 +127,7 @@ _WINDOW_GROWTH = 1.3       # factor a window grows by on the right when too shor
 _WINDOW_GROWTHS = 10       # growths before an environment counts as exhausted
 _FALLBACK_EXCURSIONS = 200_000     # E[len] sample when the law has no kappa
 
-_C_K_SOURCE_CODE = {"estimate": 0.0, "closed_form": 1.0, "override": 2.0}
+_C_K_SOURCE_CODE = {"goldie": 0.0, "closed_form": 1.0}
 
 REPORT_VERSION = "rwre-report-v1"
 MANIFEST_VERSION = "rwre-manifest-v1"
@@ -332,25 +334,28 @@ class ConvergenceReport:
 
 # ------------------------------------------------------------ primitives
 
-def _limit_params(config: ExperimentConfig, c_k: float | None,
-                  ) -> tuple[float, LimitLawParams, tuple[tuple[str, float], ...]]:
-    """kappa, the limit-law scale and the extras naming its tail constant's
-    route: an explicit constant when the caller passes one, else the closed
-    form for Beta laws and the renewal-series estimate otherwise."""
-    kappa = kappa_solve(config.law).kappa
-    moment = moment_rho_log(config.law, kappa)
-    if c_k is not None:
-        source = "override"
-    elif config.law.kind == "beta":
-        c_k = kesten_constant_beta(config.law.alpha, config.law.beta)
-        source = "closed_form"
+def limit_law(law: EnvironmentLaw, master_seed: int, n_series: int | None = None,
+              ) -> tuple[LimitLawParams, str, TailEstimate | None]:
+    """The one route to the tail constant C_K, for the tau and position
+    reports and the constants table: the limit-law parameters, the route
+    name and Goldie's estimate when one ran.  Beta laws take the closed
+    form (route "closed_form"); the others take Goldie's estimate (route
+    "goldie") on a stream keyed by master_seed, so every caller at one
+    seed reads one C_K.  n_series sets the estimate's draws; None takes
+    the estimator's default and, for a Beta law, runs no estimate, whereas
+    a given n_series runs one beside the closed form as a cross-check.
+    This stays here: benchmarks/spans.py wraps kesten_tail_estimate by
+    this module's name."""
+    kappa = kappa_solve(law).kappa
+    est = None
+    if n_series is not None or law.kind != "beta":
+        series = {} if n_series is None else {"n_series": n_series}
+        est = kesten_tail_estimate(law, kappa, seed=stream_key(master_seed, "ck"), **series)
+    if law.kind == "beta":
+        c_k, route = kesten_constant_beta(law.alpha, law.beta), "closed_form"
     else:
-        est = kesten_tail_estimate(config.law, kappa,
-                                   seed=stream_key(config.master_seed, "ck"))
-        c_k = est.constant_hat
-        source = "estimate"
-    params = limit_scale(kappa, c_k, moment)
-    return kappa, params, (("c_k", params.c_k), ("c_k_source_code", _C_K_SOURCE_CODE[source]))
+        c_k, route = est.constant_hat, "goldie"
+    return limit_scale(kappa, c_k, moment_rho_log(law, kappa)), route, est
 
 
 def _as_declared(experiment: str, config: ExperimentConfig, **values) -> dict:
@@ -423,22 +428,22 @@ def _replica_blocks(replicas: int, block: int, workers: int, task,
             np.concatenate([p[1] for p in parts], axis=-1))
 
 
-def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
-                       c_k: float | None = None) -> ConvergenceReport:
+def run_tau_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceReport:
     """Annealed tau(n) for each n: Laplace transform on the lambda grid
     against exp(-Lambda lambda^kappa), Hill index against kappa, KS
     distance to the limit law's CDF.  Replicas the branching cascade clips
     are counted and excluded; config.step_cap plays no part, since the
-    cascade's cost does not grow with tau.  c_k overrides the tail
-    constant behind the predicted columns.
+    cascade's cost does not grow with tau.  The predicted columns take
+    their tail constant from limit_law, on the config's master seed.
 
     Each replica runs one cascade above the origin, for max(n_values)
     sites, and every row reads it (see _tau_block).  So the rows share
     each replica's above-origin cascade and are dependent across n; each
     row alone is exact in law; and a row's values do not depend on which
     other n the grid holds."""
-    run_params = _as_declared("tau", config, c_k=c_k)
-    kappa, params, c_k_extras = _limit_params(config, run_params["c_k"])
+    _require(config, EXPERIMENTS["tau"].needs)
+    params, route, _ = limit_law(config.law, config.master_seed)
+    kappa = params.kappa
     limit = StableSpec(kappa, scale=params.tau_prefactor)
     rows = []
     taus, truncs = _replica_blocks(
@@ -464,8 +469,8 @@ def run_tau_experiment(config: ExperimentConfig, workers: int = 1,
             extras=(("median_scaled", float(np.median(scaled))),)))
     return ConvergenceReport(
         experiment="tau", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("lambda_scale", params.lambda_scale), *c_k_extras),
-        params=tuple(run_params.items()))
+        extras=(("kappa", kappa), ("lambda_scale", params.lambda_scale),
+                ("c_k", params.c_k), ("c_k_source_code", _C_K_SOURCE_CODE[route])))
 
 
 # -------------------------------------------------- position experiment
@@ -500,12 +505,12 @@ def _position_block(law: EnvironmentLaw, n: int, count: int, key: int,
     return pos.astype(np.float64), frozen
 
 
-def run_position_experiment(config: ExperimentConfig, workers: int = 1,
-                            c_k: float | None = None) -> ConvergenceReport:
+def run_position_experiment(config: ExperimentConfig, workers: int = 1) -> ConvergenceReport:
     """X_n at each n: KS distance of X_n / n^kappa to x_scale S^{-kappa}, whose CDF
     is 1 - F((y/x_scale)^{-1/kappa}) at y > 0 and 0 at y <= 0, where X_n can land."""
-    run_params = _as_declared("position", config, c_k=c_k)
-    kappa, params, c_k_extras = _limit_params(config, run_params["c_k"])
+    _require(config, EXPERIMENTS["position"].needs)
+    params, route, _ = limit_law(config.law, config.master_seed)
+    kappa = params.kappa
     if max(config.n_values) > config.step_cap:
         raise ValueError("position experiment needs step_cap >= max(n_values)")
 
@@ -530,8 +535,8 @@ def run_position_experiment(config: ExperimentConfig, workers: int = 1,
                     ("median_x", float(np.median(kept))))))
     return ConvergenceReport(
         experiment="position", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("x_scale", params.x_scale), *c_k_extras),
-        params=tuple(run_params.items()))
+        extras=(("kappa", kappa), ("x_scale", params.x_scale),
+                ("c_k", params.c_k), ("c_k_source_code", _C_K_SOURCE_CODE[route])))
 
 
 # --------------------------------------------------------- valley census
@@ -971,9 +976,9 @@ class Experiment:
 
 EXPERIMENTS = {
     "tau": Experiment(run_tau_experiment, "simulate-tau",
-                      "annealed hitting-time experiment", {"c_k": float}),
+                      "annealed hitting-time experiment", {}),
     "position": Experiment(run_position_experiment, "simulate-x",
-                           "position experiment", {"c_k": float}),
+                           "position experiment", {}),
     "census": Experiment(run_valley_census, "census", "valley census over environments",
                          {"delta": float, "c_prime": float, "c_dprime": float}),
     "reduction": Experiment(verify_reduction, "verify-reduction",

@@ -432,24 +432,14 @@ def mean_G_exact(chain: QuenchedChain, b: int, d: int) -> float:
 
     Conditioned on reaching d before returning to b, the attempt walks
     the success-transformed chain: one forced step to b+1, then the
-    omega-bar dynamics, which never revisit b.  The transit time from
-    b+1 to d has the standard per-edge expectation t_i = 1/w_i +
-    rho_i t_{i-1} (t at b+1 is 1), evaluated here in the log domain.
+    omega-bar dynamics, which never revisit b, so they act as reflected
+    at b+1.  The transit time from b+1 to d is E tau(d - b - 1) of
+    expected_hitting_times on the transformed potential from b+1.
     """
     if not (chain.left <= b < d <= chain.right):
         raise ValueError(f"need left <= b < d <= right, got b={b}, d={d}")
-    if d == b + 1:
-        return 1.0
-    hs = h_transform(chain, b, d, "success")
-    log_g = hs.log_scale                         # sites b .. d+1
-    with np.errstate(divide="ignore"):
-        log_omega_bar = np.log(hs.omegas_hat)    # sites b+1 .. d-1
-    # log rho-bar_i = log rho_i + log g(i-1) - log g(i+1), finite for i >= b+2
-    w = chain._wslice(b + 2, d - 1)
-    log_rho_bar = np.log1p(-w) - np.log(w) + log_g[1 : d - b - 1] - log_g[3 : d - b + 1]
-    # log t at sites b+1 .. d-1; t at b+1 = 1 / omega-bar = 1
-    log_t = _log_linear_recurrence(0.0, -log_omega_bar[1:], log_rho_bar)
-    return 1.0 + math.exp(np.logaddexp.reduce(log_t))
+    v_hat = h_transform(chain, b, d, "success").v_hat[1:]    # sites b+1 .. d
+    return 1.0 + float(expected_hitting_times(v_hat)[d - b - 1])
 
 
 def linear_solve_oracle(chain: QuenchedChain, functional: str,

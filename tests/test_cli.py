@@ -11,6 +11,8 @@ from rwre.env import EnvironmentLaw
 from rwre.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
+    run_from_manifest,
+    run_position_experiment,
     run_tau_experiment,
     verify_crossing_bound,
     write_report,
@@ -76,13 +78,39 @@ def test_constants_table_goldie_route(capsys):
 @pytest.mark.parametrize("law, c_k_format", [("beta:1.5,1.0", ".12g"),
                                               ("discrete:0.8@0.5;0.3@0.5", ".6g")])
 def test_constants_and_tau_report_read_one_c_k(law, c_k_format, capsys):
-    # both choose the closed form or Goldie's estimate on stream (seed, "ck")
+    # the table and both reports take C_K from experiments.limit_law
     assert main(["constants", "--law", law, "--excursions", "2000", "--seed", "3"]) == 0
     table = {line.split()[0]: line.split()[1] for line in capsys.readouterr().out.splitlines()}
-    tau = run_tau_experiment(ExperimentConfig(law=EnvironmentLaw.parse(law), n_values=(20,),
-                                              replicas=20, master_seed=3))
-    assert table["C_K"] == format(tau.extra("c_k"), c_k_format)
+    config = ExperimentConfig(law=EnvironmentLaw.parse(law), n_values=(20,), replicas=20,
+                              master_seed=3)
+    tau, position = run_tau_experiment(config), run_position_experiment(config)
+    for report in (tau, position):
+        assert table["C_K"] == format(report.extra("c_k"), c_k_format)
     assert table["Lambda"] == format(tau.extra("lambda_scale"), ".10g")
+    assert table["x_scale"] == format(position.extra("x_scale"), ".10g")
+
+
+@pytest.mark.parametrize("flag, value, argument", [("--excursions", "1", "n_excursions"),
+                                                   ("--excursions", "0", "n_excursions"),
+                                                   ("--series", "-3", "n_series")])
+def test_constants_rejects_sample_sizes_without_an_estimate(flag, value, argument, capsys):
+    # one excursion has no covariance, and Hill's index needs 10 draws
+    argv = ["constants", "--law", "discrete:0.8@0.5;0.3@0.5", flag, value]
+    assert main(argv) == 2
+    assert argument in capsys.readouterr().err
+
+
+def test_report_rejects_a_c_k_line(tmp_path, capsys):
+    # C_K has one route; a manifest cannot set it
+    config = ExperimentConfig(law=EnvironmentLaw.beta_law(1.5, 1.0), n_values=(20,),
+                              replicas=20)
+    manifest = write_report(run_tau_experiment(config), str(tmp_path))["manifest"]
+    with open(manifest, "a") as fh:
+        fh.write("c_k = 2.0\n")
+    with pytest.raises(ValueError, match="unknown config key 'c_k'"):
+        run_from_manifest(manifest)
+    assert main(["report", "--manifest", manifest]) == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_valleys_listing(capsys):

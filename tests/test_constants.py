@@ -119,6 +119,16 @@ def test_iglehart_constant_validates_kappa():
                           n_excursions=1000)
 
 
+@pytest.mark.parametrize("call, argument", [
+    (lambda: sample_excursions(BETA_LAW, 0, seed=0), "n "),
+    (lambda: iglehart_constant(BETA_LAW, 0.5, n_excursions=1), "n_excursions"),
+    (lambda: kesten_tail_estimate(BETA_LAW, 0.5, n_series=9), "n_series"),
+], ids=["sample_excursions", "iglehart_constant", "kesten_tail_estimate"])
+def test_sample_sizes_without_an_estimate_are_rejected(call, argument):
+    with pytest.raises(ValueError, match=argument):
+        call()
+
+
 def test_feller_from_estimate_matches_ratio_form():
     est = iglehart_constant(BETA_LAW, 0.5, n_excursions=50_000, seed=1)
     c_f, se = feller_from_estimate(est, 0.5, BETA_MOMENT)

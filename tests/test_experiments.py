@@ -174,17 +174,6 @@ def test_tau_predictions_use_the_closed_form_scale(tau_report):
                 math.exp(-lam_scale * pt.lam ** kappa), rel=1e-12)
 
 
-def test_tau_c_k_override(tau_report):
-    # an override well apart from the closed form C_K = 1
-    report = run_tau_experiment(beta_config(), c_k=2.0)
-    assert report.extra("c_k") == 2.0
-    assert report.extra("c_k_source_code") == 2.0
-    for base_row, new_row in zip(tau_report.rows, report.rows):
-        for a, b in zip(base_row.laplace, new_row.laplace):
-            assert a.value == b.value          # data unchanged
-            assert a.predicted != b.predicted  # prediction rescaled
-
-
 def test_tau_worker_count_is_invisible(tau_report):
     for workers in (2, 5):
         again = run_tau_experiment(beta_config(), workers=workers)
@@ -235,6 +224,7 @@ def test_experiment_table_declares_every_runner_keyword():
         assert keywords[:2] == ["config", "workers"], name
         assert list(experiment.params) == keywords[2:], name
         assert set(experiment.flags) <= set(experiment.params), name
+    assert EXPERIMENTS["tau"].params == EXPERIMENTS["position"].params == {}
 
 
 @pytest.mark.parametrize("runner,config_kw,params", [
@@ -242,9 +232,7 @@ def test_experiment_table_declares_every_runner_keyword():
     (verify_crossing_bound, dict(replicas=20), dict(h_values=(3.0, 4.0))),
     (verify_crossing_bound, dict(replicas=20), dict(h_values=(3, 4))),
     (run_valley_census, dict(n_values=(200,), replicas=6), dict(c_dprime=20.0)),
-    (run_tau_experiment, dict(n_values=(200,), replicas=300), dict(c_k=2.0)),
-    (run_position_experiment, dict(n_values=(64,), replicas=64), dict(c_k=2.0)),
-], ids=["reduction", "crossing", "crossing-int-h", "census", "tau", "position"])
+], ids=["reduction", "crossing", "crossing-int-h", "census"])
 def test_manifest_reruns_runner_parameters(runner, config_kw, params, tmp_path):
     # a runner keyword away from its default must survive the manifest; an
     # int given for a float keyword runs as the float a rerun reads back
