@@ -353,8 +353,7 @@ def moment_rho_log(law: EnvironmentLaw, kappa: float) -> float:
         for v, p in zip(law.values, law.probs):
             r = rho(v)
             value += p * r**kappa * math.log(r)
-    tiny = all(abs(math.log(rho(v))) < 1e-15 for v in law.values) if law.kind == "discrete" else False
-    if value <= 0 and not tiny:
+    if value <= 0:
         raise RegimeError(f"E[rho^kappa log rho] = {value:.6g} <= 0: kappa is not the root")
     return value
 

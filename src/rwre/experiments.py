@@ -757,11 +757,10 @@ def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
         vchain = QuenchedChain.from_environment(env, first.a, first.d, reflect_at=first.a)
     for lam in lam_values:
         lam_n = lam / scale
-        sol = linear_solve_oracle(chain, "laplace_hit", target=e_n, lam=lam_n)
+        sol = linear_solve_oracle(chain, e_n, lam=lam_n)
         lefts.append(float(sol[0 - left]))
         if first is not None:
-            vsol = linear_solve_oracle(vchain, "laplace_hit", target=first.d,
-                                       lam=lam_n)
+            vsol = linear_solve_oracle(vchain, first.d, lam=lam_n)
             factors.append(float(vsol[first.b - first.a]))
     return {"ok": True, "lefts": lefts, "factors": factors,
             "k_n": len(deep)}

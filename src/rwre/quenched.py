@@ -9,11 +9,12 @@ of it:
 * the two Doob transforms of an excursion attempt from b (conditioned to
   fail back to b before reaching d, or to succeed), with the transformed
   potentials and their gap arrays;
-* closed-form conditional moments of the failure time F and a computable
-  upper bound for the success time G;
-* E_0 tau(r) reflected at 0, for every target r, off the potential;
-* a banded linear solve (absorption probabilities, expected times,
-  Laplace transforms) for the reduction check and the cross-checks;
+* the first and second moments of the edge times of a reflected chain,
+  by one recursion each (Solomon 1975), which give E_0 tau(r) for every
+  target r, the conditional moments of the failure time F and the
+  exact mean of the success time G, with a computable bound for it;
+* a banded linear solve of the Laplace transform of a hit, for the
+  reduction check;
 * hitting-time sampling through the branching representation of tau(n),
   which is exact in distribution and turns one hitting time into O(n)
   negative binomial draws instead of O(tau) coin flips.
@@ -220,12 +221,30 @@ def _log_linear_recurrence(first: float, log_add: np.ndarray,
     return x
 
 
+def _log_edge_moments(v: np.ndarray, second: bool = True):
+    """(log m, log s) for the edge times T_k from k to k+1, k = 0 .. K, of
+    the chain reflected at 0 whose potential is v[k] = V(k) on 0 .. K:
+    m_k = E T_k and s_k = E T_k^2.  A first step that fails costs one
+    step, then T_{k-1} and a fresh T_k, so with m_0 = s_0 = 1,
+
+        m_k = 1 + rho_k (1 + m_{k-1}),
+        s_k = 1 + rho_k (1 + 2 (m_{k-1} + m_k + m_{k-1} m_k) + s_{k-1}),
+
+    all positive.  log s is None unless second."""
+    log_rho = np.diff(v)                        # sites 1 .. K
+    log_m = _log_linear_recurrence(0.0, np.logaddexp(0.0, log_rho), log_rho)
+    if not second:
+        return log_m, None
+    cross = np.logaddexp(np.logaddexp(log_m[:-1], log_m[1:]), log_m[:-1] + log_m[1:])
+    log_add = np.logaddexp(0.0, log_rho + np.logaddexp(0.0, math.log(2.0) + cross))
+    return log_m, _log_linear_recurrence(0.0, log_add, log_rho)
+
+
 def expected_hitting_times(v: np.ndarray) -> np.ndarray:
     """E_0 tau(r) = r + 2 sum_{0<=j<i<r} e^{V(i) - V(j)} (Solomon 1975),
-    reflected at 0, for r = 0 .. R, off v[k] = V(k) on 0 .. R: edge by edge,
-    m_i = E_i tau(i+1) = 1/omega_i + rho_i m_{i-1}, m_0 = 1, all positive."""
-    log_rho = np.diff(v[:-1])                   # sites 1 .. R-1
-    log_m = _log_linear_recurrence(0.0, np.logaddexp(0.0, log_rho), log_rho)
+    reflected at 0, for r = 0 .. R, off v[k] = V(k) on 0 .. R: the partial
+    sums of the edge means m_k of _log_edge_moments."""
+    log_m, _ = _log_edge_moments(v[:-1], second=False)
     return np.concatenate(([0.0], np.cumsum(np.exp(log_m[: len(v) - 1]))))
 
 
@@ -346,66 +365,28 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
         raise ValueError(f"attempt decomposition needs reflect_at == a == {a}, "
                          f"chain has {chain.reflect_at}")
     omega_b = chain.omega(b)
-    log_wb = math.log(omega_b)
-    log_1mwb = math.log1p(-omega_b)
-
     ht = h_transform(chain, b, d, "failure")
-    log_h = ht.log_scale
     v_hat = ht.v_hat                            # V-hat on [b, d]
-    log_u = float(log_h[1])                     # log h(b+1); -inf when d = b+1
-    u = math.exp(log_u)
-    p_fail = (1.0 - omega_b) + omega_b * u
+    log_u = float(ht.log_scale[1])              # log h(b+1); -inf when d = b+1
+    p_fail = (1.0 - omega_b) + omega_b * math.exp(log_u)
+
+    # A failure is one step off b and an edge time T back to b: on the left
+    # of the chain a .. b-1 reflected at a; on the right of the failure
+    # transform on b+1 .. d-1, read right to left and reflected at d-1, whose
+    # potential at site i is V-hat(i-1) (rho' = 1 / rho-hat, rho-hat_i =
+    # rho_i h(i-1) / h(i+1)).  E[F; fail] sums E(1 + T) and E[F^2; fail]
+    # sums E(1 + T)^2 = 1 + 2m + s over the two sides, weighted by the
+    # chance of each.
+    first, second = [], []
+    for log_weight, v in ((math.log1p(-omega_b), chain._vslice(a, b - 1)),
+                          (math.log(omega_b) + log_u, v_hat[: d - b - 1][::-1])):
+        log_m, log_s = _log_edge_moments(v)
+        first.append(log_weight + np.logaddexp(0.0, log_m[-1]))
+        second.append(log_weight + np.logaddexp(
+            np.logaddexp(0.0, math.log(2.0) + log_m[-1]), log_s[-1]))
     log_p_fail = math.log(p_fail)
-
-    # left of b, reflected at a: first and second moment sums
-    lm1L = chain.v(b - 1) - chain._vslice(a, b - 1)       # i = a .. b-1
-    log_S1L = logsumexp(lm1L)
-    w_left = chain._wslice(a + 1, b - 1)
-    log_rho_left = np.log1p(-w_left) - np.log(w_left)
-    m = b - a                                   # sites a .. b-1
-    # runs from i = b-1 (where it is 0) down to a; i = a + k uses rho_{i+1}
-    lr = log_rho_left[::-1]
-    lm2L = _log_linear_recurrence(
-        0.0, lr + np.logaddexp(0.0, lr) + lm1L[:0:-1], 2.0 * lr)[::-1]
-    # C_j = sum_{i=a}^{j-1} e^{V(j) - V(i)}
-    neg_v = -chain._vslice(a, b - 1)
-    log_C = np.full(m, -math.inf)
-    if m > 1:
-        log_C[1:] = chain._vslice(a + 1, b - 1) + np.logaddexp.accumulate(neg_v[:-1])
-    log_S2L = logsumexp(lm2L + np.logaddexp(0.0, math.log(2.0) + log_C))
-
-    # right of b, under the failure transform
-    if d > b + 1:
-        # m1R_i = e^{-(V-hat(i-1) - V(b))} for i = b+1 .. d-1
-        w = v_hat[: d - 1 - b]                  # V-hat on [b, d-2]
-        lm1R = -(w - chain.v(b))
-        log_S1R = logsumexp(lm1R)
-        with np.errstate(divide="ignore"):
-            log_omega_hat = np.log(ht.omegas_hat)           # sites b+1 .. d-1
-        w_hat = chain._wslice(b + 1, d - 2)
-        log_rho_hat = (np.log1p(-w_hat) - np.log(w_hat)
-                       + log_h[: d - b - 2] - log_h[2 : d - b])  # finite for i <= d-2
-        r = d - 1 - b                           # sites b+1 .. d-1
-        # site i = b+1+k uses the hats at i-1
-        lo_w, lo_r = log_omega_hat[: r - 1], log_rho_hat[: r - 1]
-        lm2R = _log_linear_recurrence(0.0, lm1R[: r - 1] - lo_w - 2.0 * lo_r,
-                                      -2.0 * lo_r)
-        # D_i = sum_{j=i+1}^{d-1} e^{-(V-hat(j-1) - V-hat(i-1))}
-        log_D = np.full(r, -math.inf)
-        if r > 1:
-            suffix = _log_suffix_sumexp(-w[1:])
-            log_D[:-1] = w[:-1] + suffix
-        log_S2R = logsumexp(lm2R + np.logaddexp(0.0, math.log(2.0) + log_D))
-        right_first = log_wb + log_u + log_S1R
-        right_second = log_wb + log_u + log_S2R
-    else:
-        right_first = -math.inf
-        right_second = -math.inf
-
-    mean_F = math.exp(math.log(2.0)
-                      + np.logaddexp(log_1mwb + log_S1L, right_first) - log_p_fail)
-    second_F = math.exp(math.log(4.0)
-                        + np.logaddexp(log_1mwb + log_S2L, right_second) - log_p_fail)
+    mean_F = math.exp(np.logaddexp(*first) - log_p_fail)
+    second_F = math.exp(np.logaddexp(*second) - log_p_fail)
 
     # success-side bound: 1 + 2 sum_{b+1 <= i <= j <= d} e^{V-bar(j) - V-bar(i)}.
     # The factor 2 makes this a true pathwise bound: expanding the exact
@@ -442,52 +423,34 @@ def mean_G_exact(chain: QuenchedChain, b: int, d: int) -> float:
     return 1.0 + float(expected_hitting_times(v_hat)[d - b - 1])
 
 
-def linear_solve_oracle(chain: QuenchedChain, functional: str,
-                        target: int | None = None, lam: float = 0.0) -> np.ndarray:
-    """Dense-solve ground truth for quenched functionals.
+def linear_solve_oracle(chain: QuenchedChain, target: int, lam: float = 0.0) -> np.ndarray:
+    """E^x[e^{-lam tau(target)}; absorbed at target] at every site x of
+    [left, right], by a banded solve of the harmonic system.
 
-    Solves the harmonic system on [left, right] with the chain's
-    reflection applied and both endpoints absorbing (a reflecting left
-    end replaces absorption there).  Returns the value at every site of
-    [left, right].  The banded solve's rounding grows with the chain: on
-    reflected Beta(1.5, 1) chains of 2200 sites its hit probabilities sit
-    up to 2e-5 from the exact 1, above or below.  laplace_hit is clipped
-    into [0, 1], the functional's range; that removes only the excess
-    above 1, not the error below it.
-
-    functional:
-      "expected_time":  E^x[steps to absorption]
-      "laplace_hit":    E^x[e^{-lam tau(target)}; absorbed at target]
-                        (target = left or right; lam = 0 gives the hit
-                        probability P^x{absorbed at target})
+    Both endpoints absorb, unless the chain reflects at its left end;
+    target is one of them, and lam = 0 gives the hit probability
+    P^x{absorbed at target}.  The banded solve's rounding grows with the
+    chain: on reflected Beta(1.5, 1) chains of 2200 sites its hit
+    probabilities sit up to 2e-5 from the exact 1, above or below.  The
+    values are clipped into [0, 1], the functional's range; that removes
+    only the excess above 1, not the error below it.
     """
     L, R = chain.left, chain.right
-    reflect = chain.reflect_at
-    if functional not in ("expected_time", "laplace_hit"):
-        raise ValueError(f"unknown functional {functional!r}")
-    if functional == "laplace_hit" and target not in (L, R):
-        raise ValueError("target must be an endpoint")
+    if target not in (L, R) or target == chain.reflect_at:
+        raise ValueError("target must be an absorbing endpoint")
     # unknown sites: interior, plus the left end if it reflects
-    x0 = L if reflect == L else L + 1
+    x0 = L if chain.reflect_at == L else L + 1
     x1 = R - 1
     n = x1 - x0 + 1
+    out = np.zeros(R - L + 1)
     if n <= 0:
-        out = np.zeros(R - L + 1)
-        if functional == "laplace_hit":
-            out[target - L] = 1.0
+        out[target - L] = 1.0
         return out
     w = chain._wslice(x0, x1)
-    scale = math.exp(lam) if functional == "laplace_hit" else 1.0
-
     ab = np.zeros((3, n))
-    ab[1, :] = scale
+    ab[1, :] = math.exp(lam)
     ab[0, 1:] = -w[:-1]               # superdiagonal: coupling to x+1
     ab[2, :-1] = -(1.0 - w[1:])       # subdiagonal: coupling to x-1
-
-    out = np.zeros(R - L + 1)
-    if functional == "expected_time":
-        out[x0 - L : x1 - L + 1] = solve_banded((1, 1), ab, np.ones(n))
-        return out
     rhs = np.zeros(n)
     if x0 == L + 1:
         rhs[0] += (1.0 - w[0]) * float(target == L)

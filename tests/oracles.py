@@ -87,6 +87,21 @@ def hit_time_reflected(omega_full, start):
     return float(tot[start + 1])       # phantom state shifts indices by one
 
 
+def edge_time_moments(omega_full):
+    """(E T_k, E T_k^2) for the edge times T_k from k to k+1, k = 0..L-1,
+    reflected at site 0: per k, the first-moment system M = 1 + P M and
+    the second-moment system S = 2M - 1 + P S, both on 0..k and absorbed
+    at k+1."""
+    L = len(omega_full) - 1
+    m, s = np.empty(L), np.empty(L)
+    for k in range(L):
+        om = omega_full[: k + 1]
+        M = solve_tridiagonal(om, np.ones(k + 1), (0.0, 0.0))
+        S = solve_tridiagonal(om, 2.0 * M[1:-1] - 1.0, (0.0, 0.0))
+        m[k], s[k] = M[k + 1], S[k + 1]     # phantom state shifts indices by one
+    return m, s
+
+
 def hit_time_reflected_mp(omega_full, dps=60):
     """hit_time_reflected(omega_full, 0) by Thomas's elimination of the
     same first-step equations in mpmath at dps digits."""

@@ -177,6 +177,12 @@ def test_moment_rho_log_rejects_nonpositive_sums():
         moment_rho_log(EnvironmentLaw.beta_law(1.0, 1.5), 0.3)
 
 
+def test_moment_rho_log_rejects_the_recurrent_point_law():
+    # every log rho atom is 0, so the sum is exactly 0 at any kappa
+    with pytest.raises(RegimeError):
+        moment_rho_log(EnvironmentLaw.discrete((0.5,), (1.0,)), 0.5)
+
+
 # ----------------------------------------------------------- environments
 
 def test_sample_environment_deterministic():

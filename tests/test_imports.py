@@ -42,3 +42,11 @@ def test_each_module_imports_alone(module):
     # another module having been loaded first
     done = _run(f"import {module}")
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_does_not_load_scipy_stats():
+    # scipy.stats costs about 0.5 s and 37 MB to import, which every CLI
+    # run would pay; the reports compute their KS distances without it
+    done = _run("import sys, rwre.cli\nprint('scipy.stats' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

@@ -380,25 +380,8 @@ def test_attempt_decomposition_matches_total_hitting_time():
 
 def test_oracle_hit_prob_flat():
     chain = flat_chain(0.5, 10)
-    out = linear_solve_oracle(chain, "laplace_hit", target=10, lam=0.0)
+    out = linear_solve_oracle(chain, 10, lam=0.0)
     np.testing.assert_allclose(out, np.arange(11) / 10.0, rtol=0, atol=1e-12)
-
-
-def test_oracle_expected_time_flat():
-    mid = linear_solve_oracle(flat_chain(0.5, 2), "expected_time")
-    assert mid[1] == pytest.approx(1.0, abs=1e-12)
-    out = linear_solve_oracle(flat_chain(0.5, 10), "expected_time")
-    x = np.arange(11)
-    np.testing.assert_allclose(out, x * (10 - x), rtol=1e-10, atol=1e-9)
-
-
-def test_oracle_reflected_drift_chain_closed_form():
-    # omega = 3/4 everywhere, reflected at 0: per edge t_x = 2 - 3^{-x},
-    # so the 0 -> 10 time is 2*10 - (1 - 3^{-10}) * 3/2
-    chain = flat_chain(0.75, 10, reflect_at=0)
-    out = linear_solve_oracle(chain, "expected_time")
-    exact = 18.5 + 1.5 * 3.0 ** -10
-    assert out[0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_oracle_laplace_matches_hit_prob_at_zero():
@@ -407,9 +390,9 @@ def test_oracle_laplace_matches_hit_prob_at_zero():
     for reflect in (True, False):
         chain, om_full = random_chain(9, 77, reflect=reflect)
         hp = np.ones(10) if reflect else oracles.exit_right_prob(om_full[1:9])
-        lp = linear_solve_oracle(chain, "laplace_hit", target=9, lam=0.0)
+        lp = linear_solve_oracle(chain, 9, lam=0.0)
         np.testing.assert_allclose(lp, hp, rtol=0, atol=1e-12)
-        damped = linear_solve_oracle(chain, "laplace_hit", target=9, lam=0.3)
+        damped = linear_solve_oracle(chain, 9, lam=0.3)
         assert np.all(damped <= lp + 1e-15)
 
 
@@ -419,7 +402,7 @@ def test_oracle_hit_probabilities_stay_in_the_unit_interval():
     # of seeds 0-399 the worst are 13 (1 + 1.3e-5) and 216 (1 - 2.0e-5)
     for seed in (0, 1, 2, 3, 13, 216):
         chain, _ = random_chain(2200, seed)
-        out = linear_solve_oracle(chain, "laplace_hit", target=2200, lam=0.0)
+        out = linear_solve_oracle(chain, 2200, lam=0.0)
         assert np.all(out <= 1.0)
         np.testing.assert_allclose(out, 1.0, rtol=0, atol=2.5e-5)
 
@@ -428,7 +411,7 @@ def test_oracle_laplace_against_dense_reference():
     for seed in range(25):
         L = 3 + seed % 10
         chain, om_full = random_chain(L, 6400 + seed)
-        ours = linear_solve_oracle(chain, "laplace_hit", target=L, lam=0.7)
+        ours = linear_solve_oracle(chain, L, lam=0.7)
         ref = oracles.laplace_hit_reflected(om_full, 0.7)
         np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-13)
 
@@ -436,25 +419,23 @@ def test_oracle_laplace_against_dense_reference():
 def test_oracle_target_validation():
     chain = flat_chain(0.5, 5)
     with pytest.raises(ValueError):
-        linear_solve_oracle(chain, "laplace_hit", target=2, lam=0.0)
+        linear_solve_oracle(chain, 2, lam=0.0)
     with pytest.raises(ValueError):
-        linear_solve_oracle(chain, "laplace_hit", target=None)
-    with pytest.raises(ValueError):
-        linear_solve_oracle(chain, "hit_prob", target=5)
+        linear_solve_oracle(chain, None)
+    with pytest.raises(ValueError):     # a reflecting end absorbs nothing
+        linear_solve_oracle(flat_chain(0.5, 5, reflect_at=0), 0)
 
 
 # ------------------------------------------------- expected hitting times
 
 def test_expected_hitting_times_match_the_dense_solves():
     # E_0 tau(r) reflected at 0, read off the potential, at every target r
-    # of small chains: against the banded solve and the reference solver
+    # of small chains: against the reference solver
     for seed in range(30):
         L = 1 + seed % 12
         chain, om_full = random_chain(L, 7100 + seed)
         times = quenched.expected_hitting_times(chain.base_potential)
         assert times.size == L + 1 and times[0] == 0.0
-        banded = linear_solve_oracle(chain, "expected_time")[0]
-        assert times[L] == pytest.approx(banded, rel=1e-12)
         for r in range(1, L + 1):
             ref = oracles.hit_time_reflected(om_full[: r + 1], 0)
             assert times[r] == pytest.approx(ref, rel=1e-12)
@@ -463,10 +444,26 @@ def test_expected_hitting_times_match_the_dense_solves():
     assert flat[10] == pytest.approx(18.5 + 1.5 * 3.0 ** -10, rel=1e-13)
 
 
+def test_edge_time_moments_match_the_dense_solves():
+    # m_k = E T_k and s_k = E T_k^2 for the edge times k -> k+1 of
+    # reflected chains of up to 50 sites, against the first- and
+    # second-moment systems solved densely
+    for seed in range(30):
+        L = 1 + (7 * seed) % 50
+        chain, om_full = random_chain(L, 7300 + seed)
+        log_m, log_s = quenched._log_edge_moments(chain.base_potential[:L])
+        m, s = oracles.edge_time_moments(om_full)
+        np.testing.assert_allclose(np.exp(log_m), m, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(np.exp(log_s), s, rtol=1e-10, atol=0)
+    log_m, log_s = quenched._log_edge_moments(chain.base_potential[:L], second=False)
+    assert log_s is None and np.exp(log_m) == pytest.approx(m, rel=1e-10)
+
+
 @pytest.mark.parametrize("seed", [13, 216])
 def test_expected_hitting_times_against_a_60_digit_solve(seed):
-    # 2200-site chains whose potential falls by about 1300; the banded
-    # solve errs here by 4.5e-6 (seed 13) and 2.9e-5 (seed 216)
+    # 2200-site chains whose potential falls by about 1300; a banded solve
+    # of the expected-time system errs here by 4.5e-6 (seed 13) and 2.9e-5
+    # (seed 216)
     chain, om_full = random_chain(2200, seed)
     times = quenched.expected_hitting_times(chain.base_potential)
     for r in (1, 550, 1100, 2200):
@@ -751,7 +748,7 @@ def test_walk_raises_when_it_leaves_the_window():
 
 def test_walk_mean_matches_dense_solve():
     chain = flat_chain(0.9, 5, reflect_at=0)
-    exact = linear_solve_oracle(chain, "expected_time")[0]
+    exact = oracles.hit_time_reflected(np.array([1.0] + [0.9] * 5), 0)
     steps = sample_hitting_times(chain, 5, 3000, seed=0)
     se = steps.std(ddof=1) / math.sqrt(len(steps))
     assert abs(steps.mean() - exact) < 4.0 * se
