@@ -15,17 +15,18 @@ of it:
   exact mean of the success time G, with a computable bound for it;
 * a banded linear solve of the Laplace transform of a hit, for the
   reduction check;
-* hitting-time sampling through the branching representation of tau(n),
-  which is exact in distribution and turns one hitting time into O(n)
-  negative binomial draws instead of O(tau) coin flips.
+* hitting-time sampling in a chain through the branching representation
+  of tau(n), which is exact in distribution and turns one hitting time
+  into O(n) negative binomial draws instead of O(tau) coin flips.
 
-All probability-weighted sums run in the log domain via logaddexp, so a
-valley of depth 700 is as safe as one of depth 7.  The transformed
-potentials are represented through their gap to the base potential;
-the gaps are monotone by construction (accumulated logaddexp cannot
-decrease, and IEEE rounding preserves order under a constant shift), so
-the comparison inequalities between transformed and base increments hold
-exactly in floating point, not just up to a tolerance.
+All probability-weighted sums run in the log domain through one
+accumulated logaddexp, _log_sums, so a valley of depth 700 is as safe as
+one of depth 7.  The transformed potentials are represented through
+their gap to the base potential; the gaps are monotone by construction
+(accumulated logaddexp cannot decrease, and IEEE rounding preserves
+order under a constant shift), so the comparison inequalities between
+transformed and base increments hold exactly in floating point, not just
+up to a tolerance.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import logsumexp
 
 from .env import EnvironmentSlice
 from .potential import WindowExhausted
@@ -173,11 +173,6 @@ class HTransform:
             raise IndexError(f"site {x} not interior to [{self.b}, {self.d}]")
         return float(self.omegas_hat[x - self.b - 1])
 
-    def potential(self, x: int) -> float:
-        if not self.b <= x <= self.d:
-            raise IndexError(f"site {x} outside [{self.b}, {self.d}]")
-        return float(self.v_hat[x - self.b])
-
 
 @dataclass(frozen=True)
 class AttemptMoments:
@@ -198,9 +193,13 @@ class AttemptMoments:
     m2: float
 
 
-def _log_suffix_sumexp(a: np.ndarray) -> np.ndarray:
-    """out[k] = log sum_{j>=k} e^{a[j]}."""
-    return np.logaddexp.accumulate(a[::-1])[::-1]
+def _log_sums(a: np.ndarray, suffix: bool = False) -> np.ndarray:
+    """out[k] = log sum_{j<=k} e^{a[j]}, the total at out[-1]; with suffix,
+    log sum_{j>=k} e^{a[j]}, the total at out[0].  Every log-domain sum
+    over a run of sites in this module goes through this one function."""
+    if suffix:
+        return np.logaddexp.accumulate(a[::-1])[::-1]
+    return np.logaddexp.accumulate(a)
 
 
 def _log_linear_recurrence(first: float, log_add: np.ndarray,
@@ -216,7 +215,7 @@ def _log_linear_recurrence(first: float, log_add: np.ndarray,
     x[0] = first
     for s in range(0, len(log_add), _RECURRENCE_CHUNK):
         shift = np.cumsum(log_mult[s : s + _RECURRENCE_CHUNK])
-        x[s + 1 : s + 1 + len(shift)] = shift + np.logaddexp.accumulate(
+        x[s + 1 : s + 1 + len(shift)] = shift + _log_sums(
             np.concatenate(([x[s]], log_add[s : s + len(shift)] - shift)))[1:]
     return x
 
@@ -256,21 +255,19 @@ def exit_prob(chain: QuenchedChain, x: int, l: int, r: int) -> float:
         raise ValueError("degenerate interval")
     if x == l:
         return 0.0
-    num = logsumexp(chain._vslice(l, x - 1))
-    den = logsumexp(chain._vslice(l, r - 1))
-    return float(math.exp(num - den))
+    v = chain._vslice(l, r - 1)
+    sums = _log_sums(v - v[0])                  # small sums round little, however deep V(l)
+    return float(math.exp(sums[x - 1 - l] - sums[-1]))
 
 
 def failure_prob(chain: QuenchedChain, b: int, d: int) -> tuple[float, float]:
     """(p, 1-p) for one attempt from b against the wall at d:
-    1 - p = omega_b e^{V(b)} / sum_{x=b}^{d-1} e^{V(x)}."""
+    1 - p = omega_b g(b+1) = omega_b / sum_{x=b}^{d-1} e^{V(x) - V(b)}."""
     if not (chain.left < b < d <= chain.right):
         raise ValueError(f"need left < b < d <= right, got b={b}, d={d}")
-    log_success = (math.log(chain.omega(b)) + chain.v(b)
-                   - logsumexp(chain._vslice(b, d - 1)))
-    one_minus_p = math.exp(log_success)
-    p = -math.expm1(log_success)
-    return p, one_minus_p
+    v = chain._vslice(b, d - 1)
+    log_success = math.log(chain.omega(b)) - _log_sums(v - v[0])[-1]
+    return -math.expm1(log_success), math.exp(log_success)
 
 
 def _check_harmonic(omegas: np.ndarray, log_scale: np.ndarray, v: np.ndarray,
@@ -306,55 +303,35 @@ def _check_harmonic(omegas: np.ndarray, log_scale: np.ndarray, v: np.ndarray,
 
 
 def h_transform(chain: QuenchedChain, b: int, d: int, kind: str) -> HTransform:
-    """Doob transform of the attempt from b on [b, d]; see HTransform."""
+    """Doob transform of the attempt from b on [b, d]; see HTransform.
+
+    Both kinds take omega-hat(x) = omega(x) s(x+1) / s(x) and gap(x) =
+    log s(a) + log s(a+1) - log s(x) - log s(x+1) from their scale function
+    s, so the gap is 0 at the anchor a: b for failure, b+1 for success."""
     if not (chain.left <= b < d <= chain.right):
         raise ValueError(f"need left <= b < d <= right, got b={b}, d={d}")
     if kind not in ("failure", "success"):
         raise ValueError(f"kind must be 'failure' or 'success', got {kind!r}")
     v = chain._vslice(b, d)                     # V(b) .. V(d)
     interior = chain._wslice(b + 1, d - 1)
-    width = d - b
-
-    if kind == "failure":
-        # h(x) = suffix / total of e^{V(k)}, k in [b, d-1]
-        log_suffix = _log_suffix_sumexp(v[:-1])  # over x = b .. d-1
-        log_h = np.empty(width + 1)
-        log_h[:-1] = log_suffix - log_suffix[0]
-        log_h[-1] = -math.inf
-        with np.errstate(divide="ignore"):
-            log_w = np.log(interior) + log_h[2:] - log_h[1:-1]
-        omegas_hat = np.exp(log_w)
-        _check_harmonic(interior, log_h, v[:-1], "failure")
-        # gap(x) = log h(b+1) - log h(x) - log h(x+1); nondecreasing
-        gap = np.empty(width + 1)
-        with np.errstate(invalid="ignore"):
-            gap[:-1] = log_h[1] - log_h[:-1] - log_h[1:]
-        gap[0] = 0.0                             # exact anchor, V-hat(b) = V(b)
-        gap[-1] = math.inf
-        v_hat = v + gap
-        return HTransform(kind=kind, b=b, d=d, omegas_hat=omegas_hat,
-                          v_hat=v_hat, gap=gap, log_scale=log_h)
-
-    # success: g(x) = prefix / total of e^{V(k)}, k in [b, d-1]
-    log_prefix = np.logaddexp.accumulate(v[:-1])  # position j holds x = b+1+j
-    log_g = np.empty(width + 2)                  # sites b .. d+1
-    log_g[0] = -math.inf
-    log_g[1:-1] = log_prefix - log_prefix[-1]    # log g(d) = 0 exactly
-    log_g[-1] = 0.0                              # extension g(d+1) := 1
-    with np.errstate(divide="ignore"):
-        log_w = np.log(interior) + log_g[2:-1] - log_g[1:-2]
-    omegas_bar = np.exp(log_w)
-    if omegas_bar.size:
-        omegas_bar[0] = 1.0                      # exact: omega (1 + rho) = 1
-    _check_harmonic(interior, log_g[:-1], v[:-1], "success")
-    # gap(x) = log g(b+1) + log g(b+2) - log g(x) - log g(x+1); nonincreasing
-    gap = np.empty(width + 1)
-    gap[0] = math.inf                            # conditioned walk never at b
-    anchor = log_g[1] + log_g[2] if width >= 2 else log_g[1] + log_g[1]
-    gap[1:] = anchor - log_g[1:-1] - log_g[2:]
-    v_hat = v + gap
-    return HTransform(kind=kind, b=b, d=d, omegas_hat=omegas_bar,
-                      v_hat=v_hat, gap=gap, log_scale=log_g)
+    width, a = d - b, int(kind == "success")    # the anchor is site b + a
+    sums = _log_sums(v[:-1], suffix=not a)      # e^V over x = b .. d-1
+    if a:   # g(x) = sum over [b, x-1] / total, on [b, d+1] with g(d+1) := 1
+        log_scale = np.concatenate(([-math.inf], sums - sums[-1], [0.0]))
+    else:   # h(x) = sum over [x, d-1] / total, on [b, d]
+        log_scale = np.append(sums - sums[0], -math.inf)
+    omegas_hat = np.exp(np.log(interior) + log_scale[2 : width + 1] - log_scale[1:width])
+    _check_harmonic(interior, log_scale[: width + 1], v[:-1], kind)
+    gap = np.full(width + 1, math.inf)          # failure at d: h(d) = 0
+    with np.errstate(invalid="ignore"):         # failure of width 1: -inf - -inf at b
+        gap[: log_scale.size - 1] = (log_scale[a] + log_scale[a + 1]
+                                     - log_scale[:-1] - log_scale[1:])
+    if a:
+        omegas_hat[:1] = 1.0                    # exact: omega (1 + rho) = 1
+    else:
+        gap[0] = 0.0                            # exact: V-hat(b) = V(b)
+    return HTransform(kind=kind, b=b, d=d, omegas_hat=omegas_hat,
+                      v_hat=v + gap, gap=gap, log_scale=log_scale)
 
 
 def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMoments:
@@ -395,15 +372,15 @@ def attempt_moments(chain: QuenchedChain, a: int, b: int, d: int) -> AttemptMome
     # alone can fall short of the exact mean by up to that factor.
     hs = h_transform(chain, b, d, "success")
     v_bar = hs.v_hat[1:]                        # finite on [b+1, d]
-    log_L = _log_suffix_sumexp(v_bar)
-    mean_G_bound = 1.0 + 2.0 * math.exp(logsumexp(log_L - v_bar))
+    log_L = _log_sums(v_bar, suffix=True)
+    mean_G_bound = 1.0 + 2.0 * math.exp(_log_sums(log_L - v_bar)[-1])
 
     # potential sums: attempt count and depth factors
     left_part = chain.v(b) - chain._vslice(a + 1, b - 1) if b > a + 1 else np.array([])
     right_part = -(v_hat[: d - b] - chain.v(b))           # x = b .. d-1
-    m1_hat = math.exp(logsumexp(np.concatenate([left_part, right_part])))
+    m1_hat = math.exp(_log_sums(np.concatenate([left_part, right_part]))[-1])
     v_bd = chain._vslice(b, d - 1)
-    m2 = math.exp(logsumexp(v_bd - np.max(v_bd)))        # = sum e^{V(x) - V(c)}
+    m2 = math.exp(_log_sums(v_bd - np.max(v_bd))[-1])    # = sum e^{V(x) - V(c)}
     return AttemptMoments(p_fail=p_fail, mean_F=mean_F, second_F=second_F,
                           mean_G_bound=mean_G_bound, m1_hat=m1_hat, m2=m2)
 
@@ -586,41 +563,32 @@ def _branching_cascade(draw: _SiteDraw, count: int, start: int, targets,
     return np.subtract(targets, start)[:, None] + 2.0 * totals, clips
 
 
-def sample_hitting_times(env, target: int, n_replicas: int, seed,
-                         start: int = 0, reflect_at: int | None = None) -> np.ndarray:
-    """Exact-in-distribution tau(start -> target) in one environment, by
-    the branching cascade.  A reflecting site stops the cascade; without
-    one the cascade must die out before the window's left edge, otherwise
-    WindowExhausted asks for more environment.  An intensity past
-    _LAM_CAP, or a cascade cut at a reflecting site above start, raises
-    FloatingPointError rather than return a clipped draw.
+def sample_hitting_times(chain: QuenchedChain, target: int, n_replicas: int, seed,
+                         start: int = 0) -> np.ndarray:
+    """Exact-in-distribution tau(start -> target) in the chain's
+    environment, by the branching cascade.  The chain's reflecting site
+    stops the cascade; without one the cascade must die out before the
+    chain's left end, otherwise WindowExhausted asks for more environment.
+    An intensity past _LAM_CAP, or a cascade cut at a reflecting site above
+    start, raises FloatingPointError rather than return a clipped draw.
     """
-    if isinstance(env, QuenchedChain):
-        lo = env.left + 1                       # a chain has omegas on its interior only
-        omega_of = env.omega
-        if reflect_at is None:
-            reflect_at = env.reflect_at
-    else:
-        lo = env.offset
-        omega_of = env.site
     if target <= start:
         raise ValueError("branching representation needs target > start")
     rng = seed if isinstance(seed, np.random.Generator) else \
         generator(stream_key(seed, "branch"))
 
     def rho_at(i: int, _size: int) -> float:
-        if i == reflect_at:
+        if i == chain.reflect_at:
             return 0.0
-        if i < lo:
+        if i <= chain.left:                     # a chain has omegas on its interior only
             raise WindowExhausted("left", "branching cascade")
-        om = omega_of(i)
+        om = chain.omega(i)
         return (1.0 - om) / om
 
     tau, clipped = _branching_cascade(_gamma_poisson(rho_at, rng), n_replicas, start,
-                                      (target,), floor=reflect_at)
+                                      (target,), floor=chain.reflect_at)
     if clipped.any():
         raise FloatingPointError(
             f"{int(clipped.sum())} of {n_replicas} replicas passed the branching "
             f"intensity cap {_LAM_CAP:g} or were cut at the reflecting site")
     return tau[0]
-

@@ -70,6 +70,8 @@ def _log_a(k: float, u: np.ndarray, sin_u: np.ndarray) -> np.ndarray:
 def sample_positive_stable(spec: StableSpec, n: int, seed) -> np.ndarray:
     """Kanter's exact sampler: with U uniform on (0, pi) and W standard
     exponential, (a(U)/W)^{(1-k)/k} is positive stable(k)."""
+    if n < 0:
+        raise ValueError(f"need a sample count >= 0, got count {n}")
     k = spec.kappa
     rng = seed if isinstance(seed, np.random.Generator) else \
         generator(stream_key(seed, "stable"))

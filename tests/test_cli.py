@@ -140,6 +140,11 @@ def test_stable_sample(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_stable_sample_rejects_a_negative_count(capsys):
+    assert main(["stable-sample", "--kappa", "0.5", "--count", "-1"]) == 2
+    assert "count" in capsys.readouterr().err
+
+
 def test_simulate_tau_stdout(capsys):
     assert main(["simulate-tau", "--law", "beta:1.5,1.0",
                  "--n-values", "100", "--replicas", "200",

@@ -169,6 +169,33 @@ def test_failure_prob_complements_and_matches_reference():
         assert p == pytest.approx(ref["p_fail"], rel=1e-10)
 
 
+@pytest.mark.parametrize("L", [20_000, 50_000])
+def test_long_chain_sums_match_a_40_digit_sum(L):
+    # the accumulated logaddexp over tens of thousands of e^V terms, from
+    # the origin and from b, where V is near -0.3 L; the exit probability is
+    # checked only below 0.99, since near 1 a relative error says nothing
+    import mpmath
+    b = L // 2
+    for seed in range(7700, 7703):
+        chain, _ = random_chain(L, seed)
+        with mpmath.workdps(40):
+            terms = [mpmath.exp(mpmath.mpf(float(v))) for v in chain.base_potential[:-1]]
+            q_ref = mpmath.mpf(chain.omega(b)) * terms[b] / mpmath.fsum(terms[b:])
+            p, q = failure_prob(chain, b, L)
+            assert q == pytest.approx(float(q_ref), rel=1e-10)
+            assert p == pytest.approx(float(1 - q_ref), rel=1e-10)
+            for l in (0, b):
+                prefix = list(itertools.accumulate(terms[l:]))
+                checked = 0
+                for x in range(l + 1, L):
+                    ref = float(prefix[x - 1 - l] / prefix[-1])
+                    if ref >= 0.99:
+                        break
+                    assert exit_prob(chain, x, l, L) == pytest.approx(ref, rel=1e-10)
+                    checked += 1
+                assert checked > 0
+
+
 # ------------------------------------------------------------ h-transform
 
 def test_failure_transform_hand_values():
@@ -190,6 +217,18 @@ def test_success_transform_hand_values():
     assert np.isposinf(hs.v_hat[0])
     np.testing.assert_allclose(np.exp(hs.log_scale[:4]), [0.0, 1 / 3, 2 / 3, 1.0],
                                rtol=1e-13, atol=1e-15)
+
+
+def test_success_transform_of_width_one():
+    # d = b + 1: g(b+1) = g(d) = 1, so the gap is 0 at b+1 and the
+    # conditioned walk has no interior site
+    chain, _ = random_chain(6, 17)
+    hs = h_transform(chain, 2, 3, "success")
+    assert hs.gap[1] == 0.0
+    assert hs.v_hat[1] == chain.v(3)
+    assert hs.omegas_hat.size == 0
+    # one forced step and nothing else: 1 + 2 e^{V-bar(d) - V-bar(d)}
+    assert attempt_moments(flat_chain(0.5, 2, reflect_at=0), 0, 1, 2).mean_G_bound == 3.0
 
 
 def test_transform_kind_validation():
@@ -497,8 +536,9 @@ def test_branching_cascade_needs_room_without_reflection():
     from rwre.env import EnvironmentLaw, sample_environment
     law = EnvironmentLaw.discrete((0.3,), (1.0,))
     env = sample_environment(law, (-30, 5), seed=1)
+    chain = QuenchedChain.from_environment(env, env.offset - 1, 5)
     with pytest.raises(WindowExhausted):
-        sample_hitting_times(env, 5, 10, seed=2)
+        sample_hitting_times(chain, 5, 10, seed=2)
 
 
 def test_branching_sampler_raises_past_the_intensity_cap():
@@ -525,18 +565,19 @@ def test_branching_cascade_callers_agree_on_a_constant_environment():
 def test_sample_hitting_times_draws_the_reference_cascade_bit_for_bit():
     # in a fixed environment gamma(0) and poisson(0) consume no bits, so
     # drawing only the live lanes below start leaves every draw in place:
-    # a reflected Beta(1.5, 1) chain, then an unreflected two-atom window
-    # (rho 1/4 and 7/3) where the cascade runs below start
+    # a reflected Beta(1.5, 1) chain, then an unreflected chain over a
+    # two-atom window (rho 1/4 and 7/3) where the cascade runs below start
     from rwre.env import EnvironmentLaw, sample_environment
     from rwre.rng import generator, stream_key
     chain, _ = random_chain(400, seed=1)
     env = sample_environment(EnvironmentLaw.parse("discrete:0.8@0.5;0.3@0.5"),
                              (-5000, 300), seed=3)
+    window = QuenchedChain.from_environment(env, env.offset - 1, 300)
     rho_env = lambda i: (1.0 - env.site(i)) / env.site(i)
     cases = [(chain, 0, 400, 1500, 4, lambda i: 0.0 if i == 0 else
               (1.0 - chain.omega(i)) / chain.omega(i), 0),
-             (env, 0, 300, 1500, 5, rho_env, None),
-             (env, 100, 300, 1000, 6, rho_env, None)]
+             (window, 0, 300, 1500, 5, rho_env, None),
+             (window, 100, 300, 1000, 6, rho_env, None)]
     for where, start, target, count, seed, rho_at, floor in cases:
         ours = sample_hitting_times(where, target, count, seed=seed, start=start)
         ref, clipped = oracles.branching_cascade_reference(
