@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .constants import feller_from_estimate, iglehart_constant
+from .constants import feller_from_estimate, iglehart_constant, ladder_constants
 from .env import EnvironmentLaw, RegimeError, kappa_solve
 from .experiments import (
     EXPERIMENTS,
@@ -114,8 +114,8 @@ def _config_from_args(args) -> ExperimentConfig:
     return parse_config_text("\n".join(parts), needs=experiment.needs)
 
 
-def _print_table(rows: list[tuple[str, str, str, str]]) -> None:
-    widths = [max(len(r[i]) for r in rows) for i in range(4)]
+def _print_table(rows: list[tuple[str, ...]]) -> None:
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     for r in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
@@ -131,26 +131,39 @@ def _cmd_constants(args) -> int:
     law = EnvironmentLaw.parse(args.law)
     params, route, est = limit_law(law, args.seed, args.series or None)
     kappa, moment = params.kappa, params.moment
+    try:
+        exact = ladder_constants(law)
+    except FloatingPointError:              # the ladder series refuses: the sample stands alone
+        exact = None
     ig = iglehart_constant(law, kappa, n_excursions=args.excursions,
                            seed=args.seed)
     c_f, c_f_se = feller_from_estimate(ig, kappa, moment)
     n = ig.n_excursions
-    rows = [("quantity", "value", "stderr", "route"),
-            ("kappa", f"{kappa:.12g}", "-", "closed_form" if law.kind == "beta" else "bisection"),
-            ("E[rho^k log rho]", f"{moment:.12g}", "-", "formula"),
-            ("C_I", f"{ig.c_i:.6g}", f"{ig.stderr:.2g}", "excursion_mc"),
-            ("E[e^(k V(e1))]", f"{ig.e_kv:.6g}",
-             f"{math.sqrt(ig.cov[0, 0] / n):.2g}", "excursion_mc"),
-            ("E[e1]", f"{ig.e_len:.6g}",
-             f"{math.sqrt(ig.cov[1, 1] / n):.2g}", "excursion_mc"),
-            ("C_F", f"{c_f:.6g}", f"{c_f_se:.2g}", "formula")]
+
+    def exact_and_sampled(name, field, sampled, stderr):
+        sampled_row = (name, f"{sampled:.6g}", f"{stderr:.2g}", "excursion_mc")
+        if exact is None:
+            return [sampled_row + ("",)]
+        value = getattr(exact, field)
+        z = f"{(sampled - value) / stderr:+.2f}" if stderr > 0.0 else "-"
+        return [(name, f"{value:.12g}", "-", "spitzer", ""), sampled_row + (z,)]
+
+    kappa_route = "closed_form" if law.kind == "beta" else "bisection"
+    rows = [("quantity", "value", "stderr", "route", "z"),
+            ("kappa", f"{kappa:.12g}", "-", kappa_route, ""),
+            ("E[rho^k log rho]", f"{moment:.12g}", "-", "formula", ""),
+            *exact_and_sampled("E[e1]", "e_len", ig.e_len, math.sqrt(ig.cov[1, 1] / n)),
+            *exact_and_sampled("E[e^(k V(e1))]", "e_kv", ig.e_kv,
+                               math.sqrt(ig.cov[0, 0] / n)),
+            *exact_and_sampled("C_I", "c_i", ig.c_i, ig.stderr),
+            *exact_and_sampled("C_F", "c_f", c_f, c_f_se)]
     if route == "closed_form":
-        rows.append(("C_K", f"{params.c_k:.12g}", "-", "closed_form"))
+        rows.append(("C_K", f"{params.c_k:.12g}", "-", "closed_form", ""))
     if est is not None:                     # Goldie's estimate, or its Beta cross-check
-        rows.append(("C_K", f"{est.constant_hat:.6g}", f"{est.stderr:.2g}", "goldie"))
-    rows += [("Lambda", f"{params.lambda_scale:.10g}", "-", "formula"),
-             ("tau_prefactor", f"{params.tau_prefactor:.10g}", "-", "formula"),
-             ("x_scale", f"{params.x_scale:.10g}", "-", "formula")]
+        rows.append(("C_K", f"{est.constant_hat:.6g}", f"{est.stderr:.2g}", "goldie", ""))
+    rows += [("Lambda", f"{params.lambda_scale:.10g}", "-", "formula", ""),
+             ("tau_prefactor", f"{params.tau_prefactor:.10g}", "-", "formula", ""),
+             ("x_scale", f"{params.x_scale:.10g}", "-", "formula", "")]
     _print_table(rows)
     return 0
 

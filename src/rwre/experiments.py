@@ -51,6 +51,7 @@ from .constants import (
     iglehart_constant,
     kesten_constant_beta,
     kesten_tail_estimate,
+    ladder_constants,
     limit_scale,
     sample_excursions,
 )
@@ -125,11 +126,11 @@ _CENSUS_FIRST = 1.5        # first census window: this many times E[len] n sites
 _CENSUS_MARGIN = 2000      # ... plus these
 _WINDOW_GROWTH = 1.3       # factor a window grows by on the right when too short
 _WINDOW_GROWTHS = 10       # growths before an environment counts as exhausted
-_FALLBACK_EXCURSIONS = 200_000     # E[len] sample when the law has no kappa
+_FALLBACK_EXCURSIONS = 200_000     # excursions sampled where the exact ladder series refuses
 
 _C_K_SOURCE_CODE = {"goldie": 0.0, "closed_form": 1.0}
 
-REPORT_VERSION = "rwre-report-v1"
+REPORT_VERSION = "rwre-report-v2"
 MANIFEST_VERSION = "rwre-manifest-v1"
 
 
@@ -553,6 +554,24 @@ def _census_kappa(law: EnvironmentLaw) -> tuple[float, bool]:
         raise
 
 
+def _excursion_constants(law: EnvironmentLaw, kappa: float | None, seed: int,
+                         ) -> tuple[float, float | None]:
+    """(E[e_1], C_I), C_I None for a law with no kappa: exact from
+    constants.ladder_constants or, for a law whose ladder series refuses
+    (a discrete law of four atoms or more, or one whose series decays
+    slowly), estimated from the first _FALLBACK_EXCURSIONS excursions of
+    the path keyed by seed."""
+    try:
+        ladder = ladder_constants(law)
+        return ladder.e_len, ladder.c_i
+    except FloatingPointError:
+        if kappa is None:
+            _, lengths, _ = sample_excursions(law, _FALLBACK_EXCURSIONS, seed)
+            return float(lengths.mean()), None
+        ig = iglehart_constant(law, kappa, n_excursions=_FALLBACK_EXCURSIONS, seed=seed)
+        return ig.e_len, ig.c_i
+
+
 def _left_pad(d_n: float, drift: float) -> int:
     """Sites left of the origin in a first window: room for a valley's
     D_n backing at the law's drift, with a margin."""
@@ -644,19 +663,20 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
                       c_dprime: float = 25.0) -> ConvergenceReport:
     """Deep-valley census over config.replicas environments per n.
 
-    Reports the valley count against n q_hat with q_hat from the
-    excursion-height tail (Iglehart route), the deep/star coincidence
-    rate, the tail-flatness table h -> e^{kappa h} P{H >= h}, and the
-    good-environment event frequencies.  The A2 band is self-calibrated
-    per environment (its own K_n / n), matching the check's default, so it
-    holds by construction: floor(K_n (1 - m)) <= K_n <= ceil(K_n (1 + m)).
-    The a2 frequency reads 1 and the joint frequency tests only A1, A3
-    and A4.
+    Reports the valley count against n q_hat, q_hat = C_I e^{-kappa h_n}
+    with Iglehart's C_I from _excursion_constants (exact, or sampled where
+    the ladder series refuses; 0 for a law with no kappa), the deep/star
+    coincidence rate, the tail-flatness table h -> e^{kappa h} P{H >= h},
+    and the good-environment event frequencies.  The A2 band is
+    self-calibrated per environment (its own K_n / n), matching the
+    check's default, so it holds by construction: floor(K_n (1 - m)) <=
+    K_n <= ceil(K_n (1 + m)).  The a2 frequency reads 1 and the joint
+    frequency tests only A1, A3 and A4.
 
     Each environment's window starts at _CENSUS_FIRST E[len] n +
     _CENSUS_MARGIN sites right of the origin, E[len] being the mean
-    excursion length of the excursion sample, so it usually holds e_n and
-    the first deep valley past it.  A window too short grows in place
+    excursion length E[e_1] from the same place, so it usually holds e_n
+    and the first deep valley past it.  A window too short grows in place
     (_widening), and the retries field counts the growths.  Each window
     runs check_good_environment first, the scan that runs off a window
     short of the first deep valley past e_n, so detect_deep_valleys and
@@ -671,14 +691,9 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
     kappa, fallback = _census_kappa(config.law)
     if delta is None:
         delta = config.epsilon / kappa + 0.3
-    if not fallback:
-        ig = iglehart_constant(config.law, kappa,
-                               seed=stream_key(config.master_seed, "census-ci"))
-        e_len, c_i_hat = ig.e_len, ig.c_i
-    else:
-        _, lengths, _ = sample_excursions(
-            config.law, _FALLBACK_EXCURSIONS, stream_key(config.master_seed, "census-ci"))
-        e_len, c_i_hat = float(lengths.mean()), 0.0
+    e_len, c_i = _excursion_constants(config.law, None if fallback else kappa,
+                                      stream_key(config.master_seed, "census-ci"))
+    c_i = 0.0 if fallback else c_i
     c_prime = c_prime if c_prime is not None else 2.0 * (e_len + 1.0)
     drift = abs(mean_log_rho(config.law))
     rows = []
@@ -689,7 +704,7 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
         left_pad = _left_pad(d_n, drift)
         right = int(math.ceil(_CENSUS_FIRST * e_len * n)) + _CENSUS_MARGIN
         h_grid = tuple(float(h) for h in (2.0, 4.0, 6.0, 8.0))
-        q_hat = c_i_hat * math.exp(-kappa * h_n)
+        q_hat = c_i * math.exp(-kappa * h_n)
         parts = _run_blocks(
             lambda _, key: _census_env(config.law, n, config.epsilon, kappa, fallback,
                                        delta, c_prime, c_dprime, key, left_pad, right,
@@ -726,7 +741,7 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
                               extras=(("h_n", h_n), ("d_n", d_n))))
     return ConvergenceReport(
         experiment="census", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("c_i_hat", c_i_hat),
+        extras=(("kappa", kappa), ("c_i", c_i),
                 ("c_prime", c_prime), ("c_dprime", c_dprime),
                 ("delta", delta), ("retries", float(total_retries)),
                 ("kappa_fallback", 1.0 if fallback else 0.0)),
@@ -769,7 +784,8 @@ def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
 def verify_reduction(config: ExperimentConfig, workers: int = 1,
                      environments: int = 200) -> ConvergenceReport:
     """Annealed E[e^{-lam_n tau(e_n)}] against the first-valley factor
-    raised to the band powers floor(n q (1 +/- n^{-eps/4})).
+    raised to the band powers floor(n q_n (1 +/- n^{-eps/4})), with
+    q_n = C_I e^{-kappa h_n} and C_I from _excursion_constants.
 
     Both sides are exact quenched solves averaged over environments, so
     the only noise is environment-level; the report carries the bracket
@@ -777,16 +793,18 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
     """
     run_params = _as_declared("reduction", config, environments=environments)
     environments = run_params["environments"]
+    if environments < 1:
+        raise ValueError(f"need environments >= 1, got {environments}")
     kappa = kappa_solve(config.law).kappa
     if max(config.n_values) > 10 ** 5:
         raise ValueError("reduction check is sized for n <= 1e5")
-    ig = iglehart_constant(config.law, kappa,
-                           seed=stream_key(config.master_seed, "reduce-ci"))
+    _, c_i = _excursion_constants(config.law, kappa,
+                                  stream_key(config.master_seed, "reduce-ci"))
     drift = abs(mean_log_rho(config.law))
     rows = []
     for n in config.n_values:
         left_pad = _left_pad(descent_threshold(n, kappa), drift)
-        q_n = ig.c_i * math.exp(-kappa * critical_height(n, config.epsilon, kappa))
+        q_n = c_i * math.exp(-kappa * critical_height(n, config.epsilon, kappa))
         band = float(n) ** (-config.epsilon / 4.0)
         k_lower = int(math.floor(n * q_n * (1.0 - band)))
         k_upper = int(math.floor(n * q_n * (1.0 + band)))
@@ -822,7 +840,7 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
                               extras=(("q_n", q_n),)))
     return ConvergenceReport(
         experiment="reduction", config=config, rows=tuple(rows),
-        extras=(("kappa", kappa), ("c_i_hat", ig.c_i), ("environments", float(environments))),
+        extras=(("kappa", kappa), ("c_i", c_i), ("environments", float(environments))),
         params=tuple(run_params.items()))
 
 

@@ -275,10 +275,10 @@ def _check_harmonic(omegas: np.ndarray, log_scale: np.ndarray, v: np.ndarray,
     """Relative residual of scale(x) = w scale(x+1) + (1-w) scale(x-1),
     against a bound set by the rounding of the log-domain accumulation.
 
-    log_scale is a running logaddexp over e^{V} on the potential v,
+    log_scale is a running logaddexp over e^{V - V(b)} on the potential v,
     shifted by its total.  Each of its entries, and each V it was built
-    from, is a value of magnitude up to M = max|v| + log(len(v)) rounded
-    to half an ulp, eps M / 2.  The residual is 1 minus w e^{d_up} +
+    from, is a value of magnitude up to about M = max|v| + log(len(v))
+    rounded to half an ulp, eps M / 2.  The residual is 1 minus w e^{d_up} +
     (1-w) e^{d_dn}, two terms that sum to 1 in exact arithmetic, so it is
     about as large as the worst error of the differences d_up and d_dn.
     Each difference carries the roundings of the potential increment, the
@@ -315,7 +315,7 @@ def h_transform(chain: QuenchedChain, b: int, d: int, kind: str) -> HTransform:
     v = chain._vslice(b, d)                     # V(b) .. V(d)
     interior = chain._wslice(b + 1, d - 1)
     width, a = d - b, int(kind == "success")    # the anchor is site b + a
-    sums = _log_sums(v[:-1], suffix=not a)      # e^V over x = b .. d-1
+    sums = _log_sums(v[:-1] - v[0], suffix=not a)   # e^{V(x) - V(b)} over x = b .. d-1
     if a:   # g(x) = sum over [b, x-1] / total, on [b, d+1] with g(d+1) := 1
         log_scale = np.concatenate(([-math.inf], sums - sums[-1], [0.0]))
     else:   # h(x) = sum over [x, d-1] / total, on [b, d]

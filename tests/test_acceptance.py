@@ -25,6 +25,7 @@ from rwre.constants import (
     iglehart_constant,
     kesten_constant_beta,
     kesten_tail_estimate,
+    ladder_constants,
     limit_scale,
     limit_scale_beta,
     sample_excursions,
@@ -263,12 +264,17 @@ def test_c07_iglehart_formula_route_vs_height_census():
     h = 10.0
     census = math.exp(0.5 * h) * float(np.mean(height >= h))
     rel = abs(est.c_i - census) / est.c_i
+    exact = ladder_constants(BETA_LAW).c_i
+    z = (est.c_i - exact) / est.stderr
     elapsed = time.perf_counter() - t0
-    report(7, rel < 0.15 and elapsed < 120.0,
-           f"formula C_I={est.c_i:.4f}, census e^(kh) P(H>=h)={census:.4f}, "
-           f"rel diff={rel:.3f}, {elapsed:.0f}s",
-           [clause("rel diff", rel, "<", 0.15), clause("seconds", elapsed, "<", 120.0)])
+    clauses = [clause("rel diff", rel, "<", 0.15), clause("|z| vs exact", abs(z), "<=", 4.0),
+               clause("seconds", elapsed, "<", 120.0)]
+    report(7, all(holds(c) for c in clauses),
+           f"formula C_I={est.c_i:.4f} +/- {est.stderr:.4f}, exact (Spitzer) {exact:.6f}, "
+           f"z={z:+.2f}, census e^(kh) P(H>=h)={census:.4f}, rel diff={rel:.3f}, "
+           f"{elapsed:.0f}s", clauses)
     assert rel < 0.15
+    assert abs(z) <= 4.0
     assert elapsed < 120.0
 
 

@@ -67,6 +67,39 @@ def test_constants_table(capsys):
     assert "Lambda" in lines and "x_scale" in lines and "C_F" in lines
 
 
+@pytest.mark.parametrize("law, exact", [
+    ("beta:1.5,1.0", {"E[e1]": 2.2998191379, "E[e^(k V(e1))]": 0.5651831992,
+                      "C_I": 0.2679099425, "C_F": 0.6161444129}),
+    ("discrete:0.8@0.5;0.3@0.5", {"E[e1]": 3.6964027381, "E[e^(k V(e1))]": 0.6518521845,
+                                  "C_I": 0.2930155619, "C_F": 0.8416412480})])
+def test_constants_table_prints_the_exact_ladder_rows(law, exact, capsys):
+    # each quantity has a spitzer row, printed to 12 digits, then its Monte
+    # Carlo row with the z of the sample against it
+    assert main(["constants", "--law", law, "--excursions", "20000"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    for name, value in exact.items():
+        width = len(name.split())
+        (spitzer, sampled), = [(r, s) for r, s in zip(rows, rows[1:])
+                               if " ".join(r[:width]) == name and r[width + 2] == "spitzer"]
+        assert len(spitzer[width].replace(".", "").lstrip("0")) >= 11
+        assert float(spitzer[width]) == pytest.approx(value, abs=1e-10)
+        assert spitzer[width + 1:] == ["-", "spitzer"]
+        assert " ".join(sampled[:width]) == name and sampled[width + 2] == "excursion_mc"
+        z = (float(sampled[width]) - float(spitzer[width])) / float(sampled[width + 1])
+        assert float(sampled[width + 3]) == pytest.approx(z, rel=0.05, abs=0.01)
+
+
+def test_constants_table_prints_only_the_sample_where_the_ladder_series_refuses(capsys):
+    # a four-atom law's series would enumerate too many count vectors
+    assert main(["constants", "--law", "discrete:0.8@0.2;0.7@0.3;0.5@0.1;0.35@0.4",
+                 "--excursions", "20000"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    routes = {(r[0], r[-1]) for r in rows if r[0] in ("E[e1]", "E[e^(k", "C_I", "C_F")}
+    assert routes == {("E[e1]", "excursion_mc"), ("E[e^(k", "excursion_mc"),
+                      ("C_I", "excursion_mc"), ("C_F", "excursion_mc")}
+    assert not any("spitzer" in r for r in rows)
+
+
 def test_constants_table_goldie_route(capsys):
     assert main(["constants", "--law", "beta:1.5,1.0", "--excursions", "20000",
                  "--series", "20000"]) == 0
@@ -150,7 +183,7 @@ def test_simulate_tau_stdout(capsys):
                  "--n-values", "100", "--replicas", "200",
                  "--master-seed", "4"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("# rwre-report-v1")
+    assert out.startswith("# rwre-report-v2")
     assert "# experiment = tau" in out
 
 
@@ -206,7 +239,7 @@ def test_config_file_with_cli_override(tmp_path, capsys):
                  "--replicas", "200"]) == 0
     out = capsys.readouterr().out
     assert "replicas = 200" not in out           # config echo is not the csv
-    assert out.startswith("# rwre-report-v1")
+    assert out.startswith("# rwre-report-v2")
 
 
 def test_experiment_smoke_commands(capsys, tmp_path):
@@ -251,6 +284,13 @@ def test_verify_reduction_manifest_keeps_environments(tmp_path, capsys):
     with open(os.path.join(out, "reduction.csv")) as a, \
             open(os.path.join(again, "reduction.csv")) as b:
         assert a.read() == b.read()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_verify_reduction_rejects_no_environments(value, capsys):
+    assert main(["verify-reduction", "--law", "beta:1.5,1.0", "--n-values", "300",
+                 "--environments", value]) == 2
+    assert "environments" in capsys.readouterr().err
 
 
 def test_verify_reduction_runs_without_replicas(tmp_path, capsys):

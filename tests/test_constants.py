@@ -1,10 +1,12 @@
 """Excursion constants, tail constants, and the limit-law scale."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
+from scipy.special import gammaln
 
 import oracles
 import rwre.constants
@@ -18,13 +20,17 @@ from rwre.env import (
     sample_environment,
 )
 from rwre.constants import (
+    _beta_log_ladder,
     _burn_in,
     _burned_in,
+    _chernoff_terms,
+    _discrete_log_ladder,
     _perpetuity_blocks,
     feller_from_estimate,
     iglehart_constant,
     kesten_constant_beta,
     kesten_tail_estimate,
+    ladder_constants,
     limit_scale,
     limit_scale_beta,
     sample_excursions,
@@ -134,6 +140,205 @@ def test_feller_from_estimate_matches_ratio_form():
     c_f, se = feller_from_estimate(est, 0.5, BETA_MOMENT)
     assert c_f == pytest.approx(est.c_i / (1.0 - est.e_kv), rel=1e-10)
     assert se > 0.0
+
+
+# --------------------------------------------------------- ladder constants
+
+TWO_ATOM = EnvironmentLaw.parse("discrete:0.8@0.5;0.3@0.5")
+# log rho in {-1, 0, +1} log 3 with weights 0.6, 0.1, 0.3: S_n = 0 has
+# positive probability, so weak and strict ladders differ
+LATTICE = EnvironmentLaw.parse("discrete:0.75@0.6;0.25@0.3;0.5@0.1")
+SERIES_END = 1e-20
+
+
+def _ladder_logs(lc):
+    """(log E[T-], log E_kappa[tau+]) of a LadderConstants."""
+    return math.log(lc.e_len), -math.log1p(-lc.e_kv)
+
+
+def _assemble(law, log_down, log_up):
+    kappa = kappa_solve(law).kappa
+    c_f = 1.0 / (kappa * moment_rho_log(law, kappa) * math.exp(log_down + log_up))
+    return c_f * math.exp(-log_up), c_f
+
+
+def test_ladder_constants_match_a_plain_binomial_series():
+    # P(S_n > 0) and P_kappa(S_n <= 0) summed over the binomial pmf, term by term
+    x = np.log([(1.0 - w) / w for w in TWO_ATOM.values])       # low, high
+    kappa = kappa_solve(TWO_ATOM).kappa
+    tilted = 0.5 * np.exp(kappa * x)
+    logs = []
+    for p_high, positive in ((0.5, True), (tilted[1] / tilted.sum(), False)):
+        total, n = 0.0, 0
+        while True:
+            n += 1
+            j = np.arange(n + 1)
+            log_pmf = (gammaln(n + 1.0) - gammaln(j + 1.0) - gammaln(n - j + 1.0)
+                       + j * math.log(p_high) + (n - j) * math.log1p(-p_high))
+            up = j * x[1] + (n - j) * x[0] > 0.0
+            term = float(np.exp(log_pmf)[up if positive else ~up].sum()) / n
+            total += term
+            if term < SERIES_END:
+                break
+        logs.append(total)
+    lc = ladder_constants(TWO_ATOM)
+    assert _ladder_logs(lc) == pytest.approx(logs, rel=1e-12)
+    c_i, c_f = _assemble(TWO_ATOM, *logs)
+    assert lc.c_i == pytest.approx(c_i, rel=1e-12)
+    assert lc.c_f == pytest.approx(c_f, rel=1e-12)
+
+
+def _lattice_terms(tilt):
+    """The terms P(S_n > 0)/n (tilt 0) or P_tilt(S_n <= 0)/n of LATTICE's
+    ladder series, from the law of S_n / log 3 by convolution on the
+    integers, through the first below SERIES_END."""
+    step = {k: p * 3.0 ** (tilt * k) for k, p in {-1: 0.6, 0: 0.1, 1: 0.3}.items()}
+    dist = np.array([1.0])                                       # S_0 = 0
+    terms = []
+    while not terms or terms[-1] >= SERIES_END:
+        n = len(terms) + 1
+        dist = (step[-1] * np.concatenate((dist, [0.0, 0.0]))
+                + step[0] * np.concatenate(([0.0], dist, [0.0]))
+                + step[1] * np.concatenate(([0.0, 0.0], dist)))  # offsets -n .. n
+        terms.append(float(dist[n + 1:].sum() if tilt == 0.0 else dist[: n + 1].sum()) / n)
+    return terms
+
+
+def test_ladder_constants_match_the_lattice_walk_with_an_atom_at_rho_one():
+    # S_n = 0 is counted exactly, as <= 0, in both series
+    kappa = kappa_solve(LATTICE).kappa                          # 3^kappa = 2
+    logs = [sum(_lattice_terms(tilt)) for tilt in (0.0, kappa)]
+    lc = ladder_constants(LATTICE)
+    assert _ladder_logs(lc) == pytest.approx(logs, rel=1e-12)
+    assert lc.c_i == pytest.approx(_assemble(LATTICE, *logs)[0], rel=1e-12)
+    # the walk goes down one level at a time: E[T-] = 1 + 0.3 / (0.6 - 0.3), and
+    # the ladder height is -log 3 on a first step down, 0 otherwise
+    assert lc.e_len == pytest.approx(2.0, rel=1e-12)
+    assert lc.e_kv == pytest.approx(0.6 / 2.0 + 0.4, rel=1e-12)
+
+
+def _mp_log_ladder(alpha, beta, t):
+    """_beta_log_ladder's integrals by 60-digit mpmath quadrature."""
+    import mpmath
+    with mpmath.workdps(60):
+        a, b = mpmath.mpf(alpha) - t, mpmath.mpf(beta) + t
+        mu = mpmath.digamma(b) - mpmath.digamma(a)
+        s = 1 if mu > 0 else -1
+        norm = mpmath.loggamma(a) + mpmath.loggamma(b)
+
+        def g(u):
+            phi = mpmath.exp(mpmath.loggamma(a - 1j * u) + mpmath.loggamma(b + 1j * u) - norm)
+            return mpmath.arg(1 - phi)
+
+        # g(u) + s pi/2 is of order u, from a Re log phi of order u^2 that
+        # 60 digits resolve down to u = 1e-20; below, the integrand is its
+        # finite limit at 0, so leaving that piece out costs about 1e-20
+        near = mpmath.quad(lambda u: (g(u) + s * mpmath.pi / 2) / u, [mpmath.mpf("1e-20"), 1])
+        far = mpmath.quad(lambda u: g(u) / u, [1, 4, 16, mpmath.inf])
+        return float(-mpmath.log(abs(mu)) / 2 + s / mpmath.pi * (near + far))
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (2.0, 1.5), (1.2, 1.1)])
+def test_beta_ladder_integrals_match_a_60_digit_quadrature(alpha, beta):
+    # in double precision Re log phi, of order u^2, carries an absolute
+    # error near 1e-16 at the nodes next to 0: the logs agree to about 1e-11
+    law = EnvironmentLaw.beta_law(alpha, beta)
+    for t in (0.0, alpha - beta):
+        assert _beta_log_ladder(law, t) == pytest.approx(_mp_log_ladder(alpha, beta, t),
+                                                         abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 1.0), (2.0, 1.5), (1.8, 1.2), (1.2, 1.1),
+                                         (3.5, 2.7)])
+def test_beta_mirror_identity(alpha, beta):
+    # the tilt by rho^kappa maps Beta(A, B) to Beta(B, A), the law of 1/rho
+    law = EnvironmentLaw.beta_law(alpha, beta)
+    assert math.exp(_beta_log_ladder(law, alpha - beta)) == \
+        pytest.approx(math.exp(_beta_log_ladder(law, 0.0)), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, e_len, c_i", [
+    ("discrete:0.8@0.5;0.3@0.5", 3.6964027381, 0.2930155619),
+    ("beta:1.5,1", 2.2998191379, 0.2679099425),
+    ("beta:2,1.5", 2.7490627858, 0.2492055158),
+    ("beta:1.8,1.2", 2.1962728294, 0.2740654481),
+    ("beta:1.2,1.1", 9.0688088975, 0.0995252214),
+])
+def test_ladder_constants_table(spec, e_len, c_i):
+    lc = ladder_constants(EnvironmentLaw.parse(spec))
+    assert lc.e_len == pytest.approx(e_len, abs=1e-9)
+    assert lc.c_i == pytest.approx(c_i, abs=1e-9)
+    assert lc.c_f == pytest.approx(lc.c_i / (1.0 - lc.e_kv), rel=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["discrete:0.75@1", "discrete:0.8@0.5;0.3@0.3;0.6@0.2",
+                                  "beta:3,1"])
+def test_ladder_constants_without_kappa_give_the_mean_epoch(spec):
+    # a law that drifts down with no kappa in (0, 1) has E[e_1] and no C_I;
+    # under discrete:0.75@1 every excursion is one site long
+    lc = ladder_constants(EnvironmentLaw.parse(spec))
+    assert lc.e_len >= 1.0
+    assert lc.e_kv is None and lc.c_i is None and lc.c_f is None
+    if spec == "discrete:0.75@1":
+        assert lc.e_len == 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    # log rho in {-2, -1, 0, +1} log 2: about 970 terms of C(n + 2, 2) rows
+    "discrete:0.8@0.2;0.6666666666666666@0.3;0.5@0.1;0.3333333333333333@0.4",
+    "discrete:0.9@0.1;0.8@0.1;0.7@0.1;0.6@0.1;0.5@0.1;0.45@0.1;0.4@0.2;0.3@0.2",
+    "discrete:0.9@0.05;0.85@0.05;0.8@0.1;0.7@0.1;0.6@0.1;0.55@0.1;0.5@0.1;0.45@0.1;"
+    "0.4@0.1;0.3@0.2",
+])
+def test_ladder_series_refuses_a_law_past_its_budget_before_enumerating(spec, monkeypatch):
+    # four, eight and ten atoms: the refusal comes from the row count alone
+    def refuse(*args):
+        raise AssertionError("count vectors were enumerated")
+
+    monkeypatch.setattr(rwre.constants, "_count_vectors", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FloatingPointError, match="enumerated counts"):
+            ladder_constants(EnvironmentLaw.parse(spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("law", [TWO_ATOM, LATTICE])
+def test_ladder_series_enumerates_one_table_within_its_budget(law, monkeypatch):
+    tables = []
+
+    def record(k, total):
+        tables.append((k, total))
+        return count_vectors(k, total)
+
+    count_vectors = rwre.constants._count_vectors
+    monkeypatch.setattr(rwre.constants, "_count_vectors", record)
+    for t in (0.0, kappa_solve(law).kappa):
+        _discrete_log_ladder(law, t)
+    assert len(tables) == 2
+    for k, total in tables:
+        assert math.comb(total + k, k) * max(k, 1) <= rwre.constants._SERIES_CELLS
+
+
+def test_chernoff_terms_bound_where_the_lattice_series_stops():
+    # the series stops at its first term below _SERIES_TAIL; the table is
+    # sized for the Chernoff bound on that index, so it must not come later
+    kappa = kappa_solve(LATTICE).kappa
+    atoms = np.array([-1.0, 0.0, 1.0]) * math.log(3.0)
+    for tilt, sign in ((0.0, 1.0), (kappa, -1.0)):
+        terms = _lattice_terms(tilt)
+        stop = 1 + next(i for i, term in enumerate(terms)
+                        if term < rwre.constants._SERIES_TAIL)
+        p = np.array([0.6, 0.1, 0.3]) * np.exp(tilt * atoms)
+        assert stop <= _chernoff_terms(sign * atoms, p / p.sum()) <= 1.5 * stop
+
+
+def test_ladder_constants_refuse_a_law_that_does_not_drift_down():
+    with pytest.raises(RegimeError):
+        ladder_constants(EnvironmentLaw.beta_law(1.0, 1.5))
 
 
 # ---------------------------------------------------------- tail constant

@@ -14,9 +14,15 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import erf, erfc
 
+import rwre.constants
 from rwre import experiments
-from rwre.constants import hill_estimate
-from rwre.env import EnvironmentLaw, sample_environment
+from rwre.constants import (
+    hill_estimate,
+    iglehart_constant,
+    ladder_constants,
+    sample_excursions,
+)
+from rwre.env import EnvironmentLaw, kappa_solve, sample_environment
 from rwre.experiments import (
     EXPERIMENTS,
     ExperimentConfig,
@@ -343,7 +349,7 @@ def test_valley_census_desk_scale():
     report = run_valley_census(beta_config(n_values=(400, 800), replicas=30))
     assert report.extra("kappa") == pytest.approx(0.5, abs=1e-10)
     assert report.extra("kappa_fallback") == 0.0
-    assert 0.2 < report.extra("c_i_hat") < 0.35
+    assert report.extra("c_i") == ladder_constants(BETA_LAW).c_i
     for row in report.rows:
         st = row.census
         assert st.environments + st.exhausted == 30
@@ -362,7 +368,7 @@ def test_valley_census_flat_law_fallback():
                                            replicas=5))
     assert report.extra("kappa") == 1.0
     assert report.extra("kappa_fallback") == 1.0
-    assert report.extra("c_i_hat") == 0.0
+    assert report.extra("c_i") == 0.0
     st = report.rows[0].census
     assert st.k_mean == 0.0
     assert st.coincidence == 1.0
@@ -498,8 +504,11 @@ def test_reduction_structure_and_exact_zero():
                                           lambda_grid=(0.0, 1.0)),
                               environments=40)
     assert report.extra("environments") == 40.0
+    assert report.extra("c_i") == ladder_constants(BETA_LAW).c_i
     row = report.rows[0]
-    assert row_extras(row)["q_n"] > 0.0
+    h_n = 1.6 * math.log(300)                  # critical_height at epsilon 0.2, kappa 1/2
+    assert row_extras(row)["q_n"] == pytest.approx(report.extra("c_i") * math.exp(-0.5 * h_n),
+                                                   rel=1e-12)
     zero, one = row.reduction
     assert zero.lam == 0.0 and zero.lam_n == 0.0
     assert abs(zero.left - 1.0) < 1e-6
@@ -508,6 +517,49 @@ def test_reduction_structure_and_exact_zero():
         assert pt.bracket_low <= pt.bracket_high + 1e-12
         assert pt.lam_n == pytest.approx(pt.lam / 300.0 ** 2, rel=1e-12)
         assert pt.envs_with_valley <= row.replicas_used
+
+
+def test_census_and_reduction_sample_no_excursions(monkeypatch):
+    # C_I and E[e_1] are exact: neither runner reads an excursion sample
+    def refuse(*args, **kwargs):
+        raise AssertionError("an excursion sample was drawn")
+
+    monkeypatch.setattr(rwre.constants, "sample_excursions", refuse)
+    monkeypatch.setattr(experiments, "sample_excursions", refuse)
+    monkeypatch.setattr(experiments, "iglehart_constant", refuse)
+    run_valley_census(beta_config(n_values=(200,), replicas=3))
+    run_valley_census(beta_config(law=DRIFT_LAW, n_values=(100,), replicas=2))
+    verify_reduction(beta_config(n_values=(200,), lambda_grid=(1.0,)), environments=12)
+
+
+def test_census_and_reduction_sample_where_the_ladder_series_refuses():
+    # a four-atom law's series would read C(N + 3, 3) count vectors for its
+    # N terms: both runners sample 200,000 excursions of their own streams
+    law = EnvironmentLaw.parse("discrete:0.8@0.2;0.7@0.3;0.5@0.1;0.35@0.4")
+    with pytest.raises(FloatingPointError):
+        ladder_constants(law)
+    kappa = kappa_solve(law).kappa
+    census = run_valley_census(ExperimentConfig(law=law, n_values=(200,), replicas=3))
+    sampled = iglehart_constant(law, kappa, seed=stream_key(0, "census-ci"))
+    assert census.extra("c_i") == sampled.c_i
+    assert census.extra("c_prime") == pytest.approx(2.0 * (sampled.e_len + 1.0), rel=1e-5)
+    assert census.rows[0].census.environments == 3
+    reduction = verify_reduction(ExperimentConfig(law=law, n_values=(300,)), environments=12)
+    assert reduction.extra("c_i") == iglehart_constant(law, kappa,
+                                                       seed=stream_key(0, "reduce-ci")).c_i
+
+
+def test_census_samples_the_mean_epoch_where_the_ladder_series_refuses():
+    # eight atoms and kappa above 1: the census counts at kappa = 1 with C_I
+    # 0, and its windows are sized from the sampled E[e_1]
+    law = EnvironmentLaw.parse("discrete:0.9@0.1;0.85@0.1;0.8@0.1;0.75@0.1;"
+                               "0.7@0.1;0.65@0.1;0.6@0.2;0.45@0.2")
+    with pytest.raises(FloatingPointError):
+        ladder_constants(law)
+    report = run_valley_census(ExperimentConfig(law=law, n_values=(2000,), replicas=4))
+    _, lengths, _ = sample_excursions(law, 200_000, stream_key(0, "census-ci"))
+    assert (report.extra("kappa_fallback"), report.extra("c_i")) == (1.0, 0.0)
+    assert report.extra("c_prime") == pytest.approx(2.0 * (lengths.mean() + 1.0), rel=1e-5)
 
 
 def test_reduction_rejects_large_n():
@@ -605,7 +657,7 @@ def test_crossing_bound_rejects_heights_that_are_not_positive(tmp_path, h):
 
 def test_report_csv_text_format(tau_report):
     text = report_csv_text(tau_report)
-    assert text.startswith("# rwre-report-v1\n# experiment = tau")
+    assert text.startswith("# rwre-report-v2\n# experiment = tau")
     assert "# section laplace" in text
     assert "# section tail" in text
     assert "# section extras" in text

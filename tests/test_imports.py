@@ -50,3 +50,11 @@ def test_cli_does_not_load_scipy_stats():
     done = _run("import sys, rwre.cli\nprint('scipy.stats' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False"]
+
+
+def test_experiments_do_not_load_scipy_integrate():
+    # scipy.integrate adds about 0.15 s to that import; the ladder integrals
+    # use fixed Gauss-Legendre nodes instead of its quadrature
+    done = _run("import sys, rwre.experiments\nprint('scipy.integrate' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]

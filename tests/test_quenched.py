@@ -196,6 +196,21 @@ def test_long_chain_sums_match_a_40_digit_sum(L):
                 assert checked > 0
 
 
+def test_success_scale_on_a_long_chain_matches_a_40_digit_sum():
+    # g(b+1) = e^{V(b)} / sum_{x=b}^{L-1} e^{V(x)}, with V(b) near -15,000:
+    # summed unshifted, the accumulated logaddexp rounds at eps |V(b)|
+    import mpmath
+    L = 50_000
+    b = L // 2
+    for seed in range(7700, 7703):
+        chain, _ = random_chain(L, seed)
+        with mpmath.workdps(40):
+            terms = [mpmath.exp(mpmath.mpf(float(v))) for v in chain.base_potential[b:-1]]
+            ref = float(terms[0] / mpmath.fsum(terms))
+        g = math.exp(h_transform(chain, b, L, "success").log_scale[1])
+        assert g == pytest.approx(ref, rel=1e-13)
+
+
 # ------------------------------------------------------------ h-transform
 
 def test_failure_transform_hand_values():
