@@ -13,8 +13,9 @@ of it:
   by one recursion each (Solomon 1975), which give E_0 tau(r) for every
   target r, the conditional moments of the failure time F and the
   exact mean of the success time G, with a computable bound for it;
-* a banded linear solve of the Laplace transform of a hit, for the
-  reduction check;
+* a tridiagonal solve of the Laplace transform of a hit, for the
+  reduction check: LAPACK's gtsv in place, the routine solve_banded
+  calls for (1, 1) bands, so its bits are those of solve_banded;
 * hitting-time sampling in a chain through the branching representation
   of tau(n), which is exact in distribution and turns one hitting time
   into O(n) negative binomial draws instead of O(tau) coin flips.
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .env import EnvironmentSlice
 from .potential import WindowExhausted
@@ -402,11 +403,13 @@ def mean_G_exact(chain: QuenchedChain, b: int, d: int) -> float:
 
 def linear_solve_oracle(chain: QuenchedChain, target: int, lam: float = 0.0) -> np.ndarray:
     """E^x[e^{-lam tau(target)}; absorbed at target] at every site x of
-    [left, right], by a banded solve of the harmonic system.
+    [left, right], by a tridiagonal solve of the harmonic system.
 
     Both endpoints absorb, unless the chain reflects at its left end;
     target is one of them, and lam = 0 gives the hit probability
-    P^x{absorbed at target}.  The banded solve's rounding grows with the
+    P^x{absorbed at target}.  LAPACK's gtsv, the routine solve_banded
+    calls for (1, 1) bands, solves in place in the returned array, so
+    the bits are those of solve_banded.  Its rounding grows with the
     chain: on reflected Beta(1.5, 1) chains of 2200 sites its hit
     probabilities sit up to 2e-5 from the exact 1, above or below.  The
     values are clipped into [0, 1], the functional's range; that removes
@@ -418,22 +421,27 @@ def linear_solve_oracle(chain: QuenchedChain, target: int, lam: float = 0.0) -> 
     # unknown sites: interior, plus the left end if it reflects
     x0 = L if chain.reflect_at == L else L + 1
     x1 = R - 1
-    n = x1 - x0 + 1
     out = np.zeros(R - L + 1)
-    if n <= 0:
-        out[target - L] = 1.0
+    out[target - L] = 1.0             # absorbed at once: 1 at target, 0 at the other end
+    if x1 < x0:
         return out
     w = chain._wslice(x0, x1)
-    ab = np.zeros((3, n))
-    ab[1, :] = math.exp(lam)
-    ab[0, 1:] = -w[:-1]               # superdiagonal: coupling to x+1
-    ab[2, :-1] = -(1.0 - w[1:])       # subdiagonal: coupling to x-1
-    rhs = np.zeros(n)
-    if x0 == L + 1:
-        rhs[0] += (1.0 - w[0]) * float(target == L)
-    rhs[-1] += w[-1] * float(target == R)
-    out[x0 - L : x1 - L + 1] = np.clip(solve_banded((1, 1), ab, rhs), 0.0, 1.0)
-    out[target - L] = 1.0             # absorbed at once: 1 at target, 0 at the other end
+    rhs = out[x0 - L : x1 - L + 1]    # the right-hand side, overwritten by the solution
+    if target == L:
+        rhs[0] = 1.0 - w[0]
+    else:
+        rhs[-1] = w[-1]
+    diag = math.exp(lam)
+    if rhs.size == 1:                 # gtsv refuses empty off-diagonals
+        x = rhs / diag
+    else:
+        sub = w[1:] - 1.0                          # couplings to x-1
+        sup = np.negative(w[:-1], out=w[:-1])      # couplings to x+1, in w's place
+        *_, x, info = dgtsv(sub, np.full(rhs.size, diag), sup, rhs, overwrite_dl=True,
+                            overwrite_d=True, overwrite_du=True, overwrite_b=True)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+    np.clip(x, 0.0, 1.0, out=rhs)     # in place, unless f2py copied rhs
     return out
 
 

@@ -158,6 +158,33 @@ def laplace_hit_reflected(omega_full, lam):
     return np.concatenate([sol, [1.0]])
 
 
+def banded_laplace_reference(chain, target, lam):
+    """``quenched.linear_solve_oracle`` as written through
+    ``solve_banded((1, 1), ...)``: the 3 x n band array, the right-hand
+    side and the clip into [0, 1].  solve_banded calls LAPACK's gtsv on
+    the same diagonals, so the package's direct gtsv call must give these
+    bits exactly.
+    """
+    L, R = chain.left, chain.right
+    x0 = L if chain.reflect_at == L else L + 1
+    x1 = R - 1
+    n = x1 - x0 + 1
+    out = np.zeros(R - L + 1)
+    if n > 0:
+        w = chain._wslice(x0, x1)
+        ab = np.zeros((3, n))
+        ab[1, :] = math.exp(lam)
+        ab[0, 1:] = -w[:-1]               # superdiagonal: coupling to x+1
+        ab[2, :-1] = -(1.0 - w[1:])       # subdiagonal: coupling to x-1
+        rhs = np.zeros(n)
+        if x0 == L + 1:
+            rhs[0] += (1.0 - w[0]) * float(target == L)
+        rhs[-1] += w[-1] * float(target == R)
+        out[x0 - L : x1 - L + 1] = np.clip(solve_banded((1, 1), ab, rhs), 0.0, 1.0)
+    out[target - L] = 1.0
+    return out
+
+
 def attempt_reference(omega_full, b):
     """Conditional moments of one excursion attempt from b toward L.
 

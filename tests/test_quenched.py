@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,6 +479,69 @@ def test_oracle_target_validation():
         linear_solve_oracle(chain, None)
     with pytest.raises(ValueError):     # a reflecting end absorbs nothing
         linear_solve_oracle(flat_chain(0.5, 5, reflect_at=0), 0)
+
+
+def reduction_like_chain(sites=30_000, seed=0):
+    """Reflected beta:2,1.5 chain on [0, sites], as the reduction solves
+    up to e_n at n = 1e4."""
+    om = np.random.default_rng(seed).beta(2.0, 1.5, sites)
+    return QuenchedChain.from_omegas(om, left=0, reflect_at=0)
+
+
+def test_oracle_matches_the_banded_reference_bit_for_bit():
+    # the direct gtsv call solves what solve_banded((1, 1), ...) solved
+    cases = []
+    for L, reflect in itertools.product((1, 2, 3, 4, 17, 300, 3000), (True, False)):
+        chain, _ = random_chain(L, 8100 + L, reflect=reflect)
+        targets = (L,) if reflect else (0, L)
+        cases += [(chain, target) for target in targets]
+    cases.append((reduction_like_chain(), 30_000))
+    for (chain, target), lam in itertools.product(cases, (0.0, 1e-8, 0.7)):
+        np.testing.assert_array_equal(
+            linear_solve_oracle(chain, target, lam=lam),
+            oracles.banded_laplace_reference(chain, target, lam),
+            err_msg=f"{chain.right} sites, reflect_at={chain.reflect_at}, "
+                    f"target={target}, lam={lam}")
+
+
+def test_oracle_solves_a_single_unknown():
+    # gtsv refuses the empty off-diagonals of a 1 x 1 system
+    absorbing = QuenchedChain.from_omegas([0.3, 0.6])
+    reflected = QuenchedChain.from_omegas([0.6], reflect_at=0)
+    for chain, target in ((absorbing, 0), (absorbing, 2), (reflected, 1)):
+        for lam in (0.0, 0.5):
+            np.testing.assert_array_equal(
+                linear_solve_oracle(chain, target, lam=lam),
+                oracles.banded_laplace_reference(chain, target, lam))
+    np.testing.assert_allclose(linear_solve_oracle(absorbing, 2, lam=0.5),
+                               [0.0, 0.1819592, 1.0], rtol=0, atol=1e-7)
+    np.testing.assert_allclose(linear_solve_oracle(reflected, 1, lam=0.5),
+                               [math.exp(-0.5), 1.0], rtol=0, atol=1e-15)
+
+
+def test_oracle_refuses_a_singular_system():
+    # lam = -log 2 on omegas 1/2: the second pivot is 1/2 - 1/4 / (1/2) = 0
+    chain = flat_chain(0.5, 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        oracles.banded_laplace_reference(chain, 3, -math.log(2.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        linear_solve_oracle(chain, 3, lam=-math.log(2.0))
+
+
+def test_oracle_solve_allocates_at_most_five_arrays_of_its_length():
+    # the returned array, the omegas (overwritten by the superdiagonal),
+    # the subdiagonal and the diagonal read 4; with solve_banded's band
+    # array, input copies and clipped copy the solve read 10
+    chain = reduction_like_chain()
+    linear_solve_oracle(chain, 30_000, lam=0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = linear_solve_oracle(chain, 30_000, lam=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 5 * 8 * out.size
 
 
 # ------------------------------------------------- expected hitting times
