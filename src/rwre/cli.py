@@ -171,6 +171,9 @@ def _cmd_constants(args) -> int:
 def _cmd_valleys(args) -> int:
     law = EnvironmentLaw.parse(args.law)
     kappa = kappa_solve(law).kappa
+    # 4n + 1000 sites on purpose, not a first window sized from E[e_1] as
+    # the census's and the reduction's are: on a slow-drift law it grows,
+    # which test_valleys_grows_a_short_window and the CI valleys step need
     found, growths, _ = _widening(
         law, args.seed, -2000, 4 * args.n + 1000,
         lambda path, table: [detect(path, args.n, args.epsilon, kappa, table=table())

@@ -194,9 +194,10 @@ def _by_cdf(law: EnvironmentLaw) -> bool:
 
 
 def _law_uniform_to_omega(law: EnvironmentLaw, u: np.ndarray) -> np.ndarray:
-    """Inverse CDF of a law that _by_cdf admits."""
+    """Inverse CDF of a law that _by_cdf admits; a Beta law overwrites u."""
     if law.kind == "beta":
-        return u ** (1.0 / law.alpha)
+        u **= 1.0 / law.alpha
+        return u
     return np.asarray(law.values)[_atom_index(law, u)]
 
 
@@ -205,12 +206,12 @@ def draw_omegas(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.
     sample_environment and for samplers that draw a fresh environment per
     replica.  Laws that _by_cdf admits invert generator uniforms; other
     Beta laws use the generator's own beta sampler.  Draws are clipped
-    into _OMEGA_CLIP."""
+    into _OMEGA_CLIP in place, so a Beta law's draw allocates one array."""
     if _by_cdf(law):
         om = _law_uniform_to_omega(law, rng.random(size))
     else:
         om = rng.beta(law.alpha, law.beta, size)
-    return np.clip(om, _OMEGA_CLIP[0], _OMEGA_CLIP[1])
+    return np.clip(om, _OMEGA_CLIP[0], _OMEGA_CLIP[1], out=om)
 
 
 def draw_rho(law: EnvironmentLaw, rng: np.random.Generator, size: int) -> np.ndarray:

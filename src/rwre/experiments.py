@@ -124,6 +124,8 @@ _POS_MAX_WIDTH = 20_000    # hard cap on the per-block environment window
 _TAU_DEPTH = 10 ** 6       # cascade sites below the origin before a replica is clipped
 _CENSUS_FIRST = 1.5        # first census window: this many times E[len] n sites ...
 _CENSUS_MARGIN = 2000      # ... plus these
+_REDUCTION_FIRST = 1.1     # first reduction window: this many times E[len] n sites ...
+_REDUCTION_MARGIN = 1000   # ... plus these
 _WINDOW_GROWTH = 1.3       # factor a window grows by on the right when too short
 _WINDOW_GROWTHS = 10       # growths before an environment counts as exhausted
 _FALLBACK_EXCURSIONS = 200_000     # excursions sampled where the exact ladder series refuses
@@ -751,14 +753,14 @@ def run_valley_census(config: ExperimentConfig, workers: int = 1,
 # ----------------------------------------------------- reduction check
 
 def _reduction_env(law: EnvironmentLaw, n: int, epsilon: float, kappa: float,
-                   lam_values: tuple[float, ...], key: int, left_pad: int,
+                   lam_values: tuple[float, ...], key: int, left_pad: int, right: int,
                    ) -> dict:
     def scan(path, table):
         table = table()
         deep = detect_deep_valleys(path, n, epsilon, kappa, table=table)
         return int(table.ends[n - 1]), deep
 
-    found, _, env = _widening(law, key, -left_pad, 4 * n + 1000, scan, keep_env=True)
+    found, _, env = _widening(law, key, -left_pad, right, scan, keep_env=True)
     if found is None:
         return {"ok": False}
     e_n, deep = found
@@ -790,6 +792,14 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
     Both sides are exact quenched solves averaged over environments, so
     the only noise is environment-level; the report carries the bracket
     and the containment margin after widening by 3 combined SE.
+
+    Each environment's window starts at _REDUCTION_FIRST E[len] n +
+    _REDUCTION_MARGIN sites right of the origin, E[len] being E[e_1] from
+    _excursion_constants, so it usually holds e_n and the first deep
+    valley; a window too short grows in place (_widening).  No reading
+    depends on how far the window reaches on the right, and its left
+    edge, the chain's reflecting site, grows only when a valley's backing
+    site needs room, so the first window's size changes no report byte.
     """
     run_params = _as_declared("reduction", config, environments=environments)
     environments = run_params["environments"]
@@ -798,19 +808,20 @@ def verify_reduction(config: ExperimentConfig, workers: int = 1,
     kappa = kappa_solve(config.law).kappa
     if max(config.n_values) > 10 ** 5:
         raise ValueError("reduction check is sized for n <= 1e5")
-    _, c_i = _excursion_constants(config.law, kappa,
-                                  stream_key(config.master_seed, "reduce-ci"))
+    e_len, c_i = _excursion_constants(config.law, kappa,
+                                      stream_key(config.master_seed, "reduce-ci"))
     drift = abs(mean_log_rho(config.law))
     rows = []
     for n in config.n_values:
         left_pad = _left_pad(descent_threshold(n, kappa), drift)
+        right = int(math.ceil(_REDUCTION_FIRST * e_len * n)) + _REDUCTION_MARGIN
         q_n = c_i * math.exp(-kappa * critical_height(n, config.epsilon, kappa))
         band = float(n) ** (-config.epsilon / 4.0)
         k_lower = int(math.floor(n * q_n * (1.0 - band)))
         k_upper = int(math.floor(n * q_n * (1.0 + band)))
         parts = [p for p in _run_blocks(
             lambda _, key: _reduction_env(config.law, n, config.epsilon, kappa,
-                                          config.lambda_grid, key, left_pad),
+                                          config.lambda_grid, key, left_pad, right),
             environments, workers, config.master_seed, "reduce", n) if p["ok"]]
         if len(parts) < max(10, environments // 2):
             raise RuntimeError(f"n={n}: too few usable environments ({len(parts)})")

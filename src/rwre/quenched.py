@@ -2,8 +2,8 @@
 
 Everything here conditions on one realized environment.  The central
 object is a QuenchedChain: omegas on a site interval [left, right], an
-optional reflecting site, and the restriction of the potential.  On top
-of it:
+optional reflecting site, and the restriction of the potential, built
+when first read.  On top of it:
 
 * exit and failure probabilities through the classical e^V sums;
 * the two Doob transforms of an excursion attempt from b (conditioned to
@@ -66,17 +66,20 @@ _LAM_CAP = 5e18       # cascade intensities (Poisson means, geometric values) sa
 class QuenchedChain:
     """Omegas on the interior (left, right), potential on [left, right].
 
-    The value V(right) needs omega at the right edge, which is why
-    from_omegas takes omegas up to and including the right endpoint; the
-    edge omega enters nothing but that last potential increment.  A
-    reflecting site (omega forced to 1) is stored as a field and applied
-    inside computations; the stored interior omegas stay in (0, 1).
+    The value V(right) needs omega at the right edge, which the chain
+    keeps as edge_omega; it enters nothing but that last potential
+    increment.  base_potential, V on [left, right] with V(left) = 0, is
+    built when first read and kept on the instance: the tridiagonal
+    solve reads only the omegas, so the reduction's chains never build
+    it.  The omegas are not copied.  A reflecting site (omega forced to
+    1) is stored as a field and applied inside computations; the stored
+    omegas stay in (0, 1).
     """
 
     left: int
     right: int
     omegas: np.ndarray            # sites left+1 .. right-1
-    base_potential: np.ndarray    # V on sites left .. right
+    edge_omega: float             # site right
     reflect_at: int | None = None
 
     def __post_init__(self):
@@ -85,12 +88,23 @@ class QuenchedChain:
             raise ValueError("chain needs right > left")
         if len(self.omegas) != width - 1:
             raise ValueError(f"expected {width - 1} interior omegas, got {len(self.omegas)}")
-        if len(self.base_potential) != width + 1:
-            raise ValueError(f"expected {width + 1} potential values, got {len(self.base_potential)}")
         if np.any(self.omegas <= 0.0) or np.any(self.omegas >= 1.0):
             raise ValueError("interior omegas must lie strictly in (0, 1)")
+        if not 0.0 < self.edge_omega < 1.0:
+            raise ValueError("the edge omega must lie strictly in (0, 1)")
         if self.reflect_at is not None and not self.left <= self.reflect_at < self.right:
             raise ValueError("reflect_at must lie in [left, right)")
+
+    @property
+    def base_potential(self) -> np.ndarray:
+        """V on sites left .. right, kept after the first read.  Threads
+        that race on that read build equal arrays, so no lock is taken."""
+        v = self.__dict__.get("base_potential")
+        if v is None:
+            om = np.append(self.omegas, self.edge_omega)
+            v = self.__dict__["base_potential"] = np.concatenate(
+                [[0.0], np.cumsum(np.log1p(-om) - np.log(om))])
+        return v
 
     @classmethod
     def from_omegas(cls, omegas, left: int = 0,
@@ -100,11 +114,8 @@ class QuenchedChain:
         om = np.asarray(omegas, dtype=np.float64)
         if om.size < 1:
             raise ValueError("need at least one omega")
-        right = left + om.size
-        log_rho = np.log1p(-om) - np.log(om)
-        v = np.concatenate([[0.0], np.cumsum(log_rho)])
-        return cls(left=left, right=right, omegas=om[:-1], base_potential=v,
-                   reflect_at=reflect_at)
+        return cls(left=left, right=left + om.size, omegas=om[:-1],
+                   edge_omega=float(om[-1]), reflect_at=reflect_at)
 
     @classmethod
     def from_environment(cls, env: EnvironmentSlice, left: int, right: int,

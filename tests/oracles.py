@@ -38,6 +38,7 @@ from rwre.potential import (
     excursion_table,
     first_ascent,
 )
+from rwre.quenched import QuenchedChain
 from rwre.rng import generator, stream_key
 from rwre.stable import StableSpec, sample_positive_stable
 
@@ -546,3 +547,37 @@ def census_env_resampled(law, n, epsilon, kappa, fallback, delta, c_prime, c_dpr
             continue
         return dict(_census_fields(*found, n, h_grid), ok=True, retries=retries)
     return {"ok": False, "retries": 4}
+
+
+def reduction_env_whole(law, n, epsilon, kappa, lam_values, key, left_pad, e_len):
+    """One reduction environment by the route that samples one window
+    whole: sites [-left_pad, 3 e_len n + 2000], and on WindowExhausted the
+    whole window again with 4x the left pad (as experiments._widening
+    grows a left edge) or 1.6x the right edge, eight windows at most.
+    Both solves go through solve_banded (banded_laplace_reference).
+    Returns the fields of experiments._reduction_env."""
+    left, right = -left_pad, int(math.ceil(3.0 * e_len * n)) + 2000
+    for _ in range(8):
+        env = sample_environment(law, (left, right), seed=key)
+        path = build_potential(env)
+        table = excursion_table(path)
+        try:
+            deep = detect_deep_valleys(path, n, epsilon, kappa, table=table)
+        except WindowExhausted as exhausted:
+            left, right = ((4 * left, right) if exhausted.side == "left"
+                           else (left, int(right * 1.6)))
+            continue
+        e_n = int(table.ends[n - 1])
+        chain = QuenchedChain.from_environment(env, left, e_n, reflect_at=left)
+        first = deep[0] if deep else None
+        if first is not None:
+            valley = QuenchedChain.from_environment(env, first.a, first.d, reflect_at=first.a)
+        lefts, factors = [], []
+        for lam in lam_values:
+            lam_n = lam / float(n) ** (1.0 / kappa)
+            lefts.append(float(banded_laplace_reference(chain, e_n, lam_n)[-left]))
+            if first is not None:
+                factors.append(float(banded_laplace_reference(valley, first.d, lam_n)
+                                     [first.b - first.a]))
+        return {"ok": True, "lefts": lefts, "factors": factors, "k_n": len(deep)}
+    return {"ok": False}

@@ -562,6 +562,52 @@ def test_census_samples_the_mean_epoch_where_the_ladder_series_refuses():
     assert report.extra("c_prime") == pytest.approx(2.0 * (lengths.mean() + 1.0), rel=1e-5)
 
 
+@pytest.mark.parametrize("law, n, environments", [("beta:2,1.5", 10_000, 25),
+                                                  ("beta:1.2,1.1", 2000, 30)])
+def test_reduction_readings_do_not_depend_on_the_window_reach(law, n, environments,
+                                                              monkeypatch):
+    # every environment runs through both routes: the window sized from
+    # E[e_1] and grown in place, and one window reaching past 3 E[e_1] n
+    law = EnvironmentLaw.parse(law)
+    e_len = ladder_constants(law).e_len
+    grown_route, widening = experiments._reduction_env, experiments._widening
+    pairs, growths = [], []
+
+    def counted(*args, **kwargs):
+        found = widening(*args, **kwargs)
+        growths.append(found[1])
+        return found
+
+    def both(law, n, epsilon, kappa, lam_values, key, left_pad, right):
+        grown = grown_route(law, n, epsilon, kappa, lam_values, key, left_pad, right)
+        pairs.append((grown, oracles.reduction_env_whole(law, n, epsilon, kappa, lam_values,
+                                                         key, left_pad, e_len)))
+        return grown
+
+    monkeypatch.setattr(experiments, "_widening", counted)
+    monkeypatch.setattr(experiments, "_reduction_env", both)
+    verify_reduction(ExperimentConfig(law=law, n_values=(n,), lambda_grid=(0.5, 1.0)),
+                     environments=environments)
+    assert len(pairs) == len(growths) == environments
+    for grown, whole in pairs:
+        assert grown["ok"] and grown == whole
+    assert sum(1 for g in growths if g) < environments
+
+
+def test_reduction_chains_never_build_their_potential(monkeypatch):
+    solve = experiments.linear_solve_oracle
+    chains = []
+
+    def kept(chain, target, lam=0.0):
+        chains.append(chain)
+        return solve(chain, target, lam=lam)
+
+    monkeypatch.setattr(experiments, "linear_solve_oracle", kept)
+    verify_reduction(beta_config(n_values=(300,), lambda_grid=(1.0,)), environments=12)
+    assert len({id(chain) for chain in chains}) > 12
+    assert all("base_potential" not in vars(chain) for chain in chains)
+
+
 def test_reduction_rejects_large_n():
     with pytest.raises(ValueError):
         verify_reduction(beta_config(n_values=(2 * 10 ** 5,)), environments=10)

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -43,20 +45,17 @@ def flat_chain(omega, L, reflect_at=None):
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        QuenchedChain(left=3, right=3, omegas=np.array([]),
-                      base_potential=np.array([0.0]))
+        QuenchedChain(left=3, right=3, omegas=np.array([]), edge_omega=0.5)
     with pytest.raises(ValueError):
-        QuenchedChain(left=0, right=3, omegas=np.array([0.5]),
-                      base_potential=np.zeros(4))
+        QuenchedChain(left=0, right=3, omegas=np.array([0.5]), edge_omega=0.5)
+    for edge in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError):
+            QuenchedChain(left=0, right=3, omegas=np.array([0.5, 0.5]), edge_omega=edge)
     with pytest.raises(ValueError):
-        QuenchedChain(left=0, right=3, omegas=np.array([0.5, 0.5]),
-                      base_potential=np.zeros(3))
+        QuenchedChain(left=0, right=3, omegas=np.array([0.5, 1.0]), edge_omega=0.5)
     with pytest.raises(ValueError):
-        QuenchedChain(left=0, right=3, omegas=np.array([0.5, 1.0]),
-                      base_potential=np.zeros(4))
-    with pytest.raises(ValueError):
-        QuenchedChain(left=0, right=3, omegas=np.array([0.5, 0.5]),
-                      base_potential=np.zeros(4), reflect_at=3)
+        QuenchedChain(left=0, right=3, omegas=np.array([0.5, 0.5]), edge_omega=0.5,
+                      reflect_at=3)
 
 
 def test_from_omegas_builds_the_potential():
@@ -73,9 +72,42 @@ def test_from_omegas_builds_the_potential():
 def test_edge_omega_feeds_only_the_last_increment():
     a = QuenchedChain.from_omegas([0.7, 0.4, 0.6, 0.3])
     b = QuenchedChain.from_omegas([0.7, 0.4, 0.6, 0.9])
+    assert (a.edge_omega, b.edge_omega) == (0.3, 0.9)
     np.testing.assert_array_equal(a.omegas, b.omegas)
+    assert a.base_potential.size == b.base_potential.size == 5
     np.testing.assert_array_equal(a.base_potential[:-1], b.base_potential[:-1])
-    assert a.v(4) != b.v(4)
+    for chain, edge in ((a, 0.3), (b, 0.9)):
+        assert math.isclose(chain.v(4) - chain.v(3), math.log((1.0 - edge) / edge),
+                            rel_tol=1e-12)
+
+
+def test_the_potential_is_built_on_first_read_with_the_eager_bits():
+    rng = np.random.default_rng(8)
+    for k in range(30):
+        om = rng.beta(1.5, 1.0, int(rng.integers(1, 5000)))
+        chain = QuenchedChain.from_omegas(om, left=-k, reflect_at=-k if k % 2 else None)
+        assert "base_potential" not in vars(chain)
+        v = chain.base_potential
+        assert chain.base_potential is v and vars(chain)["base_potential"] is v
+        np.testing.assert_array_equal(
+            v, np.concatenate([[0.0], np.cumsum(np.log1p(-om) - np.log(om))]))
+
+
+def test_threads_racing_on_the_first_read_see_equal_potentials():
+    om = np.random.default_rng(9).beta(2.0, 1.5, 30_000)
+    eager = np.concatenate([[0.0], np.cumsum(np.log1p(-om) - np.log(om))])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            chain = QuenchedChain.from_omegas(om, reflect_at=0)
+            with ThreadPoolExecutor(4) as pool:
+                seen = [f.result(timeout=60) for f in
+                        [pool.submit(lambda: chain.base_potential) for _ in range(8)]]
+            for v in seen + [chain.base_potential]:
+                np.testing.assert_array_equal(v, eager)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_site_lookups():
